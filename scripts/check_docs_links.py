@@ -18,6 +18,11 @@ Walks every tracked markdown file (README.md, docs/*.md, and any other
      resolves from the repo root. Prose backticks (`ByteSink`, command
      lines with flags, glob patterns) are ignored.
 
+It also walks the C++ sources under src/, tests/ and bench/ and verifies
+that every `*.md` document a `//` comment cites (`docs/wire_protocol.md`,
+`README.md`) exists, resolved from the repo root or the citing file's
+directory, so code comments cannot point readers at missing documents.
+
 Generated artifacts (BENCH_*.json, TRACE_*.json, build/ paths) are
 whitelisted by pattern: docs legitimately name files that exist only
 after a bench run.
@@ -46,6 +51,11 @@ GENERATED = re.compile(
 )
 
 SKIP_DIRS = {".git", "build", ".github"}
+
+# C++ sources whose comments may cite markdown documents.
+SOURCE_DIRS = ("src", "tests", "bench")
+SOURCE_EXTS = (".hpp", ".cpp", ".h", ".c", ".inc")
+MD_CITE = re.compile(r"(?<![\w./-])((?:[\w.-]+/)*[\w-]+\.md)\b")
 
 
 def tracked_markdown(root):
@@ -97,6 +107,29 @@ def check_file(path, root):
     return errors
 
 
+def source_files(root):
+    for top in SOURCE_DIRS:
+        for dirpath, dirnames, filenames in os.walk(os.path.join(root, top)):
+            dirnames[:] = [d for d in dirnames if d not in SKIP_DIRS]
+            for name in sorted(filenames):
+                if name.endswith(SOURCE_EXTS):
+                    yield os.path.join(dirpath, name)
+
+
+def check_source_file(path, root):
+    errors = []
+    base = os.path.dirname(path)
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            _, slashes, comment = line.partition("//")
+            for m in MD_CITE.finditer(comment if slashes else ""):
+                ref = m.group(1)
+                if not any(os.path.exists(os.path.join(d, ref))
+                           for d in (root, base)):
+                    errors.append((lineno, f"cites missing document {ref}"))
+    return errors
+
+
 def main():
     root = os.path.abspath(
         sys.argv[1] if len(sys.argv) > 1
@@ -116,6 +149,14 @@ def main():
     if checked == 0:
         print("FAIL: no markdown files found", file=sys.stderr)
         return 1
+    sources = 0
+    for src in source_files(root):
+        sources += 1
+        for line, msg in check_source_file(src, root):
+            failed = True
+            rel = os.path.relpath(src, root)
+            print(f"FAIL: {rel}:{line}: {msg}", file=sys.stderr)
+    print(f"checked document citations in {sources} source files")
     return 1 if failed else 0
 
 

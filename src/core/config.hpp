@@ -1,7 +1,8 @@
 // Tunable constants of the decoder implementations and of the simulated cost
 // of their inner loops. The cycle constants are calibrated so the simulated
-// V100 reproduces the throughput regimes of the paper's Table II / Table V
-// (see EXPERIMENTS.md for the calibration procedure).
+// V100 reproduces the throughput regimes of the paper's Table II / Table V;
+// tests/integration/perf_shape_test.cpp pins the resulting shapes and the
+// bench_table2/bench_table5 binaries print the full tables.
 #pragma once
 
 #include <cstdint>

@@ -100,7 +100,8 @@ cudasim::KernelResult run_staged(cudasim::SimContext& ctx,
                                        sequence_ids.size());
   // A subsequence can hold at most subseq_bits one-bit codewords, so the
   // buffer must be able to hold one subsequence's worth of output or the
-  // inner loop cannot make progress (see DESIGN.md).
+  // inner loop cannot make progress: a thread whose output never fits caps
+  // tempEnd at its own start in every iteration.
   const std::uint64_t max_per_subseq = plan.stream->geometry.subseq_bits();
   if (buffer_symbols < max_per_subseq) {
     throw std::invalid_argument(
@@ -109,6 +110,10 @@ cudasim::KernelResult run_staged(cudasim::SimContext& ctx,
   const std::uint32_t shmem_bytes = buffer_symbols * 2;
 
   const cudasim::LaunchConfig cfg{grid, block_dim, shmem_bytes};
+  // Per-thread registers, loaded once per block (phase 0 rewrites start and
+  // end of every lane, so they are shared by all blocks of the launch).
+  std::vector<std::uint64_t> start(block_dim), end(block_dim);
+  std::vector<std::uint64_t> bit_lo(block_dim), bit_hi(block_dim);
   const auto body = [&](cudasim::BlockCtx& blk) {
     const std::uint32_t seq = sequence_ids.empty()
                                   ? blk.block_idx()
@@ -116,9 +121,6 @@ cudasim::KernelResult run_staged(cudasim::SimContext& ctx,
     const std::uint64_t first = static_cast<std::uint64_t>(seq) * block_dim;
     auto* buffer = blk.shared_as<std::uint16_t>();
 
-    // Per-thread registers loaded once (phase 0).
-    std::vector<std::uint64_t> start(block_dim), end(block_dim);
-    std::vector<std::uint64_t> bit_lo(block_dim), bit_hi(block_dim);
     std::uint64_t si = 0, ei = 0;
     blk.for_each_thread([&](cudasim::ThreadCtx& t) {
       if (!sequence_ids.empty() && t.tid() == 0) {
@@ -158,7 +160,6 @@ cudasim::KernelResult run_staged(cudasim::SimContext& ctx,
                       /*record_table_reads=*/false, plan.table_addr,
                       [&](std::uint16_t sym, std::uint32_t k) {
                         buffer[start[i] - si + k] = sym;
-                        t.shared_access();
                         t.charge(config.cost.staged_symbol_cycles);
                       });
           // Consumed: exclude from later iterations.
@@ -174,7 +175,6 @@ cudasim::KernelResult run_staged(cudasim::SimContext& ctx,
       blk.for_each_thread([&](cudasim::ThreadCtx& t) {
         for (std::uint64_t k = t.tid(); k < count; k += block_dim) {
           out[base + k] = buffer[k];
-          t.shared_access();
           t.global_write(plan.out_addr + (base + k) * plan.symbol_bytes,
                          plan.symbol_bytes);
           t.charge(config.cost.coop_copy_cycles);

@@ -1,8 +1,10 @@
 // Architectural parameters of the simulated GPU. The performance model in
 // perf_model.hpp converts recorded kernel events into time using these
 // numbers. DeviceSpec::v100() is calibrated against the paper's evaluation
-// platform (NVIDIA Tesla V100-SXM2-32GB on PSC Bridges-2); see EXPERIMENTS.md
-// for the calibration notes.
+// platform (NVIDIA Tesla V100-SXM2-32GB on PSC Bridges-2): the organisation
+// and bandwidth figures are the V100's published ones, the fitted constants
+// say below which paper result they reproduce, and
+// tests/integration/perf_shape_test.cpp pins those results' shapes.
 #pragma once
 
 #include <cstdint>

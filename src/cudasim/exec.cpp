@@ -1,49 +1,59 @@
 #include "cudasim/exec.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <bit>
 
 namespace ohd::cudasim {
 
-void ThreadCtx::shared_access(std::uint32_t count) {
-  block_.stats_.shared_accesses += count;
+namespace detail {
+
+void SectorSet::clear() {
+  size_ = 0;
+  if (++epoch_ == 0) {
+    // Stamps from 2^32 phases ago would read as live again: wipe them.
+    for (Slot& s : table_) s.stamp = 0;
+    epoch_ = 1;
+  }
 }
 
-void ThreadCtx::global_access(std::uint64_t addr, std::uint32_t bytes,
-                              bool is_write) {
-  // Slot = how many accesses this lane has already made in the current phase;
-  // the k-th access of every lane in the warp coalesces together.
-  const std::uint32_t slot = slot_counter_++;
-  if (slot >= block_.slots_.size()) {
-    block_.slots_.resize(slot + 1);
-  }
-  block_.slots_used_ = std::max(block_.slots_used_, slot + 1);
-  const std::uint64_t first = addr / 32;
-  const std::uint64_t last = (addr + std::max(bytes, 1u) - 1) / 32;
-  for (std::uint64_t seg = first; seg <= last; ++seg) {
-    const bool warp_new = block_.warp_sectors_.insert(seg).second;
-    if (is_write) {
-      // Write-through (V100 global stores bypass L1): every distinct sector
-      // per slot is a memory-system transaction; only intra-slot coalescing
-      // applies.
-      if (!block_.slots_[slot].contains(seg)) {
-        ++block_.stats_.global_transactions;
-      }
-    } else if (warp_new) {
-      // Reads re-touching a sector this warp already holds are L1 hits.
-      ++block_.stats_.global_transactions;
-    }
-    block_.slots_[slot].insert(seg);
-  }
-  block_.stats_.global_bytes_useful += bytes;
+void SectorSet::resize(std::size_t capacity) {
+  table_.assign(capacity, Slot{});
+  mask_ = capacity - 1;
+  shift_ = 64 - static_cast<std::uint32_t>(std::countr_zero(capacity));
 }
 
-BlockCtx::BlockCtx(const DeviceSpec& spec, LaunchConfig cfg,
-                   std::uint32_t block_idx)
-    : spec_(spec), cfg_(cfg), block_idx_(block_idx), shared_(cfg.shmem_bytes) {
-  stats_.grid_dim = cfg.grid_dim;
-  stats_.block_dim = cfg.block_dim;
-  stats_.shmem_per_block = cfg.shmem_bytes;
+void SectorSet::grow() {
+  std::vector<Slot> old;
+  old.swap(table_);
+  resize(old.size() * 2);
+  for (const Slot& s : old) {
+    if (s.stamp != epoch_) continue;
+    std::size_t i = home(s.sector);
+    while (table_[i].stamp == epoch_) i = (i + 1) & mask_;
+    table_[i] = s;
+  }
+}
+
+}  // namespace detail
+
+BlockCtx::BlockCtx(const DeviceSpec& spec, LaunchConfig cfg)
+    : spec_(spec),
+      cfg_(cfg),
+      warps_per_block_((cfg.block_dim + spec.warp_size - 1) / spec.warp_size),
+      shared_(cfg.shmem_bytes) {}
+
+void BlockCtx::begin_block(std::uint32_t block_idx) {
+  block_idx_ = block_idx;
+  block_cycles_ = 0;
+  stats_ = KernelStats{};
+  stats_.grid_dim = cfg_.grid_dim;
+  stats_.block_dim = cfg_.block_dim;
+  stats_.shmem_per_block = cfg_.shmem_bytes;
+}
+
+void BlockCtx::open_slot() {
+  if (slots_used_ == slots_.size()) slots_.emplace_back();
+  ++slots_used_;
 }
 
 void BlockCtx::flush_warp(std::uint64_t max_lane_cycles) {
@@ -64,41 +74,11 @@ void BlockCtx::flush_warp(std::uint64_t max_lane_cycles) {
       std::max(phase_warp_max_cycles_, max_lane_cycles + mem_cycles);
 }
 
-void BlockCtx::for_each_thread(const std::function<void(ThreadCtx&)>& f) {
-  const std::uint32_t warp_size = spec_.warp_size;
-  phase_warp_max_cycles_ = 0;
-  std::uint64_t warp_max_lane_cycles = 0;
-  for (std::uint32_t tid = 0; tid < cfg_.block_dim; ++tid) {
-    if (tid != 0 && tid % warp_size == 0) {
-      flush_warp(warp_max_lane_cycles);
-      warp_max_lane_cycles = 0;
-    }
-    ThreadCtx t(*this);
-    t.tid_ = tid;
-    t.warp_size_ = warp_size;
-    f(t);
-    warp_max_lane_cycles = std::max(warp_max_lane_cycles, t.cycles_);
-  }
-  flush_warp(warp_max_lane_cycles);
-  // Barrier: the block's phase costs as much as its slowest warp, and every
-  // warp occupies its scheduler slot for that long.
-  block_cycles_ += phase_warp_max_cycles_;
-  stats_.barriers += 1;
-
-  const std::uint32_t warps_per_block =
-      (cfg_.block_dim + warp_size - 1) / warp_size;
-  stats_.critical_block_cycles_max = block_cycles_;
-  stats_.block_cycles_sum = block_cycles_;
-  stats_.scheduled_warp_cycles = block_cycles_ * warps_per_block;
-}
-
 void BlockCtx::charge_all(std::uint64_t cycles) {
   block_cycles_ += cycles;
-  const std::uint32_t warps_per_block =
-      (cfg_.block_dim + spec_.warp_size - 1) / spec_.warp_size;
   stats_.critical_block_cycles_max = block_cycles_;
   stats_.block_cycles_sum = block_cycles_;
-  stats_.scheduled_warp_cycles = block_cycles_ * warps_per_block;
+  stats_.scheduled_warp_cycles = block_cycles_ * warps_per_block_;
 }
 
 SimContext::SimContext(DeviceSpec spec) : model_(std::move(spec)) {}
@@ -116,10 +96,11 @@ KernelResult SimContext::run(LaunchConfig cfg, const BlockKernel& body) {
   total.block_dim = cfg.block_dim;
   total.shmem_per_block = cfg.shmem_bytes;
 
+  BlockCtx block(model_.spec(), cfg);
   for (std::uint32_t b = 0; b < cfg.grid_dim; ++b) {
-    BlockCtx block(model_.spec(), cfg, b);
+    block.begin_block(b);
     body(block);
-    total.merge(block.stats());
+    total.merge(block.stats_);
   }
   KernelResult result;
   result.stats = total;

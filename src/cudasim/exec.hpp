@@ -23,13 +23,18 @@
 //       t.charge(4);
 //     });
 //   });
+//
+// The recorder runs once per recorded access, so it allocates nothing on
+// that path: one BlockCtx serves every block of a launch and reuses its
+// shared arena, slot sets and sector set. docs/architecture.md describes
+// how accesses are priced and the recorder's data structures.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "cudasim/device_spec.hpp"
@@ -46,39 +51,83 @@ struct LaunchConfig {
 
 namespace detail {
 
-/// Unique 32-byte segments touched by one warp-wide access slot. Inline
-/// storage: a warp has at most warp_size lanes, each touching at most two
-/// segments for the small scalar accesses our kernels perform.
+/// Granularity of the coalescing model: one global transaction moves one
+/// 32-byte sector.
+inline constexpr std::uint64_t kSectorBytes = 32;
+
+/// Distinct sectors touched by one warp-wide access slot. Inline storage: a
+/// warp has at most warp_size lanes, each touching at most two sectors for
+/// the small scalar accesses our kernels perform. Past capacity the count
+/// still grows for every sector not among the stored ones, so the distinct
+/// count saturates at capacity precision.
 class SegmentSet {
 public:
-  void insert(std::uint64_t segment) {
-    min_seg_ = count_ == 0 ? segment : (segment < min_seg_ ? segment : min_seg_);
-    max_seg_ = count_ == 0 ? segment : (segment > max_seg_ ? segment : max_seg_);
-    for (std::uint32_t i = 0; i < count_ && i < kCapacity; ++i) {
-      if (segments_[i] == segment) return;
+  /// Adds `segment`; returns whether it was counted as a new sector.
+  bool insert(std::uint64_t segment) {
+    // Coalesced lanes mostly hit the sector their neighbour stored last.
+    if (count_ != 0 && count_ < kCapacity &&
+        segments_[count_ - 1] == segment) {
+      return false;
+    }
+    const std::uint32_t stored = std::min(count_, kCapacity);
+    for (std::uint32_t i = 0; i < stored; ++i) {
+      if (segments_[i] == segment) return false;
     }
     if (count_ < kCapacity) segments_[count_] = segment;
-    ++count_;  // distinct count saturates at capacity precision
+    ++count_;
+    return true;
   }
   std::uint32_t distinct() const { return count_; }
-  bool contains(std::uint64_t segment) const {
-    for (std::uint32_t i = 0; i < count_ && i < kCapacity; ++i) {
-      if (segments_[i] == segment) return true;
-    }
-    return false;
-  }
-  /// Byte span of the slot's accesses (sector-granular).
-  std::uint64_t span_bytes() const {
-    return count_ == 0 ? 0 : (max_seg_ - min_seg_ + 1) * 32;
-  }
   void clear() { count_ = 0; }
 
 private:
   static constexpr std::uint32_t kCapacity = 64;
-  std::uint64_t segments_[kCapacity];
-  std::uint64_t min_seg_ = 0;
-  std::uint64_t max_seg_ = 0;
+  // count_ first: the early-out reads it with the newest entries, which then
+  // share its cache line.
   std::uint32_t count_ = 0;
+  std::uint64_t segments_[kCapacity];
+};
+
+/// Exact set of the sectors one warp touched in the current phase (its L1
+/// working set). Open addressing with linear probing; a slot is live only
+/// while its stamp equals the current epoch, so clear() is one increment.
+class SectorSet {
+public:
+  SectorSet() { resize(kInitialCapacity); }
+
+  /// Adds `sector`; returns whether it was absent.
+  bool insert(std::uint64_t sector) {
+    std::size_t i = home(sector);
+    while (table_[i].stamp == epoch_) {
+      if (table_[i].sector == sector) return false;
+      i = (i + 1) & mask_;
+    }
+    table_[i] = {sector, epoch_};
+    if (++size_ * 2 > table_.size()) grow();
+    return true;
+  }
+  void clear();
+
+private:
+  struct Slot {
+    std::uint64_t sector = 0;
+    std::uint32_t stamp = 0;  // live iff == epoch_
+  };
+  static constexpr std::size_t kInitialCapacity = 256;
+
+  std::size_t home(std::uint64_t sector) const {
+    // Fibonacci hashing spreads runs of consecutive sectors.
+    return static_cast<std::size_t>((sector * 0x9e3779b97f4a7c15ull) >>
+                                    shift_);
+  }
+  void resize(std::size_t capacity);
+  void grow();
+
+  std::vector<Slot> table_;
+  std::size_t mask_ = 0;
+  std::uint32_t shift_ = 64;
+  std::uint32_t epoch_ = 1;
+  std::size_t size_ = 0;
 };
 
 }  // namespace detail
@@ -100,38 +149,33 @@ public:
   /// coalescing purposes. Reads hitting a sector this warp already touched
   /// in the current phase are L1 hits; stores are write-through (V100
   /// semantics) and always cost a sector transaction.
-  void global_read(std::uint64_t addr, std::uint32_t bytes) {
-    global_access(addr, bytes, /*is_write=*/false);
-  }
-  void global_write(std::uint64_t addr, std::uint32_t bytes) {
-    global_access(addr, bytes, /*is_write=*/true);
-  }
-
-  /// Record a shared-memory access (counted; banked conflicts not modelled).
-  void shared_access(std::uint32_t count = 1);
+  void global_read(std::uint64_t addr, std::uint32_t bytes);
+  void global_write(std::uint64_t addr, std::uint32_t bytes);
 
 private:
   friend class BlockCtx;
-  explicit ThreadCtx(BlockCtx& block) : block_(block) {}
-  void global_access(std::uint64_t addr, std::uint32_t bytes, bool is_write);
+  ThreadCtx(BlockCtx& block, std::uint32_t warp_size)
+      : block_(block), warp_size_(warp_size) {}
 
   BlockCtx& block_;
   std::uint32_t tid_ = 0;
-  std::uint32_t warp_size_ = 32;
+  std::uint32_t warp_size_;
   std::uint64_t cycles_ = 0;
   std::uint32_t slot_counter_ = 0;
 };
 
-/// One block's execution context: shared-memory arena plus event recorder.
+/// One launch's block execution context: shared-memory arena plus event
+/// recorder. SimContext runs every block of a launch through the same
+/// BlockCtx, resetting it between blocks.
 class BlockCtx {
 public:
-  BlockCtx(const DeviceSpec& spec, LaunchConfig cfg, std::uint32_t block_idx);
-
   std::uint32_t block_idx() const { return block_idx_; }
   std::uint32_t block_dim() const { return cfg_.block_dim; }
   std::uint32_t grid_dim() const { return cfg_.grid_dim; }
   std::uint32_t shared_size() const { return cfg_.shmem_bytes; }
 
+  /// The block's shared arena. Like CUDA shared memory it is uninitialized
+  /// at block start: it holds whatever the previous block left there.
   std::byte* shared() { return shared_.data(); }
   template <typename T>
   T* shared_as() {
@@ -143,34 +187,95 @@ public:
     return static_cast<std::uint64_t>(block_idx_) * cfg_.block_dim + t.tid();
   }
 
-  /// Execute one barrier-delimited phase: `f` runs once per thread, in tid
-  /// order; SIMT cost semantics are applied per warp.
-  void for_each_thread(const std::function<void(ThreadCtx&)>& f);
+  /// Execute one barrier-delimited phase: `lane` runs once per thread, in tid
+  /// order, as lane(ThreadCtx&); SIMT cost semantics are applied per warp.
+  template <typename LaneFn>
+  void for_each_thread(LaneFn&& lane);
 
   /// Charge cycles uniformly to every lane of the block without running user
   /// code (used for fixed-cost steps such as a barrier's own latency).
   void charge_all(std::uint64_t cycles);
 
-  /// Event totals accumulated so far for this block.
-  const KernelStats& stats() const { return stats_; }
-
 private:
   friend class ThreadCtx;
+  friend class SimContext;
+
+  BlockCtx(const DeviceSpec& spec, LaunchConfig cfg);
+  void begin_block(std::uint32_t block_idx);
+  void record(std::uint32_t slot, std::uint64_t addr, std::uint32_t bytes,
+              bool is_write);
+  void open_slot();
   void flush_warp(std::uint64_t max_lane_cycles);
 
   const DeviceSpec& spec_;
   LaunchConfig cfg_;
-  std::uint32_t block_idx_;
+  std::uint32_t warps_per_block_;
+  std::uint32_t block_idx_ = 0;
   std::vector<std::byte> shared_;
 
-  // Recording state for the phase currently executing.
+  // Recording state for the warp currently executing; flush_warp() leaves
+  // it empty, so a phase (and therefore a block) starts clean.
   std::vector<detail::SegmentSet> slots_;
-  std::unordered_set<std::uint64_t> warp_sectors_;  // L1 reuse within a warp
+  detail::SectorSet warp_sectors_;  // L1 reuse within a warp
   std::uint32_t slots_used_ = 0;
   std::uint64_t phase_warp_max_cycles_ = 0;  // max over finished warps
   std::uint64_t block_cycles_ = 0;           // sum over finished phases
-  KernelStats stats_;
+  KernelStats stats_;  // this block's totals
 };
+
+inline void ThreadCtx::global_read(std::uint64_t addr, std::uint32_t bytes) {
+  block_.record(slot_counter_++, addr, bytes, /*is_write=*/false);
+}
+
+inline void ThreadCtx::global_write(std::uint64_t addr, std::uint32_t bytes) {
+  block_.record(slot_counter_++, addr, bytes, /*is_write=*/true);
+}
+
+inline void BlockCtx::record(std::uint32_t slot, std::uint64_t addr,
+                             std::uint32_t bytes, bool is_write) {
+  // Slot = how many accesses this lane has already made in the current
+  // phase; the k-th access of every lane in the warp coalesces together. A
+  // lane opens its slots in order, so `slot` is at most one past the last.
+  if (slot == slots_used_) open_slot();
+  detail::SegmentSet& segments = slots_[slot];
+  const std::uint64_t first = addr / detail::kSectorBytes;
+  const std::uint64_t last =
+      (addr + std::max(bytes, 1u) - 1) / detail::kSectorBytes;
+  for (std::uint64_t seg = first; seg <= last; ++seg) {
+    // A sector this slot already holds is no new transaction, read or write,
+    // and is already in the warp's working set.
+    if (!segments.insert(seg)) continue;
+    // Write-through (V100 global stores bypass L1): every distinct sector
+    // per slot is a memory-system transaction. Reads re-touching a sector
+    // this warp already holds are L1 hits.
+    const bool warp_new = warp_sectors_.insert(seg);
+    if (is_write || warp_new) ++stats_.global_transactions;
+  }
+}
+
+template <typename LaneFn>
+void BlockCtx::for_each_thread(LaneFn&& lane) {
+  const std::uint32_t warp_size = spec_.warp_size;
+  phase_warp_max_cycles_ = 0;
+  ThreadCtx t(*this, warp_size);
+  for (std::uint32_t warp_start = 0; warp_start < cfg_.block_dim;
+       warp_start += warp_size) {
+    const std::uint32_t warp_end =
+        std::min(cfg_.block_dim, warp_start + warp_size);
+    std::uint64_t warp_max_lane_cycles = 0;
+    for (std::uint32_t tid = warp_start; tid < warp_end; ++tid) {
+      t.tid_ = tid;
+      t.cycles_ = 0;
+      t.slot_counter_ = 0;
+      lane(t);
+      warp_max_lane_cycles = std::max(warp_max_lane_cycles, t.cycles_);
+    }
+    flush_warp(warp_max_lane_cycles);
+  }
+  // Barrier: the block's phase costs as much as its slowest warp, and every
+  // warp occupies its scheduler slot for that long.
+  charge_all(phase_warp_max_cycles_);
+}
 
 using BlockKernel = std::function<void(BlockCtx&)>;
 

@@ -11,9 +11,6 @@ void KernelStats::merge(const KernelStats& other) {
   block_cycles_sum += other.block_cycles_sum;
   scheduled_warp_cycles += other.scheduled_warp_cycles;
   global_transactions += other.global_transactions;
-  global_bytes_useful += other.global_bytes_useful;
-  shared_accesses += other.shared_accesses;
-  barriers += other.barriers;
 }
 
 Occupancy occupancy_for(const DeviceSpec& spec, std::uint32_t block_dim,

@@ -43,14 +43,8 @@ struct KernelStats {
   // Total warp-cycles charged for scheduling purposes (block cycles x warps
   // in the block, summed over blocks).
   std::uint64_t scheduled_warp_cycles = 0;
-  // Coalesced global memory transactions (32B sectors) and the bytes they
-  // move.
+  // Coalesced global memory transactions (32B sectors).
   std::uint64_t global_transactions = 0;
-  std::uint64_t global_bytes_useful = 0;  // bytes the program asked for
-  // Shared memory accesses (counted, currently uncosted beyond issue cycles
-  // charged by the recorder).
-  std::uint64_t shared_accesses = 0;
-  std::uint64_t barriers = 0;
 
   std::uint32_t grid_dim = 0;
   std::uint32_t block_dim = 0;

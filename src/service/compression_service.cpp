@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -220,9 +221,9 @@ std::uint64_t CompressionService::retry_after_ns_locked() const {
 
 RequestId CompressionService::admit(RequestClass cls,
                                     std::shared_ptr<RequestState> state,
-                                    std::function<void()> run) {
+                                    std::function<void(bool)> run) {
   ClientContext& client = *state->client;
-  std::function<void()> shed_run;
+  std::function<void(bool)> shed_run;
   RequestId id = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -307,6 +308,7 @@ RequestId CompressionService::admit(RequestClass cls,
     // Admitted: from here to push nothing throws, so acquired slot/bytes
     // are always matched by run_counted()'s release inside the request body.
     state->id = next_request_id_++;
+    state->cls = cls;
     id = state->id;
     live_.emplace(id, state);
     accepted_.add(1);
@@ -327,7 +329,7 @@ RequestId CompressionService::admit(RequestClass cls,
   }
   // The shed victim's packaged task runs OUTSIDE the lock: its body throws
   // the ServiceOverloaded verdict and run_counted settles its accounting.
-  if (shed_run) shed_run();
+  if (shed_run) shed_run(false);
   wake_.notify_one();
   return id;
 }
@@ -362,10 +364,7 @@ void CompressionService::dispatcher_loop() {
     if (req.enqueue_ns != 0) {
       service_metrics().queue_wait[ci]->record(obs::now_ns() - req.enqueue_ns);
     }
-    {
-      obs::ScopedOp op(span_name(req.cls), service_metrics().latency[ci]);
-      req.run();  // packaged_task: request exceptions land in the future
-    }
+    req.run(true);  // packaged_task: request exceptions land in the future
   }
 }
 
@@ -400,7 +399,7 @@ void CompressionService::sweeper_loop() {
     // Settle the expired futures OUTSIDE the lock: each body re-checks its
     // deadline and throws DeadlineExceeded through run_counted.
     lock.unlock();
-    for (QueuedRequest& req : expired) req.run();
+    for (QueuedRequest& req : expired) req.run(false);
     lock.lock();
   }
 }
@@ -424,10 +423,18 @@ void CompressionService::throw_verdict(const RequestState& state) const {
 // slot and bytes are released, the live_ entry is gone, and the outcome
 // counter has settled (stats() observed right after a get() is exact, not
 // racing the dispatcher's cleanup). Every admitted future lands in exactly
-// one of the five outcome buckets.
+// one of the five outcome buckets. A dispatched request's span and latency
+// sample close here too, so a registry snapshot taken after .get() holds
+// them; requests settled by cancel, shed or expiry never ran and record
+// neither.
 template <typename Fn>
-auto CompressionService::run_counted(RequestState& state, Fn&& fn)
-    -> decltype(fn()) {
+auto CompressionService::run_counted(RequestState& state, bool dispatched,
+                                     Fn&& fn) -> decltype(fn()) {
+  std::optional<obs::ScopedOp> op;
+  if (dispatched) {
+    op.emplace(span_name(state.cls),
+               service_metrics().latency[static_cast<std::size_t>(state.cls)]);
+  }
   const auto finish = [this, &state] {
     state.client->release_slot();
     state.client->release_bytes(state.bytes);
@@ -511,9 +518,9 @@ CompressionService::make_state(std::shared_ptr<ClientContext> client,
 Submission<CompressResult> CompressionService::submit_compress(
     ClientId id, CompressJob job, RequestOptions opts) {
   auto state = make_state(clients_.find(id), opts, compress_cost(job));
-  auto task = std::make_shared<std::packaged_task<CompressResult()>>(
-      [this, state, job = std::move(job)] {
-        return run_counted(*state, [&] {
+  auto task = std::make_shared<std::packaged_task<CompressResult(bool)>>(
+      [this, state, job = std::move(job)](bool dispatched) {
+        return run_counted(*state, dispatched, [&] {
           throw_verdict(*state);
           try {
             return run_compress(*state->client, job, state->cancel);
@@ -526,7 +533,7 @@ Submission<CompressResult> CompressionService::submit_compress(
   Submission<CompressResult> out;
   out.future = task->get_future();
   out.id = admit(RequestClass::Compress, std::move(state),
-                 [task] { (*task)(); });
+                 [task](bool dispatched) { (*task)(dispatched); });
   return out;
 }
 
@@ -539,26 +546,25 @@ CompressionService::submit_decompress(ClientId id, ArchiveHandle archive,
   auto entry = client->reader(archive);
   auto state =
       make_state(std::move(client), opts, decompress_cost(entry->reader));
-  auto task =
-      std::make_shared<std::packaged_task<pipeline::BatchDecompressResult()>>(
-          [this, state, entry] {
-            return run_counted(*state, [&] {
-              throw_verdict(*state);
-              try {
-                return scheduler_.decompress(entry->reader,
-                                             state->client->options().decoder,
-                                             state->cancel);
-              } catch (const pipeline::OperationCancelled&) {
-                throw RequestCancelled("request " +
-                                       std::to_string(state->id) +
-                                       " cancelled during execution");
-              }
-            });
-          });
+  auto task = std::make_shared<
+      std::packaged_task<pipeline::BatchDecompressResult(bool)>>(
+      [this, state, entry](bool dispatched) {
+        return run_counted(*state, dispatched, [&] {
+          throw_verdict(*state);
+          try {
+            return scheduler_.decompress(entry->reader,
+                                         state->client->options().decoder,
+                                         state->cancel);
+          } catch (const pipeline::OperationCancelled&) {
+            throw RequestCancelled("request " + std::to_string(state->id) +
+                                   " cancelled during execution");
+          }
+        });
+      });
   Submission<pipeline::BatchDecompressResult> out;
   out.future = task->get_future();
   out.id = admit(RequestClass::BatchDecompress, std::move(state),
-                 [task] { (*task)(); });
+                 [task](bool dispatched) { (*task)(dispatched); });
   return out;
 }
 
@@ -569,9 +575,9 @@ Submission<std::vector<float>> CompressionService::submit_chunk(
   auto entry = client->reader(archive);
   auto state = make_state(std::move(client), opts,
                           chunk_cost(entry->reader, field, chunk));
-  auto task = std::make_shared<std::packaged_task<std::vector<float>()>>(
-      [this, state, entry, field, chunk] {
-        return run_counted(*state, [&] {
+  auto task = std::make_shared<std::packaged_task<std::vector<float>(bool)>>(
+      [this, state, entry, field, chunk](bool dispatched) {
+        return run_counted(*state, dispatched, [&] {
           throw_verdict(*state);
           // One chunk decodes on the dispatcher thread itself — the request
           // IS the unit of work, so bouncing it through the pool would only
@@ -588,7 +594,7 @@ Submission<std::vector<float>> CompressionService::submit_chunk(
   Submission<std::vector<float>> out;
   out.future = task->get_future();
   out.id = admit(RequestClass::RandomAccessChunk, std::move(state),
-                 [task] { (*task)(); });
+                 [task](bool dispatched) { (*task)(dispatched); });
   return out;
 }
 
@@ -599,9 +605,9 @@ Submission<std::vector<float>> CompressionService::submit_range(
   auto entry = client->reader(archive);
   auto state =
       make_state(std::move(client), opts, range_cost(elem_begin, elem_end));
-  auto task = std::make_shared<std::packaged_task<std::vector<float>()>>(
-      [this, state, entry, field, elem_begin, elem_end] {
-        return run_counted(*state, [&] {
+  auto task = std::make_shared<std::packaged_task<std::vector<float>(bool)>>(
+      [this, state, entry, field, elem_begin, elem_end](bool dispatched) {
+        return run_counted(*state, dispatched, [&] {
           throw_verdict(*state);
           try {
             return scheduler_.decode_range(entry->reader, field, elem_begin,
@@ -617,12 +623,12 @@ Submission<std::vector<float>> CompressionService::submit_range(
   Submission<std::vector<float>> out;
   out.future = task->get_future();
   out.id = admit(RequestClass::RangeDecode, std::move(state),
-                 [task] { (*task)(); });
+                 [task](bool dispatched) { (*task)(dispatched); });
   return out;
 }
 
 CancelResult CompressionService::cancel(RequestId id) {
-  std::function<void()> queued_run;
+  std::function<void(bool)> queued_run;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = live_.find(id);
@@ -648,7 +654,7 @@ CancelResult CompressionService::cancel(RequestId id) {
   // Settle the removed request's future on this thread, outside the lock:
   // the body's verdict gate sees the cancelled token and throws
   // RequestCancelled through run_counted.
-  queued_run();
+  queued_run(false);
   return CancelResult::Cancelled;
 }
 

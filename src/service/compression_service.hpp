@@ -214,6 +214,7 @@ class CompressionService {
   /// flag with acquire so message/hint are visible without the lock.
   struct RequestState {
     RequestId id = 0;
+    RequestClass cls = RequestClass::Compress;  // set with id by admit()
     Priority priority = Priority::Batch;
     std::uint64_t deadline_ns = 0;  // 0 = none
     std::size_t bytes = 0;          // admitted against the client quota
@@ -236,7 +237,7 @@ class CompressionService {
   /// shed a lower-priority victim — settles the victim's future on this
   /// thread after dropping the lock. Returns the new request's id.
   RequestId admit(RequestClass cls, std::shared_ptr<RequestState> state,
-                  std::function<void()> run);
+                  std::function<void(bool)> run);
   void dispatcher_loop();
   /// Expires queued past-deadline requests every config_.sweep_interval and
   /// refreshes the per-class queue-age gauges; runs while paused.
@@ -250,8 +251,11 @@ class CompressionService {
   /// completed/failed/cancelled/expired/shed and releasing the client's
   /// slot + bytes and the live_ entry before the surrounding packaged_task
   /// fulfills the future (so stats() observed after a .get() is exact).
+  /// When `dispatched`, it also records the class's span and latency
+  /// sample before the future settles.
   template <typename Fn>
-  auto run_counted(RequestState& state, Fn&& fn) -> decltype(fn());
+  auto run_counted(RequestState& state, bool dispatched, Fn&& fn)
+      -> decltype(fn());
 
   CompressResult run_compress(const ClientContext& client,
                               const CompressJob& job,

@@ -39,7 +39,9 @@ struct QueuedRequest {
   /// Absolute deadline on the obs::now_ns() clock, 0 = none.
   std::uint64_t deadline_ns = 0;
   /// The packaged request body; fulfills the future exactly once when run.
-  std::function<void()> run;
+  /// The argument is true when a dispatcher executes the request and false
+  /// when a removal path (cancel, shed, expiry) settles it with its verdict.
+  std::function<void(bool dispatched)> run;
 };
 
 class PriorityRequestQueue {

@@ -90,6 +90,17 @@ TEST(Exec, SectorReuseDoesNotCarryAcrossPhases) {
   EXPECT_EQ(r.stats.global_transactions, 2u);
 }
 
+TEST(Exec, SectorReuseDoesNotCarryAcrossBlocks) {
+  // Every block of a launch runs through one reused context; the second
+  // block must still miss on the sector the first block read.
+  SimContext ctx;
+  const std::uint64_t base = ctx.reserve_address(1 << 20);
+  const auto r = ctx.launch("twoblocks", {2, 32, 0}, [&](BlockCtx& blk) {
+    blk.for_each_thread([&](ThreadCtx& t) { t.global_read(base, 4); });
+  });
+  EXPECT_EQ(r.stats.global_transactions, 2u);
+}
+
 TEST(Exec, DivergenceChargesWarpAtMaxLaneCost) {
   SimContext ctx;
   // Lane 0 charges 1000 cycles, the rest 1: the warp costs 1000.

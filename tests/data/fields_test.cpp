@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "core/huffman_codec.hpp"
 #include "sz/compressor.hpp"
@@ -68,6 +69,12 @@ struct Band {
   const char* name;
   double lo, hi;
 };
+
+// gtest's default printer dumps the raw bytes of `name`'s pointer, which ASLR
+// moves on every run; printing the values keeps the listed test names stable.
+void PrintTo(const Band& band, std::ostream* os) {
+  *os << band.name << " (" << band.lo << ", " << band.hi << ")";
+}
 
 class FieldRegime : public ::testing::TestWithParam<Band> {};
 
