@@ -36,8 +36,9 @@
 #include "data/generic.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "pipeline/archive_io.hpp"
 #include "pipeline/batch.hpp"
-#include "pipeline/container.hpp"
+#include "pipeline/byte_stream.hpp"
 #include "pipeline/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -184,21 +185,21 @@ int run(bool emit_json, const char* json_path) {
     }
 
     pipeline::ThreadPool build_pool(0);
-    const pipeline::Container private_container =
-        pipeline::BatchScheduler(build_pool).compress(specs);
+    ArchivePoint ap;
+    ap.chunk_divisor = divisor;
+    ap.private_bytes =
+        pipeline::BatchScheduler(build_pool).compress(specs).size();
     for (auto& spec : specs) {
       spec.plan.auto_method = true;
       spec.plan.shared_codebook = true;
     }
-    const pipeline::Container container =
+    const std::vector<std::uint8_t> archive =
         pipeline::BatchScheduler(build_pool).compress(specs);
-
-    ArchivePoint ap;
-    ap.chunk_divisor = divisor;
-    ap.private_bytes = private_container.serialize().size();
-    ap.adaptive_bytes = container.serialize().size();
+    const pipeline::MemorySource source(archive);
+    const pipeline::ArchiveReader reader(source);
+    ap.adaptive_bytes = archive.size();
     std::size_t num_chunks = 0;
-    for (const auto& f : container.fields()) {
+    for (const auto& f : reader.fields()) {
       num_chunks += f.chunks.size();
       for (const auto& rec : f.chunks) {
         ap.method_counts[static_cast<std::size_t>(rec.method)]++;
@@ -219,7 +220,7 @@ int run(bool emit_json, const char* json_path) {
     pipeline::ThreadPool ref_pool(1);
     util::WallTimer ref_timer;
     const pipeline::BatchDecompressResult reference =
-        pipeline::BatchScheduler(ref_pool).decompress(container);
+        pipeline::BatchScheduler(ref_pool).decompress(reader);
     const double ref_wall = ref_timer.seconds();
 
     for (const std::size_t threads : thread_counts) {
@@ -234,7 +235,7 @@ int run(bool emit_json, const char* json_path) {
         pipeline::ThreadPool pool(threads);
         util::WallTimer timer;
         const pipeline::BatchDecompressResult r =
-            pipeline::BatchScheduler(pool).decompress(container);
+            pipeline::BatchScheduler(pool).decompress(reader);
         p.host_wall_s = timer.seconds();
         p.identical = results_identical(r, reference);
       }
@@ -308,11 +309,13 @@ int run(bool emit_json, const char* json_path) {
       specs.push_back(spec);
     }
     pipeline::ThreadPool pool(4);
-    const pipeline::Container container =
+    const std::vector<std::uint8_t> archive =
         pipeline::BatchScheduler(pool).compress(specs);
+    const pipeline::MemorySource source(archive);
+    const pipeline::ArchiveReader reader(source);
     obs::TraceRecorder rec;
     const obs::ScopedTelemetry scope(&rec);
-    pipeline::BatchScheduler(pool).decompress(container);
+    pipeline::BatchScheduler(pool).decompress(reader);
     telemetry_snapshot = obs::registry().snapshot().to_json(4);
     telemetry_spans = rec.spans().size();
   }

@@ -1,5 +1,6 @@
 // Streaming archive IO driver: measures the ArchiveWriter/ArchiveReader
-// sessions against the whole-buffer Container path on a mixed corpus.
+// sessions over files against the whole-buffer path (one resident archive
+// image) on a mixed corpus.
 //
 // Two properties are benchmarked and gated:
 //  * bounded residency — a streaming decompress must never materialize the
@@ -9,7 +10,8 @@
 //    the whole-buffer path, by construction, holds every archive byte.
 //  * IO/compute overlap — the streamed decompress fetches frames inside the
 //    decode tasks, so file IO overlaps ThreadPool decode; the staged path
-//    reads the whole file, parses it, then decodes. The wall-clock ratio is
+//    reads the whole file into memory, opens a reader over those bytes, then
+//    decodes. The wall-clock ratio is
 //    reported (near 1.0 when the page cache hides IO, higher on cold/slow
 //    storage).
 //  * fault-tolerance happy path — the default strict mode pays nothing for
@@ -52,7 +54,6 @@
 #include "pipeline/archive_io.hpp"
 #include "pipeline/batch.hpp"
 #include "pipeline/byte_stream.hpp"
-#include "pipeline/container.hpp"
 #include "pipeline/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -159,12 +160,10 @@ int run(bool emit_json, const char* json_path, const char* trace_path,
   const pipeline::BatchScheduler sched(pool);
   const std::string path = "/tmp/ohd_stream_bench.bin";
 
-  // Whole-buffer write: compress into a resident Container, then one
-  // serialize() image (every archive byte lives in memory twice on the way
-  // to the sink).
+  // Whole-buffer write: compress into one resident archive image (every
+  // archive byte lives in memory before it could reach a sink).
   util::WallTimer whole_write_timer;
-  const pipeline::Container archive = sched.compress(specs);
-  const auto whole_bytes = archive.serialize();
+  const std::vector<std::uint8_t> whole_bytes = sched.compress(specs);
   const double whole_write_wall = whole_write_timer.seconds();
 
   // Streaming write: frames hit the file as their futures complete; writer
@@ -187,11 +186,14 @@ int run(bool emit_json, const char* json_path, const char* trace_path,
     return 1;
   }
 
-  // Reference floats from the whole-buffer path.
-  const pipeline::BatchDecompressResult reference = sched.decompress(archive);
+  // Reference floats from the whole-buffer image.
+  const pipeline::MemorySource whole_source(whole_bytes);
+  const pipeline::BatchDecompressResult reference =
+      sched.decompress(pipeline::ArchiveReader(whole_source));
 
-  // Staged decode: read the whole file, parse the image, then decompress —
-  // IO, parse, and compute serialized behind full archive residency.
+  // Staged decode: read the whole file, open a reader over the bytes, then
+  // decompress — IO, parse, and compute serialized behind full archive
+  // residency.
   double staged_wall = 1e300;
   pipeline::BatchDecompressResult staged;
   for (int rep = 0; rep < kReps; ++rep) {
@@ -211,8 +213,8 @@ int run(bool emit_json, const char* json_path, const char* trace_path,
         return 1;
       }
     }
-    const pipeline::Container parsed = pipeline::Container::deserialize(bytes);
-    staged = sched.decompress(parsed);
+    const pipeline::MemorySource staged_source(bytes);
+    staged = sched.decompress(pipeline::ArchiveReader(staged_source));
     staged_wall = std::min(staged_wall, t.seconds());
   }
 

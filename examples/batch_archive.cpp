@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   specs[2] = {exaalt.name, exaalt.data, exaalt.dims, {}, 1u << 15, {}};
   specs[2].config.method = core::Method::CuszNaive;
   specs[2].config.rel_error_bound = 5e-3;
-  // Adaptive planning (container v2 features, carried by the v3 framing):
+  // Adaptive planning:
   // each chunk gets the cheapest decoder method for its local statistics,
   // and chunks reference a field-level shared codebook whenever that is
   // byte-cheaper than a private one.

@@ -15,7 +15,7 @@ namespace ohd::core {
 /// Serializes an encoded stream (method tag + codebook + payload + sidecars).
 /// With `include_codebook == false` the codebook section is written as a
 /// zero-length array: the stream then deserializes only against an external
-/// (shared) codebook — the container v2 shared-codebook path, which stores
+/// (shared) codebook — the archive's shared-codebook path, which stores
 /// one field-level codebook instead of one per chunk.
 std::vector<std::uint8_t> serialize_stream(const EncodedStream& enc,
                                            bool include_codebook = true);

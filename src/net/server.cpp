@@ -123,10 +123,14 @@ void ServiceServer::shutdown() {
     std::lock_guard<std::mutex> lock(conn_mutex_);
     stopping_ = true;
   }
-  for (auto& listener : listeners_) listener->close();
+  // Wake every acceptor, join it, and only then release the listening fds:
+  // closing while an acceptor still reads the descriptor would race it (and
+  // free the fd number for reuse under its next accept()).
+  for (auto& listener : listeners_) listener->shutdown();
   for (auto& t : acceptors_) {
     if (t.joinable()) t.join();
   }
+  for (auto& listener : listeners_) listener->close();
   // Half-close every connection for reading: the reader sees EOF and stops
   // taking frames, the completer drains what is in flight and flushes its
   // responses, and only then does the connection close.

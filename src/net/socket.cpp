@@ -127,15 +127,18 @@ Socket Listener::accept() {
       return Socket(fd);
     }
     if (errno == EINTR) continue;
-    // EBADF/EINVAL: close() shut the listener down — the clean exit path.
+    // EINVAL once shutdown() stopped the listener — the clean exit path.
     return Socket();
   }
 }
 
-void Listener::close() {
-  // shutdown() first: closing an fd another thread is blocked in accept() on
-  // does not reliably wake it; shutdown does (accept fails with EINVAL).
+void Listener::shutdown() {
+  // Closing an fd another thread is blocked in accept() on does not reliably
+  // wake it; shutdown does (accept fails with EINVAL).
   sock_.shutdown_both();
+}
+
+void Listener::close() {
   sock_.close();
   if (unlink_on_close_) {
     (void)::unlink(endpoint_.unix_path.c_str());

@@ -80,6 +80,12 @@ class Socket {
 /// Bound + listening socket. For Endpoint::tcp(0) the ephemeral port is
 /// resolved at construction — endpoint() names the real one. A Unix listener
 /// unlinks a stale socket file before binding and removes its own at close.
+///
+/// Stopping is two steps so no thread ever writes the descriptor another
+/// thread is blocked on: shutdown() (safe from any thread) wakes accept(),
+/// and close() — only once no thread can still be in accept() — releases
+/// the fd. The fd number therefore cannot be reused by a new socket before
+/// the last accept() on it has returned.
 class Listener {
  public:
   explicit Listener(const Endpoint& endpoint);
@@ -89,11 +95,17 @@ class Listener {
 
   const Endpoint& endpoint() const { return endpoint_; }
 
-  /// Blocks for the next connection. Returns an invalid Socket once close()
-  /// has been called (from any thread) — the acceptor loop's exit signal.
+  /// Blocks for the next connection. Returns an invalid Socket once
+  /// shutdown() has been called (from any thread) — the acceptor loop's exit
+  /// signal.
   Socket accept();
 
-  /// Wakes any blocked accept() and closes the listening socket. Idempotent.
+  /// Wakes any blocked accept() without touching the descriptor. Idempotent.
+  void shutdown();
+
+  /// Closes the listening socket and removes a Unix socket path. Call it
+  /// only after every thread blocked in accept() has returned (shutdown(),
+  /// then join). Idempotent.
   void close();
 
  private:

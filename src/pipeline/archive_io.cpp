@@ -1,7 +1,6 @@
 #include "pipeline/archive_io.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "obs/trace.hpp"
 #include "pipeline/method_selector.hpp"
@@ -46,12 +45,46 @@ WriterMetrics& writer_metrics() {
 
 }  // namespace
 
+void FieldDecode::absorb_timings(const sz::DecompressionResult& chunk) {
+  huffman_phases += chunk.huffman_phases;
+  huffman_seconds += chunk.huffman_seconds;
+  reverse_lorenzo_seconds += chunk.reverse_lorenzo_seconds;
+  outlier_scatter_seconds += chunk.outlier_scatter_seconds;
+  simulated_seconds += chunk.total_seconds();
+  chunk_seconds.push_back(chunk.total_seconds());
+}
+
+std::vector<ChunkExtent> chunk_layout(const sz::Dims& dims,
+                                      std::size_t target_chunk_elems) {
+  if (dims.count() == 0) {
+    throw ContainerError("cannot chunk an empty field");
+  }
+  if (target_chunk_elems == 0) {
+    throw ContainerError("chunk size must be positive");
+  }
+  const std::size_t slowest = dims.rank - 1;
+  const std::size_t n_slabs = dims.extent[slowest];
+  const std::size_t slab_elems = dims.count() / n_slabs;
+  const std::size_t slabs_per_chunk =
+      std::max<std::size_t>(1, target_chunk_elems / slab_elems);
+
+  std::vector<ChunkExtent> out;
+  out.reserve((n_slabs + slabs_per_chunk - 1) / slabs_per_chunk);
+  for (std::size_t s = 0; s < n_slabs; s += slabs_per_chunk) {
+    ChunkExtent e;
+    e.elem_offset = s * slab_elems;
+    e.dims = dims;
+    e.dims.extent[slowest] = std::min(slabs_per_chunk, n_slabs - s);
+    out.push_back(e);
+  }
+  return out;
+}
+
 ArchiveWriter::ArchiveWriter(ByteSink& sink, WriterOptions options)
     : sink_(sink), options_(options) {
   util::ByteWriter w;
   wire::write_archive_header(
-      w, kContainerVersion,
-      options_.recovery_preambles ? wire::kFlagRecoveryPreambles : 0);
+      w, options_.recovery_preambles ? wire::kFlagRecoveryPreambles : 0);
   const auto head = w.take();
   sink_.write(head);
 }
@@ -188,20 +221,61 @@ std::size_t ArchiveWriter::add_field(const std::string& name,
                                      const sz::CompressorConfig& config,
                                      std::size_t chunk_elems,
                                      const PlanOptions& plan) {
-  compress_field_frames(
-      data, dims, config, chunk_elems, plan,
-      [&](double abs_eb, std::shared_ptr<const huffman::Codebook> shared) {
-        ArchiveFieldSpec spec;
-        spec.name = name;
-        spec.dims = dims;
-        spec.abs_error_bound = abs_eb;
-        spec.radius = config.radius;
-        spec.method = config.method;
-        spec.shared_codebook = std::move(shared);
-        begin_field(spec);
-      },
-      [&](const ChunkExtent& extent, std::vector<std::uint8_t> frame,
-          const ChunkMeta& meta) { write_chunk(extent, frame, meta); });
+  if (data.size() != dims.count()) {
+    throw ContainerError("field data size does not match dimensions");
+  }
+  if (config.method == core::Method::GapArrayOriginal8Bit) {
+    throw ContainerError(
+        "the 8-bit gap-array method is decode-only and cannot reconstruct "
+        "float fields; pick a multi-byte method for container fields");
+  }
+  if (config.radius == 0) {
+    throw ContainerError("zero quantizer radius");
+  }
+  ArchiveFieldSpec spec;
+  spec.name = name;
+  spec.dims = dims;
+  spec.abs_error_bound = sz::resolve_error_bound(data, config.rel_error_bound);
+  spec.radius = config.radius;
+  spec.method = config.method;
+  const auto layout = chunk_layout(dims, chunk_elems);
+
+  if (!plan.auto_method && !plan.shared_codebook) {
+    begin_field(spec);
+    for (const ChunkExtent& e : layout) {
+      const auto blob = sz::compress_with_abs_bound(
+          data.subspan(e.elem_offset, e.dims.count()), e.dims,
+          spec.abs_error_bound, config);
+      write_chunk(e, sz::serialize_blob(blob));
+    }
+  } else {
+    // Quantize every chunk first, so the planner can see the whole field
+    // (pooled histograms for the shared book, per-chunk probes for method
+    // selection) before any encoding commits.
+    std::vector<sz::QuantizedField> quantized;
+    quantized.reserve(layout.size());
+    for (const ChunkExtent& e : layout) {
+      quantized.push_back(sz::quantize_with_abs_bound(
+          data.subspan(e.elem_offset, e.dims.count()), e.dims,
+          spec.abs_error_bound, config));
+    }
+    FieldPlan field_plan = plan_field(quantized, config.method, plan,
+                                      MethodSelector(config.decoder));
+    if (field_plan.has_shared_codebook) {
+      spec.shared_codebook = std::make_shared<const huffman::Codebook>(
+          std::move(field_plan.shared_codebook));
+    }
+    begin_field(spec);
+    for (std::size_t i = 0; i < layout.size(); ++i) {
+      const ChunkPlan& cp = field_plan.chunks[i];
+      write_chunk(layout[i],
+                  encode_planned_chunk(std::move(quantized[i]), cp, config,
+                                       spec.shared_codebook.get()),
+                  ChunkMeta{cp.method, cp.use_shared_codebook
+                                           ? CodebookRef::SharedField
+                                           : CodebookRef::Private});
+    }
+  }
   end_field();
   return fields_.size() - 1;
 }
@@ -215,7 +289,7 @@ std::uint64_t ArchiveWriter::finish() {
   }
   std::uint64_t index_size = 4;  // field count
   for (const FieldEntry& f : fields_) {
-    index_size += wire::field_entry_bytes(f, kContainerVersion);
+    index_size += wire::field_entry_bytes(f);
   }
   // Index and footer share one buffer reserved to the exact tail size, so
   // the deferred metadata reaches the sink in a single write.
@@ -223,7 +297,7 @@ std::uint64_t ArchiveWriter::finish() {
   w.reserve(index_size + wire::kFooterBytes);
   w.u32(static_cast<std::uint32_t>(fields_.size()));
   for (const FieldEntry& f : fields_) {
-    wire::write_field_entry(w, f, kContainerVersion);
+    wire::write_field_entry(w, f);
   }
 
   wire::Footer footer;
@@ -269,23 +343,7 @@ ArchiveReader::ArchiveReader(const ByteSource& source, ReaderOptions options)
   }
   std::uint8_t head[wire::kHeaderBytes];
   read_at_retried(0, head);
-  if (std::memcmp(head, wire::kMagic, 4) != 0) {
-    throw ContainerError("bad magic, expected OHDC");
-  }
-  const std::uint8_t version = head[4];
-  if (version == 1 || version == 2) {
-    throw ContainerError(
-        "version " + std::to_string(version) +
-        " archives are head-indexed whole-buffer images; read them with "
-        "Container::deserialize");
-  }
-  if (version != kContainerVersion) {
-    throw ContainerError("unsupported container version");
-  }
-  if (head[6] != 0 || head[7] != 0) {
-    throw ContainerError("nonzero reserved container bytes");
-  }
-  wire::check_archive_flags(version, head[5]);
+  wire::read_archive_header(head);
 
   std::uint8_t tail[wire::kFooterBytes];
   read_at_retried(total - wire::kFooterBytes, tail);
@@ -448,7 +506,16 @@ FieldDecode ArchiveReader::decode_field(
     cudasim::SimContext& ctx, std::size_t field,
     const core::DecoderConfig& decoder) const {
   require_complete(field);
-  return decode_field_chunks(*this, ctx, field, decoder);
+  const FieldEntry& f = fields_[field];
+  FieldDecode out;
+  out.data.resize(f.dims.count());
+  out.chunk_seconds.reserve(f.chunks.size());
+  for (std::size_t c = 0; c < f.chunks.size(); ++c) {
+    const std::span<float> dest(out.data.data() + f.chunks[c].elem_offset,
+                                f.chunks[c].dims.count());
+    out.absorb_timings(decode_chunk_into(ctx, field, c, dest, decoder));
+  }
+  return out;
 }
 
 PartialFieldDecode ArchiveReader::decode_field_partial(
@@ -517,7 +584,24 @@ std::vector<float> ArchiveReader::decode_range(
     cudasim::SimContext& ctx, std::size_t field, std::uint64_t elem_begin,
     std::uint64_t elem_end, const core::DecoderConfig& decoder) const {
   require_complete(field);
-  return decode_range_chunks(*this, ctx, field, elem_begin, elem_end, decoder);
+  const FieldEntry& f = fields_[field];
+  if (elem_begin > elem_end || elem_end > f.dims.count()) {
+    throw ContainerError("element range out of bounds");
+  }
+  std::vector<float> out(elem_end - elem_begin);
+  for (std::size_t c = 0; c < f.chunks.size(); ++c) {
+    const ChunkRecord& rec = f.chunks[c];
+    const std::uint64_t chunk_begin = rec.elem_offset;
+    const std::uint64_t chunk_end = chunk_begin + rec.dims.count();
+    if (chunk_end <= elem_begin || chunk_begin >= elem_end) continue;
+    const sz::DecompressionResult r = decode_chunk(ctx, field, c, decoder);
+    const std::uint64_t lo = std::max(chunk_begin, elem_begin);
+    const std::uint64_t hi = std::min(chunk_end, elem_end);
+    std::copy(r.data.begin() + static_cast<std::ptrdiff_t>(lo - chunk_begin),
+              r.data.begin() + static_cast<std::ptrdiff_t>(hi - chunk_begin),
+              out.begin() + static_cast<std::ptrdiff_t>(lo - elem_begin));
+  }
+  return out;
 }
 
 void ArchiveReader::verify() const {
@@ -533,70 +617,6 @@ void ArchiveReader::verify() const {
                              ": CRC-32 mismatch (corrupted frame)");
       }
     }
-  }
-}
-
-void compress_field_frames(
-    std::span<const float> data, const sz::Dims& dims,
-    const sz::CompressorConfig& config, std::size_t chunk_elems,
-    const PlanOptions& plan,
-    const std::function<void(double, std::shared_ptr<const huffman::Codebook>)>&
-        on_plan,
-    const std::function<void(const ChunkExtent&, std::vector<std::uint8_t>,
-                             const ChunkMeta&)>& on_frame) {
-  if (data.size() != dims.count()) {
-    throw ContainerError("field data size does not match dimensions");
-  }
-  if (config.method == core::Method::GapArrayOriginal8Bit) {
-    throw ContainerError(
-        "the 8-bit gap-array method is decode-only and cannot reconstruct "
-        "float fields; pick a multi-byte method for container fields");
-  }
-  if (config.radius == 0) {
-    throw ContainerError("zero quantizer radius");
-  }
-  const double abs_eb = sz::resolve_error_bound(data, config.rel_error_bound);
-  const auto layout = chunk_layout(dims, chunk_elems);
-
-  // Nothing adaptive requested: stream chunk-at-a-time (O(chunk) peak
-  // memory), exactly as before planning existed.
-  if (!plan.auto_method && !plan.shared_codebook) {
-    on_plan(abs_eb, nullptr);
-    for (const ChunkExtent& e : layout) {
-      const auto blob = sz::compress_with_abs_bound(
-          data.subspan(e.elem_offset, e.dims.count()), e.dims, abs_eb, config);
-      on_frame(e, sz::serialize_blob(blob),
-               ChunkMeta{config.method, CodebookRef::Private});
-    }
-    return;
-  }
-
-  // Planned path: quantize every chunk first, so the planner can see the
-  // whole field (pooled histograms for the shared book, per-chunk probes
-  // for method selection) before any encoding commits.
-  std::vector<sz::QuantizedField> quantized;
-  quantized.reserve(layout.size());
-  for (const ChunkExtent& e : layout) {
-    quantized.push_back(sz::quantize_with_abs_bound(
-        data.subspan(e.elem_offset, e.dims.count()), e.dims, abs_eb, config));
-  }
-  const MethodSelector selector(config.decoder);
-  FieldPlan field_plan = plan_field(quantized, config.method, plan, selector);
-
-  std::shared_ptr<const huffman::Codebook> shared;
-  if (field_plan.has_shared_codebook) {
-    shared = std::make_shared<const huffman::Codebook>(
-        std::move(field_plan.shared_codebook));
-  }
-  on_plan(abs_eb, shared);
-  for (std::size_t i = 0; i < layout.size(); ++i) {
-    const ChunkPlan& cp = field_plan.chunks[i];
-    on_frame(layout[i],
-             encode_planned_chunk(std::move(quantized[i]), cp, config,
-                                  shared.get()),
-             ChunkMeta{cp.method, cp.use_shared_codebook
-                                      ? CodebookRef::SharedField
-                                      : CodebookRef::Private});
   }
 }
 

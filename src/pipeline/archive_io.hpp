@@ -14,16 +14,15 @@
 // access) — decoding never materializes the archive. Reads are thread-safe,
 // so the batch scheduler overlaps frame IO with ThreadPool decode.
 //
-// The in-memory Container is a thin convenience over the same framing:
-// Container::serialize() runs an ArchiveWriter over a MemorySink, and
-// Container::deserialize() reads versions 1-3. See wire_format.hpp for the
-// byte layout and tests/pipeline/archive_io_test.cpp for the round-trip and
-// robustness properties.
+// These two sessions are the only write and read paths of the format: an
+// in-memory archive is an ArchiveWriter over a MemorySink, read back through
+// an ArchiveReader over a MemorySource (or an OwningMemorySource). See
+// wire_format.hpp for the byte layout and tests/pipeline/archive_io_test.cpp
+// for the round-trip and robustness properties.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -32,6 +31,7 @@
 #include "obs/metrics.hpp"
 #include "pipeline/byte_stream.hpp"
 #include "pipeline/container.hpp"
+#include "pipeline/method_selector.hpp"
 #include "pipeline/recovery.hpp"
 
 namespace ohd::pipeline {
@@ -54,7 +54,7 @@ struct WriterOptions {
   /// Interleave CRC-guarded recovery preambles into the payload (header
   /// flags bit 0), so a truncated or torn archive can be salvaged without
   /// its deferred index (see pipeline/recovery.hpp). Off by default: the
-  /// default output stays byte-identical to PR 5 archives, and the strict
+  /// default output carries no preambles at all, and the strict
   /// read path never touches preambles either way.
   bool recovery_preambles = false;
 };
@@ -85,9 +85,9 @@ class ArchiveWriter {
 
   /// Replay variant: records `crc32` instead of hashing `frame` — for
   /// producers replaying frames whose checksum is already on record
-  /// (Container::serialize). Besides skipping a payload-sized CRC pass,
-  /// this keeps in-memory corruption of the replayed bytes detectable
-  /// downstream instead of re-stamping a fresh checksum over it.
+  /// (repair_truncated). Besides skipping a payload-sized CRC pass, this
+  /// keeps in-memory corruption of the replayed bytes detectable downstream
+  /// instead of re-stamping a fresh checksum over it.
   void write_chunk(const ChunkExtent& extent,
                    std::span<const std::uint8_t> frame, const ChunkMeta& meta,
                    std::uint32_t crc32);
@@ -96,11 +96,14 @@ class ArchiveWriter {
   /// declared dims exactly.
   void end_field();
 
-  /// Compresses `data` chunk by chunk into the session (sequential; the
-  /// parallel path is BatchScheduler::compress_to) — each frame is written
-  /// as soon as it is encoded, so peak memory is O(chunk), not O(field).
-  /// Exactly Container::add_field's semantics, including planning. Returns
-  /// the field index.
+  /// Compresses `data` chunk by chunk into the session — the sequential
+  /// reference of BatchScheduler::compress_to, byte-identical to it. One
+  /// absolute error bound is resolved from the WHOLE field's range, so
+  /// chunking does not change the error guarantee. Without a plan each frame
+  /// is written as soon as it is encoded (O(chunk) peak memory); `plan`
+  /// enables per-chunk method selection and/or a field-level shared
+  /// codebook, which quantizes the whole field first so the planner sees
+  /// every chunk. Returns the field index.
   std::size_t add_field(const std::string& name, std::span<const float> data,
                         const sz::Dims& dims, const sz::CompressorConfig& config,
                         std::size_t chunk_elems, const PlanOptions& plan = {});
@@ -153,9 +156,9 @@ class ArchiveReader {
  public:
   /// Footer-first open: validates the head, footer, and index (structure,
   /// CRC, chunk coverage, frame bounds). Throws ContainerError on format
-  /// violations — including versions 1/2, which are whole-buffer formats
-  /// (use Container::deserialize for those) — and ArchiveError on IO
-  /// failures. STRICT mode: any damage anywhere in the metadata is fatal.
+  /// violations — any version but kContainerVersion is unsupported — and
+  /// ArchiveError on IO failures. STRICT mode: any damage anywhere in the
+  /// metadata is fatal.
   explicit ArchiveReader(const ByteSource& source, ReaderOptions options = {});
 
   /// Salvage open: never rejects a damaged archive. Uses the strict
@@ -221,8 +224,11 @@ class ArchiveReader {
       const core::DecoderConfig& decoder = {}) const;
 
   /// Fused variant: reconstructs the chunk's floats straight into `out`
-  /// (sized to the chunk's element count), exactly like
-  /// Container::decode_chunk_into.
+  /// (sized to the CHUNK's element count — typically a subspan of the field
+  /// buffer at the chunk's elem_offset) via sz::decompress_into; the
+  /// returned result carries timings only. This is the write path
+  /// decode_field and the batch scheduler use, so a chunk's floats are
+  /// written once, in place, with no per-chunk vector or merge copy.
   sz::DecompressionResult decode_chunk_into(
       cudasim::SimContext& ctx, std::size_t field, std::size_t chunk,
       std::span<float> out, const core::DecoderConfig& decoder = {}) const;
@@ -311,21 +317,5 @@ class FrameResidency {
   /// flag flip can never unbalance "reader.frame_bytes".
   bool mirrored_ = false;
 };
-
-/// Compresses one field chunk by chunk under a whole-field error bound and
-/// hands each serialized frame to `on_frame` in chunk order — the single
-/// encode sequence behind Container::add_field and ArchiveWriter::add_field.
-/// `on_plan` fires once, after the error bound and any field plan (method
-/// selection / shared codebook) are resolved but before the first frame.
-void compress_field_frames(
-    std::span<const float> data, const sz::Dims& dims,
-    const sz::CompressorConfig& config, std::size_t chunk_elems,
-    const PlanOptions& plan,
-    const std::function<void(double abs_error_bound,
-                             std::shared_ptr<const huffman::Codebook> shared)>&
-        on_plan,
-    const std::function<void(const ChunkExtent& extent,
-                             std::vector<std::uint8_t> frame,
-                             const ChunkMeta& meta)>& on_frame);
 
 }  // namespace ohd::pipeline

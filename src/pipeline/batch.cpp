@@ -65,86 +65,6 @@ void wait_all(std::vector<std::future<T>>& futures) noexcept {
   }
 }
 
-/// The shared decompress fan-out: works identically over an in-memory
-/// Container and a streaming ArchiveReader because both expose fields() and
-/// the fused decode_chunk_into. With a reader, each task's frame fetch (IO)
-/// overlaps other tasks' decode work.
-template <typename Archive>
-BatchDecompressResult decompress_archive(ThreadPool& pool,
-                                         const Archive& archive,
-                                         const core::DecoderConfig& decoder,
-                                         const CancelToken& cancel = {}) {
-  // Fan out, then collect in deterministic (field, chunk) order via the
-  // same chunk-merge path the sequential decode_field uses. Every field
-  // buffer is allocated BEFORE the fan-out and each task reconstructs its
-  // chunk straight into its (disjoint) slice via the fused decode-write
-  // path, so floats are written once, in place, by whichever worker decodes
-  // the chunk — bit-identical for any worker count, with no per-chunk float
-  // vector or merge copy. On any failure — a submit throw or a CRC mismatch
-  // surfacing through get() — wait out the remaining tasks before
-  // unwinding: they still reference `archive`, `decoder`, and the output
-  // buffers.
-  const obs::ScopedOp batch_op("batch.decompress");
-  std::vector<std::vector<std::future<sz::DecompressionResult>>> futures(
-      archive.fields().size());
-  BatchDecompressResult out;
-  out.fields.resize(archive.fields().size());
-  for (std::size_t fi = 0; fi < archive.fields().size(); ++fi) {
-    out.fields[fi].name = archive.fields()[fi].name;
-    out.fields[fi].decode.data.resize(archive.fields()[fi].dims.count());
-  }
-  try {
-    for (std::size_t fi = 0; fi < archive.fields().size(); ++fi) {
-      // Task-boundary cancellation: stop fanning out new chunk tasks, and
-      // every already-submitted task re-checks at entry, so a cancel lands
-      // between chunks — never inside one.
-      cancel.throw_if_cancelled();
-      const FieldEntry& entry = archive.fields()[fi];
-      if (obs::enabled()) {
-        batch_metrics().chunks_decoded.add(entry.chunks.size());
-        count_field_chunks(entry.name, ".chunks_decoded",
-                           entry.chunks.size());
-      }
-      futures[fi].reserve(entry.chunks.size());
-      for (std::size_t ci = 0; ci < entry.chunks.size(); ++ci) {
-        const std::span<float> dest(
-            out.fields[fi].decode.data.data() + entry.chunks[ci].elem_offset,
-            entry.chunks[ci].dims.count());
-        futures[fi].push_back(
-            pool.submit([&archive, &decoder, &cancel, fi, ci, dest] {
-              cancel.throw_if_cancelled();
-              // Fetch + decode + reconstruct of one chunk: the reader's own
-              // "reader.frame_fetch" span nests under this one.
-              const obs::ScopedOp op(
-                  "batch.decode",
-                  obs::enabled() ? &batch_metrics().decode_ns : nullptr);
-              cudasim::SimContext ctx;
-              return archive.decode_chunk_into(ctx, fi, ci, dest, decoder);
-            }));
-      }
-    }
-    for (std::size_t fi = 0; fi < archive.fields().size(); ++fi) {
-      const FieldEntry& entry = archive.fields()[fi];
-      FieldResult& field = out.fields[fi];
-      for (std::size_t ci = 0; ci < entry.chunks.size(); ++ci) {
-        field.decode.absorb_timings(futures[fi][ci].get());
-      }
-      out.phases += field.decode.huffman_phases;
-      out.simulated_seconds += field.decode.simulated_seconds;
-      out.chunk_seconds.insert(out.chunk_seconds.end(),
-                               field.decode.chunk_seconds.begin(),
-                               field.decode.chunk_seconds.end());
-    }
-  } catch (...) {
-    for (auto& field_futures : futures) wait_all(field_futures);
-    throw;
-  }
-  if (obs::enabled()) {
-    obs::absorb_phase_timings(obs::registry(), out.phases);
-  }
-  return out;
-}
-
 }  // namespace
 
 void BatchScheduler::compress_to(ArchiveWriter& writer,
@@ -230,7 +150,7 @@ void BatchScheduler::compress_to(ArchiveWriter& writer,
     for (std::size_t fi = 0; fi < specs.size(); ++fi) {
       const FieldSpec& spec = specs[fi];
       FieldState& state = states[fi];
-      // Task-boundary cancellation, mirrored from decompress_archive: stop
+      // Task-boundary cancellation, mirrored from decompress: stop
       // fanning out new chunk tasks, and every submitted task re-checks at
       // entry so cancels land between chunks.
       cancel.throw_if_cancelled();
@@ -347,45 +267,102 @@ void BatchScheduler::compress_to(ArchiveWriter& writer,
   }
 }
 
-Container BatchScheduler::compress(std::span<const FieldSpec> specs) const {
+std::vector<std::uint8_t> BatchScheduler::compress(
+    std::span<const FieldSpec> specs, const CancelToken& cancel) const {
   MemorySink sink;
   ArchiveWriter writer(sink);
-  compress_to(writer, specs);
-  // Adopt the session's index records and payload directly instead of
-  // finishing an image and re-parsing bytes this process just produced and
-  // validated on write: one archive copy, and the CRCs recorded at write
-  // time stay authoritative. (The sink holds header + payload; the index
-  // and footer were never needed.)
-  std::vector<std::uint8_t> payload = sink.take();
-  payload.erase(payload.begin(),
-                payload.begin() +
-                    static_cast<std::ptrdiff_t>(wire::kHeaderBytes));
-  return Container::adopt(writer.fields(), std::move(payload));
-}
-
-BatchDecompressResult BatchScheduler::decompress(
-    const Container& container, const core::DecoderConfig& decoder) const {
-  return decompress_archive(pool_, container, decoder);
+  compress_to(writer, specs, cancel);
+  writer.finish();
+  return sink.take();
 }
 
 BatchDecompressResult BatchScheduler::decompress(
     const ArchiveReader& reader, const core::DecoderConfig& decoder,
     const CancelToken& cancel) const {
   // Strict mode: refuse salvaged readers with holes up front, before any
-  // task runs — the shared fan-out would otherwise decode the recovered
-  // chunks and silently leave the holes zero-filled.
-  for (std::size_t fi = 0; fi < reader.fields().size(); ++fi) {
+  // task runs — the fan-out would otherwise decode the recovered chunks and
+  // silently leave the holes zero-filled.
+  const std::vector<FieldEntry>& fields = reader.fields();
+  for (std::size_t fi = 0; fi < fields.size(); ++fi) {
     if (!reader.field_complete(fi)) {
-      throw ContainerError("field '" + reader.fields()[fi].name +
+      throw ContainerError("field '" + fields[fi].name +
                            "' was salvaged incomplete; use decompress_partial");
     }
   }
-  return decompress_archive(pool_, reader, decoder, cancel);
+  // Fan out, then collect in deterministic (field, chunk) order via the
+  // same chunk merge the sequential ArchiveReader::decode_field uses. Every
+  // field buffer is allocated BEFORE the fan-out and each task fetches its
+  // frame and reconstructs its chunk straight into its (disjoint) slice via
+  // the fused decode-write path, so frame IO overlaps other tasks' decode
+  // and floats are written once, in place, by whichever worker decodes the
+  // chunk — bit-identical for any worker count, with no per-chunk float
+  // vector or merge copy. On any failure — a submit throw or a CRC mismatch
+  // surfacing through get() — wait out the remaining tasks before
+  // unwinding: they still reference `reader`, `decoder`, and the output
+  // buffers.
+  const obs::ScopedOp batch_op("batch.decompress");
+  std::vector<std::vector<std::future<sz::DecompressionResult>>> futures(
+      fields.size());
+  BatchDecompressResult out;
+  out.fields.resize(fields.size());
+  for (std::size_t fi = 0; fi < fields.size(); ++fi) {
+    out.fields[fi].name = fields[fi].name;
+    out.fields[fi].decode.data.resize(fields[fi].dims.count());
+  }
+  try {
+    for (std::size_t fi = 0; fi < fields.size(); ++fi) {
+      // Task-boundary cancellation: stop fanning out new chunk tasks, and
+      // every already-submitted task re-checks at entry, so a cancel lands
+      // between chunks — never inside one.
+      cancel.throw_if_cancelled();
+      const FieldEntry& entry = fields[fi];
+      if (obs::enabled()) {
+        batch_metrics().chunks_decoded.add(entry.chunks.size());
+        count_field_chunks(entry.name, ".chunks_decoded",
+                           entry.chunks.size());
+      }
+      futures[fi].reserve(entry.chunks.size());
+      for (std::size_t ci = 0; ci < entry.chunks.size(); ++ci) {
+        const std::span<float> dest(
+            out.fields[fi].decode.data.data() + entry.chunks[ci].elem_offset,
+            entry.chunks[ci].dims.count());
+        futures[fi].push_back(
+            pool_.submit([&reader, &decoder, &cancel, fi, ci, dest] {
+              cancel.throw_if_cancelled();
+              // Fetch + decode + reconstruct of one chunk: the reader's own
+              // "reader.frame_fetch" span nests under this one.
+              const obs::ScopedOp op(
+                  "batch.decode",
+                  obs::enabled() ? &batch_metrics().decode_ns : nullptr);
+              cudasim::SimContext ctx;
+              return reader.decode_chunk_into(ctx, fi, ci, dest, decoder);
+            }));
+      }
+    }
+    for (std::size_t fi = 0; fi < fields.size(); ++fi) {
+      FieldResult& field = out.fields[fi];
+      for (auto& fut : futures[fi]) {
+        field.decode.absorb_timings(fut.get());
+      }
+      out.phases += field.decode.huffman_phases;
+      out.simulated_seconds += field.decode.simulated_seconds;
+      out.chunk_seconds.insert(out.chunk_seconds.end(),
+                               field.decode.chunk_seconds.begin(),
+                               field.decode.chunk_seconds.end());
+    }
+  } catch (...) {
+    for (auto& field_futures : futures) wait_all(field_futures);
+    throw;
+  }
+  if (obs::enabled()) {
+    obs::absorb_phase_timings(obs::registry(), out.phases);
+  }
+  return out;
 }
 
 PartialBatchDecompress BatchScheduler::decompress_partial(
     const ArchiveReader& reader, const core::DecoderConfig& decoder) const {
-  // Same pre-allocated fan-out shape as decompress_archive, but collection
+  // Same pre-allocated fan-out shape as decompress, but collection
   // quarantines per chunk: a future surfacing a CRC/parse/retry-exhaustion
   // failure marks its chunk Corrupt and re-zeroes its slice instead of
   // aborting the batch, and salvage holes become Missing entries. The
@@ -526,7 +503,7 @@ std::vector<float> BatchScheduler::decode_range(
   std::vector<std::future<std::vector<float>>> futures;
   // Reserve up front: a push_back reallocation throwing AFTER submit would
   // orphan an enqueued task that still writes through `dest` into `out`
-  // (the same reason decompress_archive reserves before its fan-out).
+  // (the same reason decompress reserves before its fan-out).
   windows.reserve(f.chunks.size());
   futures.reserve(f.chunks.size());
   std::size_t collected = 0;

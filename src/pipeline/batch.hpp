@@ -36,7 +36,7 @@
 
 namespace ohd::pipeline {
 
-/// One field of a corpus to be compressed into a container.
+/// One field of a corpus to be compressed into an archive.
 struct FieldSpec {
   std::string name;
   std::span<const float> data;
@@ -98,24 +98,23 @@ class BatchScheduler {
   void compress_to(ArchiveWriter& writer, std::span<const FieldSpec> specs,
                    const CancelToken& cancel = {}) const;
 
-  /// In-memory convenience over compress_to: runs the same streaming session
-  /// into a MemorySink and reopens it as a Container — byte-identical
-  /// archives for any worker count.
-  Container compress(std::span<const FieldSpec> specs) const;
+  /// In-memory convenience over compress_to: runs one complete writer
+  /// session into a MemorySink and returns the finished v3 image —
+  /// byte-identical for any worker count. Read it back through an
+  /// ArchiveReader over a MemorySource (or an OwningMemorySource).
+  std::vector<std::uint8_t> compress(std::span<const FieldSpec> specs,
+                                     const CancelToken& cancel = {}) const;
 
-  /// Decompresses every chunk of every field concurrently; per-field floats
-  /// and all timing aggregates are merged in chunk-id order.
-  BatchDecompressResult decompress(const Container& container,
-                                   const core::DecoderConfig& decoder = {}) const;
-
-  /// Streaming variant: every chunk task lazily fetches its frame from the
-  /// reader's ByteSource and decodes it into its slice of the preallocated
-  /// field buffer, so frame IO overlaps decode across workers and peak
-  /// archive residency stays at reader.resident_bytes() plus at most one
-  /// in-flight frame per worker — the archive bytes are never materialized.
-  /// STRICT (the default mode): throws on the first corrupted frame and on
-  /// salvaged readers holding incomplete fields — degraded decode is the
-  /// explicit opt-in below.
+  /// Decompresses every chunk of every field concurrently: each chunk task
+  /// lazily fetches its frame from the reader's ByteSource and decodes it
+  /// into its slice of the preallocated field buffer, so frame IO overlaps
+  /// decode across workers and peak archive residency stays at
+  /// reader.resident_bytes() plus at most one in-flight frame per worker —
+  /// the archive bytes are never materialized. Per-field floats and all
+  /// timing aggregates are merged in chunk-id order. STRICT (the default
+  /// mode): throws on the first corrupted frame and on salvaged readers
+  /// holding incomplete fields — degraded decode is the explicit opt-in
+  /// below.
   BatchDecompressResult decompress(const ArchiveReader& reader,
                                    const core::DecoderConfig& decoder = {},
                                    const CancelToken& cancel = {}) const;

@@ -147,18 +147,14 @@ class ByteSource {
                        std::span<std::uint8_t> out) const = 0;
 };
 
-/// Sink over an owned, growing vector — the in-memory convenience path
-/// (Container::serialize builds on it).
+/// Sink over an owned, growing vector — the in-memory archive path
+/// (BatchScheduler::compress builds on it).
 class MemorySink : public ByteSink {
  public:
   void write(std::span<const std::uint8_t> bytes) override {
     buf_.insert(buf_.end(), bytes.begin(), bytes.end());
   }
   std::uint64_t position() const override { return buf_.size(); }
-
-  /// Preallocates when the final archive size is known up front
-  /// (Container::serialized_size()).
-  void reserve(std::size_t n) { buf_.reserve(n); }
 
   const std::vector<std::uint8_t>& bytes() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
@@ -180,9 +176,9 @@ class MemorySource : public ByteSource {
   std::span<const std::uint8_t> bytes_;
 };
 
-/// Source that OWNS its bytes — for handing a finished in-memory archive to
-/// a long-lived consumer (a service client's open ArchiveReader) without the
-/// caller keeping the vector alive. Neither copyable nor movable: readers
+/// Source that OWNS its bytes — for handing a finished in-memory archive
+/// (BatchScheduler::compress output) to a long-lived consumer (a service
+/// client's open ArchiveReader) without the caller keeping the vector alive. Neither copyable nor movable: readers
 /// borrow the source by reference, so its address must be stable; share it
 /// behind a shared_ptr instead.
 class OwningMemorySource : public ByteSource {

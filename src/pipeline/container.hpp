@@ -1,76 +1,28 @@
-// Chunked multi-field container ("OHDC"): a versioned archive of compressed
-// float fields, each split into fixed-size chunks compressed independently
-// through the sz pipeline (one absolute error bound per field). A per-chunk
-// index — payload offset/length, element offset, chunk dims, method tag,
-// CRC-32 — makes every chunk a self-contained frame: any single chunk can be
-// checksum-verified and decoded without touching the rest of the archive,
-// which is what the batch pipeline parallelizes over and what range decode
-// uses for partial reads.
+// Index types of the chunked multi-field container ("OHDC", version 3): an
+// archive of compressed float fields, each split into fixed-size chunks
+// compressed independently through the sz pipeline (one absolute error bound
+// per field). A per-chunk index record — payload offset/length, element
+// offset, chunk dims, method tag, codebook reference, CRC-32 — makes every
+// chunk a self-contained frame: any single chunk can be checksum-verified
+// and decoded without touching the rest of the archive, which is what the
+// batch pipeline parallelizes over and what range decode uses for partial
+// reads.
 //
-// Since version 3 the Container is a thin in-memory convenience over the
-// STREAMING archive sessions (pipeline/archive_io.hpp): serialize() runs an
-// ArchiveWriter over a MemorySink and emits the v3 footer-indexed framing
-// documented in pipeline/wire_format.hpp (payload first, deferred index +
-// footer), deserialize() reads versions 1-3, and serialize_v1()/
-// serialize_v2() keep writing the head-indexed legacy images for interop.
-// All three versions share the same per-field index sections (wire_format).
-//
-// Byte layout, versions 1 and 2 (all integers little-endian):
-//
-//   offset  size  field
-//   0       4     magic "OHDC"
-//   4       1     version (= 2)
-//   5       1     flags (= 0, reserved)
-//   6       2     reserved (= 0)
-//   8       4     field count (u32)
-//   then, per field:
-//           8+n   name (u64 length + bytes)
-//           4     rank (u32, 1..3)
-//           24    extent[3] (u64 x, y, z; unused extents = 1)
-//           8     absolute error bound (f64, > 0)
-//           4     quantizer radius (u32)
-//           1     method tag (u8, core::Method; the field default)
-//           8+n   shared codebook (u64 byte length + Codebook::serialize
-//                 bytes; length 0 = the field has no shared codebook)
-//           [4]   CRC-32 of the shared-codebook bytes (present iff length>0)
-//           8     chunk count (u64, >= 1)
-//     then, per chunk:
-//           8     payload offset (u64, into the payload section)
-//           8     payload length (u64, > 0)
-//           8     element offset (u64, into the field's flat element order)
-//           4     rank (u32)
-//           24    extent[3] (u64)
-//           1     method tag (u8)
-//           1     codebook ref (u8: 0 = private book embedded in the frame,
-//                 1 = the field's shared codebook; the frame then omits its
-//                 codebook bytes)
-//           4     CRC-32 of the frame bytes (u32)
-//   tail:   8+n   payload section (u64 length + concatenated frames, each
-//                 frame = sz::serialize_blob bytes)
-//
-// Version 1 (the PR 2 format) is the same layout WITHOUT the per-field
-// shared-codebook section and the per-chunk codebook-ref byte. Version 3
-// moves the payload to the FRONT and the index to a footer-located section
-// at the END (see wire_format.hpp) so writers can stream frames without
-// knowing the archive's eventual shape.
-//
-// tests/pipeline/container_test.cpp pins the v1/v2 table with byte-offset
-// tampering tests and tests/pipeline/archive_io_test.cpp fuzzes the v3
-// framing; bump kContainerVersion when changing the current layout.
+// The byte layout lives in pipeline/wire_format.hpp; ArchiveWriter and
+// ArchiveReader (pipeline/archive_io.hpp) are the one write and one read
+// path. This header holds only the records they share, so wire_format.hpp
+// and recovery.hpp can name them without pulling in the session API. Bump
+// kContainerVersion when changing the layout.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/huffman_codec.hpp"
-#include "cudasim/exec.hpp"
-#include "pipeline/method_selector.hpp"
 #include "sz/compressor.hpp"
 
 namespace ohd::pipeline {
@@ -87,7 +39,7 @@ class ContainerError : public std::invalid_argument {
 
 /// Where a chunk's Huffman codebook lives.
 enum class CodebookRef : std::uint8_t {
-  Private = 0,      // embedded in the chunk's frame (v1 behaviour)
+  Private = 0,      // embedded in the chunk's frame
   SharedField = 1,  // the field's shared codebook; the frame omits its book
 };
 
@@ -114,9 +66,8 @@ struct FieldEntry {
   std::vector<ChunkRecord> chunks;
 };
 
-/// Per-chunk encoding facts the parallel build path must declare when its
-/// frames were produced under a field plan (method selection and/or shared
-/// codebooks).
+/// Per-chunk encoding facts a producer declares when its frames were made
+/// under a field plan (method selection and/or shared codebooks).
 struct ChunkMeta {
   core::Method method = core::Method::GapArrayOptimized;
   CodebookRef codebook_ref = CodebookRef::Private;
@@ -147,187 +98,11 @@ struct FieldDecode {
   std::vector<double> chunk_seconds;  // per-chunk simulated cost
 
   /// Merges one decoded chunk's timings. The chunk's floats are not copied
-  /// here: both decode_field and the batch scheduler reconstruct each chunk
-  /// straight into its slice of `data` via decode_chunk_into before
-  /// merging. Call in chunk-id order to keep runs bit-identical.
+  /// here: both ArchiveReader::decode_field and the batch scheduler
+  /// reconstruct each chunk straight into its slice of `data` via
+  /// decode_chunk_into before merging. Call in chunk-id order to keep runs
+  /// bit-identical.
   void absorb_timings(const sz::DecompressionResult& chunk);
-};
-
-class BatchScheduler;
-
-/// Decodes a whole field chunk by chunk in chunk-id order (the order that
-/// makes runs bit-identical), reconstructing each chunk in place into its
-/// slice of the field buffer — the shared walk of Container::decode_field
-/// and ArchiveReader::decode_field. `Archive` exposes fields() and the
-/// fused decode_chunk_into.
-template <typename Archive>
-FieldDecode decode_field_chunks(const Archive& archive,
-                                cudasim::SimContext& ctx, std::size_t field,
-                                const core::DecoderConfig& decoder) {
-  if (field >= archive.fields().size()) {
-    throw ContainerError("field index out of range");
-  }
-  const FieldEntry& f = archive.fields()[field];
-  FieldDecode out;
-  out.data.resize(f.dims.count());
-  out.chunk_seconds.reserve(f.chunks.size());
-  for (std::size_t c = 0; c < f.chunks.size(); ++c) {
-    const std::span<float> dest(out.data.data() + f.chunks[c].elem_offset,
-                                f.chunks[c].dims.count());
-    out.absorb_timings(
-        archive.decode_chunk_into(ctx, field, c, dest, decoder));
-  }
-  return out;
-}
-
-/// Decodes only the chunks overlapping [elem_begin, elem_end) and returns
-/// exactly that element range — the shared walk of Container::decode_range
-/// and ArchiveReader::decode_range. (BatchScheduler::decode_range is the
-/// prefetching parallel variant.)
-template <typename Archive>
-std::vector<float> decode_range_chunks(const Archive& archive,
-                                       cudasim::SimContext& ctx,
-                                       std::size_t field,
-                                       std::uint64_t elem_begin,
-                                       std::uint64_t elem_end,
-                                       const core::DecoderConfig& decoder) {
-  if (field >= archive.fields().size()) {
-    throw ContainerError("field index out of range");
-  }
-  const FieldEntry& f = archive.fields()[field];
-  if (elem_begin > elem_end || elem_end > f.dims.count()) {
-    throw ContainerError("element range out of bounds");
-  }
-  std::vector<float> out(elem_end - elem_begin);
-  for (std::size_t c = 0; c < f.chunks.size(); ++c) {
-    const ChunkRecord& rec = f.chunks[c];
-    const std::uint64_t chunk_begin = rec.elem_offset;
-    const std::uint64_t chunk_end = chunk_begin + rec.dims.count();
-    if (chunk_end <= elem_begin || chunk_begin >= elem_end) continue;
-    const sz::DecompressionResult r =
-        archive.decode_chunk(ctx, field, c, decoder);
-    const std::uint64_t lo = std::max(chunk_begin, elem_begin);
-    const std::uint64_t hi = std::min(chunk_end, elem_end);
-    std::copy(r.data.begin() + static_cast<std::ptrdiff_t>(lo - chunk_begin),
-              r.data.begin() + static_cast<std::ptrdiff_t>(hi - chunk_begin),
-              out.begin() + static_cast<std::ptrdiff_t>(lo - elem_begin));
-  }
-  return out;
-}
-
-class Container {
- public:
-  /// Compresses `data` chunk by chunk (sequentially; BatchScheduler::compress
-  /// is the parallel path) and appends the field. One absolute error bound is
-  /// resolved from the WHOLE field's range, so chunking does not change the
-  /// error guarantee. `plan` enables adaptive per-chunk method selection
-  /// and/or a field-level shared codebook. Returns the field index.
-  std::size_t add_field(const std::string& name, std::span<const float> data,
-                        const sz::Dims& dims, const sz::CompressorConfig& config,
-                        std::size_t chunk_elems, const PlanOptions& plan = {});
-
-  /// Appends a field from pre-compressed chunk frames (the parallel build
-  /// path): `frames[i]` must be sz::serialize_blob() bytes for `layout[i]`,
-  /// every frame self-contained and encoded with `method`.
-  std::size_t add_field_frames(const std::string& name, const sz::Dims& dims,
-                               double abs_error_bound, std::uint32_t radius,
-                               core::Method method,
-                               std::span<const ChunkExtent> layout,
-                               const std::vector<std::vector<std::uint8_t>>& frames);
-
-  /// Planned variant: `meta[i]` declares each frame's method and codebook
-  /// reference; frames marked SharedField must have been encoded against
-  /// `shared_codebook` (required non-null in that case) and serialized
-  /// without their codebook bytes.
-  std::size_t add_field_frames(const std::string& name, const sz::Dims& dims,
-                               double abs_error_bound, std::uint32_t radius,
-                               core::Method default_method,
-                               std::shared_ptr<const huffman::Codebook> shared_codebook,
-                               std::span<const ChunkExtent> layout,
-                               const std::vector<std::vector<std::uint8_t>>& frames,
-                               std::span<const ChunkMeta> meta);
-
-  const std::vector<FieldEntry>& fields() const { return fields_; }
-  const std::vector<std::uint8_t>& payload() const { return payload_; }
-
-  /// Field index by name; throws ContainerError on unknown names.
-  std::size_t field_index(const std::string& name) const;
-
-  /// The serialized frame of one chunk (a view into the payload section).
-  std::span<const std::uint8_t> frame_bytes(std::size_t field,
-                                            std::size_t chunk) const;
-
-  /// Decodes ONE chunk — checksum verification, frame parse, decompression —
-  /// without reading any other frame's bytes.
-  sz::DecompressionResult decode_chunk(
-      cudasim::SimContext& ctx, std::size_t field, std::size_t chunk,
-      const core::DecoderConfig& decoder = {}) const;
-
-  /// Fused variant: reconstructs the chunk's floats straight into `out`
-  /// (sized to the CHUNK's element count — typically a subspan of the field
-  /// buffer at the chunk's elem_offset) via sz::decompress_into; the
-  /// returned result carries timings only. This is the write path
-  /// decode_field and the batch scheduler use, so a chunk's floats are
-  /// written once, in place, with no per-chunk vector or merge copy.
-  sz::DecompressionResult decode_chunk_into(
-      cudasim::SimContext& ctx, std::size_t field, std::size_t chunk,
-      std::span<float> out, const core::DecoderConfig& decoder = {}) const;
-
-  /// Decodes a whole field chunk by chunk in chunk-id order.
-  FieldDecode decode_field(cudasim::SimContext& ctx, std::size_t field,
-                           const core::DecoderConfig& decoder = {}) const;
-
-  /// Decodes only the chunks overlapping [elem_begin, elem_end) and returns
-  /// exactly that element range of the field.
-  std::vector<float> decode_range(cudasim::SimContext& ctx, std::size_t field,
-                                  std::uint64_t elem_begin,
-                                  std::uint64_t elem_end,
-                                  const core::DecoderConfig& decoder = {}) const;
-
-  /// Verifies every frame's CRC-32 without decoding; throws ContainerError
-  /// naming the first corrupted field/chunk. (Shared-codebook CRCs are
-  /// checked eagerly by deserialize(), which is the only path that can see
-  /// corrupted codebook bytes.)
-  void verify() const;
-
-  /// Serializes in the current (version 3, footer-indexed) format — a thin
-  /// wrapper over ArchiveWriter + MemorySink, preallocated to
-  /// serialized_size().
-  std::vector<std::uint8_t> serialize() const;
-
-  /// Exact byte size of serialize()'s output, computed from the index alone
-  /// — serialize() preallocates with it, and a streaming writer can reserve
-  /// index/footer space from the same arithmetic.
-  std::uint64_t serialized_size() const;
-
-  /// Serializes in the version 1 (PR 2) format for consumers that predate
-  /// shared codebooks. Throws ContainerError if any field carries a shared
-  /// codebook or any chunk references one — those archives have no v1
-  /// representation.
-  std::vector<std::uint8_t> serialize_v1() const;
-
-  /// Serializes in the version 2 (PR 3) head-indexed format for consumers
-  /// that predate the streaming (v3) framing.
-  std::vector<std::uint8_t> serialize_v2() const;
-
-  /// Parses and validates a serialized container (index structure, chunk
-  /// coverage, frame bounds, shared-codebook integrity); reads versions 1,
-  /// 2, and 3. Frame checksums are verified lazily on access.
-  static Container deserialize(std::span<const std::uint8_t> bytes);
-
- private:
-  friend class BatchScheduler;
-  /// Adopts a write session's index records and payload verbatim, with no
-  /// image or re-parse — the one-archive-copy bridge BatchScheduler::compress
-  /// uses for bytes this process just produced and validated on write.
-  static Container adopt(std::vector<FieldEntry> fields,
-                         std::vector<std::uint8_t> payload);
-
-  const ChunkRecord& record(std::size_t field, std::size_t chunk) const;
-  std::vector<std::uint8_t> write_container(std::uint8_t version) const;
-
-  std::vector<FieldEntry> fields_;
-  std::vector<std::uint8_t> payload_;  // concatenated chunk frames
 };
 
 }  // namespace ohd::pipeline

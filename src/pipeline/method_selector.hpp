@@ -135,7 +135,7 @@ class MethodSelector {
   std::array<double, kMethodSlots> offset_s_{0.0, 0.0, 0.0, 0.0, 0.0};
 };
 
-/// Field-level planning knobs (FieldSpec::plan / Container::add_field).
+/// Field-level planning knobs (FieldSpec::plan / ArchiveWriter::add_field).
 struct PlanOptions {
   bool auto_method = false;     // per-chunk method selection
   bool shared_codebook = false; // field-level codebook, ratio-driven refs
@@ -188,8 +188,8 @@ FieldPlan plan_from_probes(std::vector<ChunkProbe> probes,
                            const MethodSelector& selector);
 
 /// Encodes one planned chunk into its serialized frame — the single encode
-/// sequence shared by the sequential (Container::add_field) and parallel
-/// (BatchScheduler::compress) build paths. Shared-book chunks encode against
+/// sequence shared by the sequential (ArchiveWriter::add_field) and parallel
+/// (BatchScheduler::compress_to) build paths. Shared-book chunks encode against
 /// `shared` (required non-null) and omit their codebook bytes; private-book
 /// chunks rebuild their codebook from the plan's cached lengths when
 /// available.

@@ -95,13 +95,10 @@ SalvageResult salvage_scan(const ByteSource& source, const RetryPolicy& retry) {
 
   const auto head = read_range(source, retry, 0, wire::kHeaderBytes);
   std::uint8_t flags = 0;
-  if (std::memcmp(head.data(), wire::kMagic, 4) == 0 && head[4] == 3 &&
-      head[6] == 0 && head[7] == 0) {
-    try {
-      flags = wire::check_archive_flags(head[4], head[5]);
-      rep.header_valid = true;
-    } catch (const ContainerError&) {
-    }
+  try {
+    flags = wire::read_archive_header(head);
+    rep.header_valid = true;
+  } catch (const ContainerError&) {
   }
   if (!rep.header_valid) {
     rep.notes.push_back("archive header damaged; scanning anyway");

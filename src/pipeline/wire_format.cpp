@@ -9,6 +9,8 @@
 
 namespace ohd::pipeline::wire {
 
+namespace {
+
 core::Method parse_method_tag(std::uint8_t tag) {
   const auto method = static_cast<core::Method>(tag);
   switch (method) {
@@ -54,83 +56,71 @@ sz::Dims read_dims(util::ByteReader& r) {
   return dims;
 }
 
-void check_coverage(const sz::Dims& field_dims,
-                    std::span<const ChunkExtent> layout) {
-  if (layout.empty()) {
-    throw ContainerError("field has no chunks");
+/// Serialized size of the field-header record (the write_field_header
+/// bytes). The arithmetic (instead of serializing just to measure) keeps
+/// ArchiveWriter::finish() allocation-free; drift against the real encoder is
+/// pinned by ArchiveIO.SerializedSizeIsExact.
+std::uint64_t field_header_record_bytes(const FieldEntry& f) {
+  std::uint64_t n = 8 + f.name.size();  // name record
+  n += 4 + 24;                          // rank + extent[3]
+  n += 8 + 4 + 1;                       // error bound, radius, method tag
+  n += 8;                               // shared-codebook length prefix
+  if (f.shared_codebook != nullptr) {
+    // Codebook::serialize() is a u32 alphabet count plus one length byte
+    // per symbol.
+    n += 4 + f.shared_codebook->alphabet_size() + 4;  // bytes + CRC
   }
-  std::uint64_t next = 0;
-  for (const ChunkExtent& e : layout) {
-    if (e.elem_offset != next) {
-      throw ContainerError("chunk element offsets are not contiguous");
-    }
-    if (e.dims.count() > field_dims.count() - next) {
-      throw ContainerError("chunks do not cover the field");
-    }
-    next += e.dims.count();
-  }
-  if (next != field_dims.count()) {
-    throw ContainerError("chunks do not cover the field");
-  }
+  return n;
 }
 
-void write_archive_header(util::ByteWriter& w, std::uint8_t version,
-                          std::uint8_t flags) {
+}  // namespace
+
+void write_archive_header(util::ByteWriter& w, std::uint8_t flags) {
   w.magic(kMagic);
-  w.u8(version);
+  w.u8(kContainerVersion);
   w.u8(flags);
   w.u16(0);  // reserved
 }
 
-std::uint8_t check_archive_flags(std::uint8_t version, std::uint8_t flags) {
-  if (version < 3 ? flags != 0 : (flags & ~kKnownFlags) != 0) {
+std::uint8_t read_archive_header(std::span<const std::uint8_t> head) {
+  if (head.size() < kHeaderBytes || std::memcmp(head.data(), kMagic, 4) != 0) {
+    throw ContainerError("bad magic, expected OHDC");
+  }
+  if (head[4] != kContainerVersion) {
+    throw ContainerError("unsupported container version");
+  }
+  if (head[6] != 0 || head[7] != 0) {
+    throw ContainerError("nonzero reserved container bytes");
+  }
+  if ((head[5] & ~kKnownFlags) != 0) {
     throw ContainerError("unknown archive header flags");
   }
-  return flags;
+  return head[5];
 }
 
-std::uint64_t field_entry_bytes(const FieldEntry& f, std::uint8_t version) {
-  std::uint64_t n = 8 + f.name.size();  // name record
-  n += 4 + 24;                          // rank + extent[3]
-  n += 8 + 4 + 1;                       // error bound, radius, method tag
-  if (version >= 2) {
-    n += 8;  // shared-codebook length prefix
-    if (f.shared_codebook != nullptr) {
-      // Codebook::serialize() is a u32 alphabet count plus one length byte
-      // per symbol; the arithmetic (instead of serializing just to measure)
-      // keeps serialized_size()/finish() allocation-free. Drift against the
-      // real encoder is pinned by ArchiveIO.SerializedSizeIsExact.
-      n += 4 + f.shared_codebook->alphabet_size() + 4;  // bytes + CRC
-    }
-  }
-  n += 8;  // chunk count
-  n += f.chunks.size() *
-       (version == 1 ? kChunkRecordBytesV1 : kChunkRecordBytesV2);
-  return n;
+std::uint64_t field_entry_bytes(const FieldEntry& f) {
+  return field_header_record_bytes(f) + 8 /*chunk count*/ +
+         f.chunks.size() * kChunkRecordBytes;
 }
 
-void write_field_header(util::ByteWriter& w, const FieldEntry& f,
-                        std::uint8_t version) {
+void write_field_header(util::ByteWriter& w, const FieldEntry& f) {
   w.u64(f.name.size());
   for (char ch : f.name) w.u8(static_cast<std::uint8_t>(ch));
   write_dims(w, f.dims);
   w.f64(f.abs_error_bound);
   w.u32(f.radius);
   w.u8(static_cast<std::uint8_t>(f.method));
-  if (version >= 2) {
-    if (f.shared_codebook != nullptr) {
-      const auto cb_bytes = f.shared_codebook->serialize();
-      w.bytes(cb_bytes);
-      w.u32(util::crc32(cb_bytes));
-    } else {
-      w.u64(0);  // no shared codebook
-    }
+  if (f.shared_codebook != nullptr) {
+    const auto cb_bytes = f.shared_codebook->serialize();
+    w.bytes(cb_bytes);
+    w.u32(util::crc32(cb_bytes));
+  } else {
+    w.u64(0);  // no shared codebook
   }
 }
 
-void write_field_entry(util::ByteWriter& w, const FieldEntry& f,
-                       std::uint8_t version) {
-  write_field_header(w, f, version);
+void write_field_entry(util::ByteWriter& w, const FieldEntry& f) {
+  write_field_header(w, f);
   w.u64(f.chunks.size());
   for (const ChunkRecord& rec : f.chunks) {
     w.u64(rec.payload_offset);
@@ -138,14 +128,12 @@ void write_field_entry(util::ByteWriter& w, const FieldEntry& f,
     w.u64(rec.elem_offset);
     write_dims(w, rec.dims);
     w.u8(static_cast<std::uint8_t>(rec.method));
-    if (version >= 2) {
-      w.u8(static_cast<std::uint8_t>(rec.codebook_ref));
-    }
+    w.u8(static_cast<std::uint8_t>(rec.codebook_ref));
     w.u32(rec.crc32);
   }
 }
 
-FieldEntry read_field_header(util::ByteReader& r, std::uint8_t version) {
+FieldEntry read_field_header(util::ByteReader& r) {
   FieldEntry f;
   const std::uint64_t name_len = r.u64();
   if (name_len > r.remaining()) {
@@ -165,39 +153,35 @@ FieldEntry read_field_header(util::ByteReader& r, std::uint8_t version) {
     throw ContainerError("zero quantizer radius in container");
   }
   f.method = parse_method_tag(r.u8());
-  if (version >= 2) {
-    std::vector<std::uint8_t> cb_bytes;
-    try {
-      cb_bytes = r.array<std::uint8_t>();
-    } catch (const std::invalid_argument& e) {
-      throw ContainerError(e.what());
+  std::vector<std::uint8_t> cb_bytes;
+  try {
+    cb_bytes = r.array<std::uint8_t>();
+  } catch (const std::invalid_argument& e) {
+    throw ContainerError(e.what());
+  }
+  if (!cb_bytes.empty()) {
+    if (util::crc32(cb_bytes) != r.u32()) {
+      throw ContainerError("field '" + f.name +
+                           "': shared codebook CRC-32 mismatch");
     }
-    if (!cb_bytes.empty()) {
-      if (util::crc32(cb_bytes) != r.u32()) {
-        throw ContainerError("field '" + f.name +
-                             "': shared codebook CRC-32 mismatch");
-      }
-      try {
-        f.shared_codebook = std::make_shared<const huffman::Codebook>(
-            huffman::Codebook::deserialize(cb_bytes));
-      } catch (const std::invalid_argument& e) {
-        throw ContainerError("field '" + f.name +
-                             "': invalid shared codebook: " + e.what());
-      }
+    try {
+      f.shared_codebook = std::make_shared<const huffman::Codebook>(
+          huffman::Codebook::deserialize(cb_bytes));
+    } catch (const std::invalid_argument& e) {
+      throw ContainerError("field '" + f.name +
+                           "': invalid shared codebook: " + e.what());
     }
   }
   return f;
 }
 
-FieldEntry read_field_entry(util::ByteReader& r, std::uint8_t version) {
-  const std::uint64_t chunk_record_bytes =
-      version == 1 ? kChunkRecordBytesV1 : kChunkRecordBytesV2;
-  FieldEntry f = read_field_header(r, version);
+FieldEntry read_field_entry(util::ByteReader& r) {
+  FieldEntry f = read_field_header(r);
   const std::uint64_t chunk_count = r.u64();
   if (chunk_count == 0) {
     throw ContainerError("field has no chunks");
   }
-  if (chunk_count > r.remaining() / chunk_record_bytes) {
+  if (chunk_count > r.remaining() / kChunkRecordBytes) {
     throw ContainerError("chunk count exceeds blob size");
   }
   f.chunks.reserve(chunk_count);
@@ -209,14 +193,12 @@ FieldEntry read_field_entry(util::ByteReader& r, std::uint8_t version) {
     rec.elem_offset = r.u64();
     rec.dims = read_dims(r);
     rec.method = parse_method_tag(r.u8());
-    if (version >= 2) {
-      rec.codebook_ref = parse_codebook_ref(r.u8());
-      if (rec.codebook_ref == CodebookRef::SharedField &&
-          f.shared_codebook == nullptr) {
-        throw ContainerError(
-            "field '" + f.name +
-            "': chunk references a shared codebook the field does not carry");
-      }
+    rec.codebook_ref = parse_codebook_ref(r.u8());
+    if (rec.codebook_ref == CodebookRef::SharedField &&
+        f.shared_codebook == nullptr) {
+      throw ContainerError(
+          "field '" + f.name +
+          "': chunk references a shared codebook the field does not carry");
     }
     rec.crc32 = r.u32();
     if (rec.payload_bytes == 0) {
@@ -258,23 +240,6 @@ sz::CompressedBlob parse_chunk_frame(const FieldEntry& field, std::size_t chunk,
   }
   return blob;
 }
-
-namespace {
-
-/// Serialized size of the v3 field-header record (the write_field_header
-/// bytes). Mirrors the header half of field_entry_bytes.
-std::uint64_t field_header_record_bytes(const FieldEntry& f) {
-  std::uint64_t n = 8 + f.name.size();  // name record
-  n += 4 + 24;                          // rank + extent[3]
-  n += 8 + 4 + 1;                       // error bound, radius, method tag
-  n += 8;                               // shared-codebook length prefix
-  if (f.shared_codebook != nullptr) {
-    n += 4 + f.shared_codebook->alphabet_size() + 4;  // bytes + CRC
-  }
-  return n;
-}
-
-}  // namespace
 
 void write_chunk_preamble(util::ByteWriter& w, const ChunkPreamble& p) {
   const std::size_t start = w.size();
@@ -322,7 +287,7 @@ bool try_parse_chunk_preamble(std::span<const std::uint8_t> bytes,
 
 void write_field_preamble(util::ByteWriter& w, const FieldPreamble& p) {
   util::ByteWriter record;
-  write_field_header(record, p.header, 3);
+  write_field_header(record, p.header);
   const std::size_t start = w.size();
   w.magic(kFieldPreambleMagic);
   w.u32(p.field_ordinal);
@@ -353,7 +318,7 @@ bool try_parse_field_preamble(std::span<const std::uint8_t> bytes,
     util::ByteReader r(bytes.subspan(12, record_len));
     FieldPreamble p;
     p.field_ordinal = ordinal;
-    p.header = read_field_header(r, 3);
+    p.header = read_field_header(r);
     if (!r.exhausted()) return false;
     out = std::move(p);
     consumed = total;
@@ -369,7 +334,7 @@ void write_footer(util::ByteWriter& w, const Footer& footer) {
   w.u32(footer.index_crc32);
   w.u32(footer.field_count);
   w.u64(footer.payload_bytes);
-  w.u8(3);   // version
+  w.u8(kContainerVersion);
   w.u8(0);   // reserved
   w.u8(0);
   w.u8(0);
@@ -388,7 +353,7 @@ Footer read_footer(std::span<const std::uint8_t> tail,
   footer.index_crc32 = r.u32();
   footer.field_count = r.u32();
   footer.payload_bytes = r.u64();
-  if (r.u8() != 3) {
+  if (r.u8() != kContainerVersion) {
     throw ContainerError("archive footer version mismatch");
   }
   if (r.u8() != 0 || r.u8() != 0 || r.u8() != 0) {
@@ -432,7 +397,7 @@ std::vector<FieldEntry> read_index(std::span<const std::uint8_t> index,
   fields.reserve(field_count);
   std::unordered_set<std::string> seen_names;
   for (std::uint32_t fi = 0; fi < field_count; ++fi) {
-    FieldEntry f = read_field_entry(r, 3);
+    FieldEntry f = read_field_entry(r);
     if (!seen_names.insert(f.name).second) {
       throw ContainerError("duplicate field name '" + f.name +
                            "' in container");

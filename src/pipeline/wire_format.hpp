@@ -1,12 +1,11 @@
-// Shared wire code of the "OHDC" archive family: one writer/parser for the
-// per-field index sections used by all three container versions, plus the
-// version-3 footer. Keeping this in one place is what stops the in-memory
-// Container (v1/v2 head-indexed images, v3 via the writer) and the streaming
-// ArchiveWriter/ArchiveReader sessions (v3 footer-indexed files) from
-// drifting apart — they serialize and validate the exact same field/chunk
-// records.
+// Wire code of the "OHDC" v3 archive: one writer/parser for the per-field
+// index sections, the footer, and the recovery preambles. Keeping this in
+// one place is what stops the streaming ArchiveWriter/ArchiveReader sessions
+// (pipeline/archive_io.hpp) and the salvage scanner (pipeline/recovery.hpp)
+// from drifting apart — they serialize and validate the exact same
+// field/chunk records.
 //
-// Version 3 byte layout (all integers little-endian):
+// Byte layout (all integers little-endian):
 //
 //   offset        size  field
 //   0             4     magic "OHDC"
@@ -17,8 +16,28 @@
 //                       (field, chunk) order as they are produced; chunk
 //                       records address it with offsets relative to byte 8
 //   8+n           i     index: u32 field count, then one field section per
-//                       field — identical bytes to the v2 field sections
-//                       (see write_field_entry)
+//                       field (see write_field_entry):
+//                         8+n  name (u64 length + bytes)
+//                         28   dims (u32 rank + 3 x u64 extent; unused
+//                              extents = 1)
+//                         8    absolute error bound (f64, > 0)
+//                         4    quantizer radius (u32)
+//                         1    method tag (u8, core::Method; field default)
+//                         8+n  shared codebook (u64 byte length +
+//                              Codebook::serialize bytes; length 0 = none)
+//                         [4]  CRC-32 of the shared-codebook bytes (present
+//                              iff length > 0)
+//                         8    chunk count (u64, >= 1)
+//                         then kChunkRecordBytes per chunk:
+//                           8   payload offset (u64, into the payload)
+//                           8   payload length (u64, > 0)
+//                           8   element offset (u64, field flat order)
+//                           28  dims
+//                           1   method tag (u8)
+//                           1   codebook ref (u8: 0 = private book in the
+//                               frame, 1 = the field's shared codebook; the
+//                               frame then omits its codebook bytes)
+//                           4   CRC-32 of the frame bytes (u32)
 //   8+n+i         40    footer:
 //                         u64 index offset (= 8 + n)
 //                         u64 index bytes  (= i)
@@ -90,56 +109,40 @@ inline constexpr std::uint64_t kChunkPreambleBytes = 66;
 /// field in a damaged archive cannot drive a huge read during salvage.
 inline constexpr std::uint32_t kMaxFieldPreambleRecordBytes = 1u << 20;
 
-// Fixed wire sizes of one chunk record per container version, used to bound
-// untrusted chunk counts before looping. Version 2 added the codebook-ref
-// byte; version 3 keeps the v2 record.
-inline constexpr std::uint64_t kChunkRecordBytesV1 = 8 + 8 + 8 + 4 + 24 + 1 + 4;
-inline constexpr std::uint64_t kChunkRecordBytesV2 = kChunkRecordBytesV1 + 1;
+/// Fixed wire size of one chunk record, used to bound untrusted chunk counts
+/// before looping.
+inline constexpr std::uint64_t kChunkRecordBytes = 8 + 8 + 8 + 4 + 24 + 1 + 1 + 4;
 
-core::Method parse_method_tag(std::uint8_t tag);
-CodebookRef parse_codebook_ref(std::uint8_t tag);
+/// The 8-byte archive head: magic, version, flags, reserved.
+void write_archive_header(util::ByteWriter& w, std::uint8_t flags = 0);
 
-void write_dims(util::ByteWriter& w, const sz::Dims& dims);
-sz::Dims read_dims(util::ByteReader& r);
+/// Validates the kHeaderBytes at the front of `head` (magic, version,
+/// reserved bytes, known flag bits) and returns the flags; throws
+/// ContainerError naming the first violation.
+std::uint8_t read_archive_header(std::span<const std::uint8_t> head);
 
-/// Chunk extents must tile the field contiguously in flat element order.
-void check_coverage(const sz::Dims& field_dims,
-                    std::span<const ChunkExtent> layout);
-
-/// The 8-byte archive head shared by every version: magic, version, flags,
-/// reserved. Flags are only meaningful for version 3.
-void write_archive_header(util::ByteWriter& w, std::uint8_t version,
-                          std::uint8_t flags = 0);
-
-/// Validates the flags byte of a parsed v3 head: unknown bits are a format
-/// error (older versions must carry 0).
-std::uint8_t check_archive_flags(std::uint8_t version, std::uint8_t flags);
-
-/// Exact serialized size of one field's index section for `version`.
-std::uint64_t field_entry_bytes(const FieldEntry& f, std::uint8_t version);
+/// Exact serialized size of one field's index section.
+std::uint64_t field_entry_bytes(const FieldEntry& f);
 
 /// One field's index section: name, geometry, error bound, radius, default
-/// method, the shared-codebook record (+CRC, version >= 2 only), chunk count,
-/// chunk records. Identical bytes for versions 2 and 3.
-void write_field_entry(util::ByteWriter& w, const FieldEntry& f,
-                       std::uint8_t version);
+/// method, the shared-codebook record (+CRC), chunk count, chunk records.
+void write_field_entry(util::ByteWriter& w, const FieldEntry& f);
 
 /// Parses and validates one field's index section: plausible geometry,
 /// positive error bound and radius, known method/codebook-ref tags, shared
 /// codebook CRC + parse, contiguous chunk coverage. Frame byte ranges are
 /// validated by the caller, who knows the payload extent.
-FieldEntry read_field_entry(util::ByteReader& r, std::uint8_t version);
+FieldEntry read_field_entry(util::ByteReader& r);
 
 /// The field-header prefix of a field entry (everything before the chunk
 /// records): name, geometry, error bound, radius, default method, shared
 /// codebook. Shared verbatim by the index sections and the field preambles,
 /// so a salvaged field parses with the exact same validation as an indexed
 /// one.
-void write_field_header(util::ByteWriter& w, const FieldEntry& f,
-                        std::uint8_t version);
+void write_field_header(util::ByteWriter& w, const FieldEntry& f);
 
 /// Parses a field header; the returned entry has an empty chunk list.
-FieldEntry read_field_header(util::ByteReader& r, std::uint8_t version);
+FieldEntry read_field_header(util::ByteReader& r);
 
 /// One chunk's recovery preamble: enough to re-derive its index record (bar
 /// the payload offset, which the scanner knows from where it found it).
@@ -180,7 +183,8 @@ bool try_parse_field_preamble(std::span<const std::uint8_t> bytes,
                               FieldPreamble& out, std::uint64_t& consumed);
 
 /// Checksum + parse + geometry validation of one chunk's frame bytes — the
-/// single decode gate shared by Container and ArchiveReader.
+/// single decode gate of ArchiveReader and the batch scheduler's prefetching
+/// range decode.
 sz::CompressedBlob parse_chunk_frame(const FieldEntry& field, std::size_t chunk,
                                      std::span<const std::uint8_t> frame);
 

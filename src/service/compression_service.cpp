@@ -493,11 +493,7 @@ CompressResult CompressionService::run_compress(
         f.name, std::span<const float>(f.data), f.dims, cfg, opt.chunk_elems,
         opt.plan});
   }
-  pipeline::MemorySink sink;
-  pipeline::ArchiveWriter writer(sink);
-  scheduler_.compress_to(writer, specs, cancel);
-  writer.finish();
-  return CompressResult{sink.take()};
+  return CompressResult{scheduler_.compress(specs, cancel)};
 }
 
 std::shared_ptr<CompressionService::RequestState>

@@ -12,7 +12,7 @@
 namespace ohd::sz {
 
 /// With `embed_codebook == false` the embedded Huffman stream is written
-/// without its codebook (container v2 shared-codebook frames); such a blob
+/// without its codebook (the archive's shared-codebook frames); such a blob
 /// can only be parsed back with the matching shared codebook.
 std::vector<std::uint8_t> serialize_blob(const CompressedBlob& blob,
                                          bool embed_codebook = true);

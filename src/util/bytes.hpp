@@ -38,8 +38,9 @@ public:
   std::size_t size() const { return bytes_.size(); }
   std::span<const std::uint8_t> bytes() const { return bytes_; }
 
-  /// Preallocates for a writer whose final size is known up front (e.g.
-  /// Container::serialized_size()), so the append path never reallocates.
+  /// Preallocates for a writer whose final size is known up front (e.g. the
+  /// archive index + footer in ArchiveWriter::finish()), so the append path
+  /// never reallocates.
   void reserve(std::size_t n) { bytes_.reserve(n); }
 
 private:

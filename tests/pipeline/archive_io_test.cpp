@@ -1,16 +1,21 @@
-// Streaming archive sessions: v3 round-trip properties (writer output
-// reopened by the reader decodes bit-identical to the whole-buffer
-// Container path, for any worker count), bounded-memory guarantees on both
-// sides (BoundedRingSink on the write path, the reader's frame-residency
-// gauge on the read path), reader laziness, and robustness of a
-// FILE-backed v3 archive under every-byte truncation and single-bit
-// corruption — mirroring the in-memory container fuzz suite.
+// The "OHDC" v3 archive through its one write path (ArchiveWriter, and the
+// BatchScheduler fan-out over it) and its one read path (ArchiveReader):
+// round-trip properties (the streamed session equals the in-memory image
+// for any worker count; file-backed and in-memory readers decode
+// bit-identically), bounded-memory guarantees on both sides
+// (BoundedRingSink on the write path, the reader's frame-residency gauge on
+// the read path), reader laziness, the chunk layout, malformed-index
+// rejection pinned to the index layout in wire_format.hpp (each patch
+// reseals the index CRC so it reaches its own validator), and robustness
+// under every-byte truncation and single-byte corruption.
 #include "pipeline/archive_io.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <vector>
 
 #include "pipeline/batch.hpp"
@@ -19,6 +24,7 @@
 #include "pipeline/thread_pool.hpp"
 #include "pipeline/wire_format.hpp"
 #include "sz/metrics.hpp"
+#include "util/checksum.hpp"
 #include "util/rng.hpp"
 
 namespace ohd::pipeline {
@@ -70,6 +76,12 @@ Corpus mixed_corpus() {
   return c;
 }
 
+/// The corpus as one in-memory v3 image.
+std::vector<std::uint8_t> image_of(const Corpus& corpus) {
+  ThreadPool pool(2);
+  return BatchScheduler(pool).compress(corpus.specs);
+}
+
 std::string temp_path(const char* name) {
   return ::testing::TempDir() + "/" + name;
 }
@@ -84,16 +96,26 @@ void write_file(const std::string& path,
   ASSERT_EQ(std::fclose(f), 0);
 }
 
+/// The strict open's rejection message, or "" when `bytes` opens.
+std::string open_error(std::span<const std::uint8_t> bytes) {
+  try {
+    const MemorySource source(bytes);
+    const ArchiveReader reader(source);
+    return "";
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+}
+
 // ---- Round-trip properties ------------------------------------------------
 
 TEST(ArchiveIO, WriterOutputMatchesContainerSerializeForAnyWorkerCount) {
   // The v3 round-trip property: the streamed session must be byte-identical
-  // to Container::serialize() of the whole-buffer build, for every worker
-  // count, through both a memory sink and a file sink.
+  // to the in-memory image BatchScheduler::compress returns, for every
+  // worker count, through both a memory sink and a file sink.
   const Corpus corpus = mixed_corpus();
   ThreadPool p1(1);
-  const Container whole = BatchScheduler(p1).compress(corpus.specs);
-  const auto whole_bytes = whole.serialize();
+  const auto whole_bytes = BatchScheduler(p1).compress(corpus.specs);
 
   for (std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     ThreadPool pool(workers);
@@ -124,15 +146,15 @@ TEST(ArchiveIO, WriterOutputMatchesContainerSerializeForAnyWorkerCount) {
 }
 
 TEST(ArchiveIO, ReaderDecodesBitIdenticalToContainerRoundTrip) {
-  // ArchiveWriter output reopened by ArchiveReader must decode bit-identical
-  // floats to Container::deserialize(Container::serialize()) — per chunk,
-  // per field, per range, and through the batch scheduler — and stay within
-  // the fields' error bounds.
+  // A FILE-backed reader must decode bit-identical floats to a reader over
+  // the in-memory image — per chunk, per field, per range, and through the
+  // batch scheduler — and stay within the fields' error bounds.
   const Corpus corpus = mixed_corpus();
   ThreadPool pool(3);
   const BatchScheduler sched(pool);
-  const Container whole = sched.compress(corpus.specs);
-  const Container reparsed = Container::deserialize(whole.serialize());
+  const auto image = sched.compress(corpus.specs);
+  const MemorySource memory(image);
+  const ArchiveReader in_memory(memory);
 
   const std::string path = temp_path("ohd_archive_decode.bin");
   {
@@ -144,49 +166,49 @@ TEST(ArchiveIO, ReaderDecodesBitIdenticalToContainerRoundTrip) {
   const FileSource source(path);
   const ArchiveReader reader(source);
   EXPECT_NO_THROW(reader.verify());
-  ASSERT_EQ(reader.fields().size(), reparsed.fields().size());
+  ASSERT_EQ(reader.fields().size(), in_memory.fields().size());
 
   for (std::size_t fi = 0; fi < reader.fields().size(); ++fi) {
     EXPECT_EQ(reader.field_index(reader.fields()[fi].name), fi);
     cudasim::SimContext c1, c2;
     const FieldDecode a = reader.decode_field(c1, fi);
-    const FieldDecode b = reparsed.decode_field(c2, fi);
+    const FieldDecode b = in_memory.decode_field(c2, fi);
     EXPECT_EQ(a.data, b.data) << "field " << fi;
     EXPECT_EQ(a.simulated_seconds, b.simulated_seconds);
     const auto stats = sz::compute_error_stats(corpus.storage[fi], a.data);
     EXPECT_LE(stats.max_abs_error,
               reader.fields()[fi].abs_error_bound * (1 + 1e-6));
 
-    // Per-chunk random access and the fused write agree too.
+    // Per-chunk random access agrees too.
     cudasim::SimContext c3, c4;
     const auto one = reader.decode_chunk(c3, fi, 0);
-    const auto two = reparsed.decode_chunk(c4, fi, 0);
+    const auto two = in_memory.decode_chunk(c4, fi, 0);
     EXPECT_EQ(one.data, two.data);
   }
 
-  // Batch decompress over the reader: identical to the container batch for
-  // every worker count.
-  const BatchDecompressResult from_container = sched.decompress(reparsed);
+  // Batch decompress over the file reader: identical to the in-memory batch
+  // for every worker count.
+  const BatchDecompressResult from_memory = sched.decompress(in_memory);
   for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
     ThreadPool wpool(workers);
     const BatchDecompressResult streamed =
         BatchScheduler(wpool).decompress(reader);
-    ASSERT_EQ(streamed.fields.size(), from_container.fields.size());
+    ASSERT_EQ(streamed.fields.size(), from_memory.fields.size());
     for (std::size_t fi = 0; fi < streamed.fields.size(); ++fi) {
       EXPECT_EQ(streamed.fields[fi].decode.data,
-                from_container.fields[fi].decode.data)
+                from_memory.fields[fi].decode.data)
           << "workers=" << workers << " field=" << fi;
     }
-    EXPECT_EQ(streamed.chunk_seconds, from_container.chunk_seconds);
+    EXPECT_EQ(streamed.chunk_seconds, from_memory.chunk_seconds);
   }
 
   // Range decode: the reader's sequential walk and the scheduler's
-  // prefetching pipeline both match the container, across chunk boundaries
-  // and partial edges.
+  // prefetching pipeline both match, across chunk boundaries and partial
+  // edges.
   const std::size_t field = 0;
   const std::uint64_t lo = 3000, hi = 9500;
   cudasim::SimContext c5, c6;
-  const auto expect = reparsed.decode_range(c5, field, lo, hi);
+  const auto expect = in_memory.decode_range(c5, field, lo, hi);
   EXPECT_EQ(reader.decode_range(c6, field, lo, hi), expect);
   EXPECT_EQ(sched.decode_range(reader, field, lo, hi), expect);
   EXPECT_TRUE(sched.decode_range(reader, field, 500, 500).empty());
@@ -196,20 +218,277 @@ TEST(ArchiveIO, ReaderDecodesBitIdenticalToContainerRoundTrip) {
 }
 
 TEST(ArchiveIO, SerializedSizeIsExact) {
+  // wire::field_entry_bytes sizes the index ArchiveWriter::finish() writes
+  // (it reserves the tail from it), so head + payload + index + footer must
+  // add up to the image exactly.
   const Corpus corpus = mixed_corpus();
-  ThreadPool pool(2);
-  const Container archive = BatchScheduler(pool).compress(corpus.specs);
-  EXPECT_EQ(archive.serialized_size(), archive.serialize().size());
-
-  const Container empty;
-  EXPECT_EQ(empty.serialized_size(), empty.serialize().size());
+  const auto image = image_of(corpus);
+  const MemorySource source(image);
+  const ArchiveReader reader(source);
+  std::uint64_t index_bytes = 4;  // field count
+  for (const FieldEntry& f : reader.fields()) {
+    index_bytes += wire::field_entry_bytes(f);
+  }
+  EXPECT_EQ(reader.resident_bytes(),
+            wire::kHeaderBytes + index_bytes + wire::kFooterBytes);
+  EXPECT_EQ(reader.resident_bytes() + reader.payload_bytes(), image.size());
 
   // Shared-codebook fields exercise the codebook-record arithmetic.
   bool any_shared = false;
-  for (const FieldEntry& f : archive.fields()) {
+  for (const FieldEntry& f : reader.fields()) {
     any_shared = any_shared || f.shared_codebook != nullptr;
   }
   EXPECT_TRUE(any_shared);
+}
+
+TEST(Container, EmptyContainerRoundTrips) {
+  // A session with zero fields is a valid archive: head, an index holding
+  // only its field count, and the footer.
+  MemorySink sink;
+  ArchiveWriter writer(sink);
+  EXPECT_EQ(writer.finish(), wire::kHeaderBytes + 4 + wire::kFooterBytes);
+  const MemorySource source(sink.bytes());
+  const ArchiveReader reader(source);
+  EXPECT_TRUE(reader.fields().empty());
+  EXPECT_EQ(reader.payload_bytes(), 0u);
+  EXPECT_NO_THROW(reader.verify());
+}
+
+TEST(Container, MixedCorpusRoundTripsThroughDisk) {
+  // The sequential writer's archive survives a trip through a file: the
+  // file-backed reader verifies and decodes every field within its bound,
+  // bit-identical to the same image read from memory.
+  const Corpus corpus = mixed_corpus();
+  const std::string path = temp_path("ohd_container_rt.bin");
+  {
+    FileSink sink(path);
+    ArchiveWriter writer(sink);
+    for (const FieldSpec& spec : corpus.specs) {
+      writer.add_field(spec.name, spec.data, spec.dims, spec.config,
+                       spec.chunk_elems, spec.plan);
+    }
+    writer.finish();
+  }
+  const FileSource file(path);
+  const ArchiveReader parsed(file);
+  parsed.verify();
+  ASSERT_EQ(parsed.fields().size(), 3u);
+  const auto image = image_of(corpus);
+  const MemorySource memory(image);
+  const ArchiveReader in_memory(memory);
+  for (std::size_t fi = 0; fi < 3; ++fi) {
+    EXPECT_GE(parsed.fields()[fi].chunks.size(), 4u) << fi;
+    cudasim::SimContext c1, c2;
+    const FieldDecode a = in_memory.decode_field(c1, fi);
+    const FieldDecode b = parsed.decode_field(c2, fi);
+    EXPECT_EQ(a.data, b.data) << "field " << fi;
+    const auto stats = sz::compute_error_stats(corpus.storage[fi], b.data);
+    EXPECT_LE(stats.max_abs_error,
+              parsed.fields()[fi].abs_error_bound * (1 + 1e-6))
+        << "field " << fi;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Container, SingleChunkDecodeNeverTouchesOtherFrames) {
+  const Corpus corpus = mixed_corpus();
+  const auto clean = image_of(corpus);
+  const MemorySource clean_source(clean);
+  const ArchiveReader reference(clean_source);
+  const std::size_t field = reference.field_index("field1");
+  const std::size_t chunk = 1;
+
+  // Corrupt EVERY payload byte outside the target frame. If decoding the
+  // target chunk still succeeds bit-identically, it provably read nothing
+  // but its own frame (and the index).
+  auto bytes = clean;
+  const auto& rec = reference.fields()[field].chunks[chunk];
+  const std::size_t frame_lo = wire::kHeaderBytes + rec.payload_offset;
+  const std::size_t frame_hi = frame_lo + rec.payload_bytes;
+  const std::size_t payload_end =
+      wire::kHeaderBytes + reference.payload_bytes();
+  for (std::size_t i = wire::kHeaderBytes; i < payload_end; ++i) {
+    if (i < frame_lo || i >= frame_hi) bytes[i] ^= 0xA5;
+  }
+
+  const MemorySource source(bytes);
+  const ArchiveReader vandalized(source);
+  cudasim::SimContext c1, c2;
+  const auto got = vandalized.decode_chunk(c1, field, chunk);
+  const FieldDecode full = reference.decode_field(c2, field);
+  const std::vector<float> expect(
+      full.data.begin() + rec.elem_offset,
+      full.data.begin() + rec.elem_offset + rec.dims.count());
+  EXPECT_EQ(got.data, expect);
+
+  // ... while every other frame now fails its checksum.
+  cudasim::SimContext c3;
+  EXPECT_THROW(vandalized.decode_chunk(c3, field, 0), ContainerError);
+}
+
+TEST(Container, DecodeChunkIntoWritesInPlaceIdentically) {
+  // The fused chunk-decode entry point must land the same floats (and the
+  // same timings) in a caller buffer slice as decode_chunk returns, for 1-D
+  // (fused sink) and higher-rank (staged copy) fields alike.
+  const Corpus corpus = mixed_corpus();
+  const auto image = image_of(corpus);
+  const MemorySource source(image);
+  const ArchiveReader reader(source);
+  for (std::size_t field = 0; field < reader.fields().size(); ++field) {
+    const auto& entry = reader.fields()[field];
+    ASSERT_EQ(entry.dims.rank, field + 1);  // ranks 1-3
+    std::vector<float> buffer(entry.dims.count(),
+                              -12345.0f);  // poison: every slot must be hit
+    for (std::size_t ci = 0; ci < entry.chunks.size(); ++ci) {
+      cudasim::SimContext c1, c2;
+      const auto& rec = entry.chunks[ci];
+      const std::span<float> dest(buffer.data() + rec.elem_offset,
+                                  rec.dims.count());
+      const auto into = reader.decode_chunk_into(c1, field, ci, dest);
+      const auto whole = reader.decode_chunk(c2, field, ci);
+      EXPECT_TRUE(into.data.empty());
+      EXPECT_DOUBLE_EQ(into.total_seconds(), whole.total_seconds()) << field;
+      ASSERT_EQ(std::vector<float>(dest.begin(), dest.end()), whole.data)
+          << "field " << field << " chunk " << ci;
+    }
+    cudasim::SimContext c3;
+    EXPECT_EQ(buffer, reader.decode_field(c3, field).data) << field;
+
+    // A destination sized to the FIELD instead of the chunk is rejected.
+    ASSERT_GT(entry.chunks.size(), 1u);
+    cudasim::SimContext c4;
+    EXPECT_THROW(reader.decode_chunk_into(c4, field, 0, buffer),
+                 std::invalid_argument);
+  }
+}
+
+TEST(Container, RangeDecodeMatchesFullDecode) {
+  const Corpus corpus = mixed_corpus();
+  const auto image = image_of(corpus);
+  const MemorySource source(image);
+  const ArchiveReader reader(source);
+  const std::size_t field = reader.field_index("field0");
+  cudasim::SimContext c1, c2;
+  const FieldDecode full = reader.decode_field(c1, field);
+
+  // A range crossing two chunk boundaries (chunks are 4096 elements).
+  const std::uint64_t lo = 3000, hi = 9500;
+  const auto range = reader.decode_range(c2, field, lo, hi);
+  ASSERT_EQ(range.size(), hi - lo);
+  for (std::uint64_t i = 0; i < hi - lo; ++i) {
+    ASSERT_EQ(range[i], full.data[lo + i]) << "elem " << lo + i;
+  }
+
+  cudasim::SimContext c3;
+  EXPECT_TRUE(reader.decode_range(c3, field, 500, 500).empty());
+  cudasim::SimContext c4;
+  EXPECT_THROW(reader.decode_range(c4, field, 10, 30000), ContainerError);
+}
+
+TEST(Container, CorruptedFrameRejectedWithClearError) {
+  const Corpus corpus = mixed_corpus();
+  auto bytes = image_of(corpus);
+  bytes[wire::kHeaderBytes + 17] ^= 0x01;  // one bit inside field 0, chunk 0
+
+  const MemorySource source(bytes);
+  const ArchiveReader parsed(source);  // the index is intact
+  cudasim::SimContext ctx;
+  try {
+    parsed.decode_chunk(ctx, 0, 0);
+    FAIL() << "corrupted frame was accepted";
+  } catch (const ContainerError& e) {
+    EXPECT_NE(std::string(e.what()).find("CRC-32"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("field0"), std::string::npos);
+  }
+  EXPECT_THROW(parsed.verify(), ContainerError);
+
+  // Untouched chunks remain decodable.
+  cudasim::SimContext c2;
+  EXPECT_NO_THROW(parsed.decode_chunk(c2, 0, 1));
+}
+
+TEST(Container, SharedCodebookArchiveShrinksAndDecodesIdentically) {
+  const auto data = wavy_field(30000, 5);
+  sz::CompressorConfig cfg;
+  cfg.method = core::Method::GapArrayOptimized;
+  PlanOptions plan;
+  plan.auto_method = true;
+  plan.shared_codebook = true;
+
+  MemorySink private_sink, shared_sink;
+  ArchiveWriter private_books(private_sink), shared_books(shared_sink);
+  private_books.add_field("f", data, sz::Dims::d1(30000), cfg, 1500);
+  shared_books.add_field("f", data, sz::Dims::d1(30000), cfg, 1500, plan);
+  private_books.finish();
+  shared_books.finish();
+
+  // Amortizing the per-chunk codebooks must shrink the archive...
+  EXPECT_LT(shared_sink.bytes().size(), private_sink.bytes().size());
+
+  // ... while the decoded floats stay bit-identical.
+  const MemorySource private_source(private_sink.bytes());
+  const MemorySource shared_source(shared_sink.bytes());
+  const ArchiveReader a(private_source), b(shared_source);
+  ASSERT_NE(b.fields()[0].shared_codebook, nullptr);
+  std::size_t shared_refs = 0;
+  for (const ChunkRecord& rec : b.fields()[0].chunks) {
+    shared_refs += rec.codebook_ref == CodebookRef::SharedField;
+  }
+  EXPECT_GE(shared_refs, 2u);
+  b.verify();
+  cudasim::SimContext c1, c2;
+  const FieldDecode da = a.decode_field(c1, 0);
+  const FieldDecode db = b.decode_field(c2, 0);
+  EXPECT_EQ(da.data, db.data);
+  const auto stats = sz::compute_error_stats(data, db.data);
+  EXPECT_LE(stats.max_abs_error, b.fields()[0].abs_error_bound * (1 + 1e-6));
+}
+
+TEST(Container, BuilderRejectsBadInput) {
+  const auto data = wavy_field(1000, 9);
+  sz::CompressorConfig cfg;
+  MemorySink sink;
+  ArchiveWriter writer(sink);
+  EXPECT_THROW(writer.add_field("x", data, sz::Dims::d1(999), cfg, 256),
+               ContainerError);
+  cfg.method = core::Method::GapArrayOriginal8Bit;
+  EXPECT_THROW(writer.add_field("x", data, sz::Dims::d1(1000), cfg, 256),
+               ContainerError);
+  cfg.method = core::Method::GapArrayOptimized;
+  EXPECT_THROW(writer.add_field("x", data, sz::Dims::d1(1000), cfg, 0),
+               ContainerError);
+  EXPECT_EQ(writer.add_field("x", data, sz::Dims::d1(1000), cfg, 256), 0u);
+  EXPECT_THROW(writer.add_field("x", data, sz::Dims::d1(1000), cfg, 256),
+               ContainerError);
+  writer.finish();
+  const MemorySource source(sink.bytes());
+  const ArchiveReader reader(source);
+  EXPECT_EQ(reader.fields().size(), 1u);
+  EXPECT_THROW(reader.field_index("unknown"), ContainerError);
+}
+
+TEST(ChunkLayout, TilesFieldsContiguouslyAndKeepsRank) {
+  const auto l1 = chunk_layout(sz::Dims::d1(10000), 4096);
+  ASSERT_EQ(l1.size(), 3u);
+  EXPECT_EQ(l1[0].dims.count(), 4096u);
+  EXPECT_EQ(l1[2].dims.count(), 10000u - 2 * 4096u);
+
+  const auto l2 = chunk_layout(sz::Dims::d2(96, 70), 2000);
+  std::uint64_t next = 0;
+  for (const auto& e : l2) {
+    EXPECT_EQ(e.elem_offset, next);
+    EXPECT_EQ(e.dims.rank, 2u);
+    EXPECT_EQ(e.dims.extent[0], 96u);  // whole slabs only
+    next += e.dims.count();
+  }
+  EXPECT_EQ(next, 96u * 70u);
+
+  // A chunk target smaller than one slab still takes one whole slab.
+  const auto l3 = chunk_layout(sz::Dims::d3(24, 20, 12), 10);
+  EXPECT_EQ(l3.size(), 12u);
+  EXPECT_EQ(l3[0].dims.count(), 24u * 20u);
+
+  EXPECT_THROW(chunk_layout(sz::Dims::d1(100), 0), ContainerError);
 }
 
 // ---- Bounded-memory guarantees -------------------------------------------
@@ -224,19 +503,12 @@ TEST(ArchiveIO, WriterStreamsThroughABoundedRing) {
   const Corpus corpus = mixed_corpus();
   ThreadPool pool(4);
   const BatchScheduler sched(pool);
-  const Container whole = sched.compress(corpus.specs);
-  const auto whole_bytes = whole.serialize();
+  const auto whole_bytes = sched.compress(corpus.specs);
+  const MemorySource whole_source(whole_bytes);
+  const ArchiveReader whole(whole_source);
 
-  std::uint64_t max_frame = 0;
-  for (const FieldEntry& f : whole.fields()) {
-    for (const ChunkRecord& rec : f.chunks) {
-      max_frame = std::max(max_frame, rec.payload_bytes);
-    }
-  }
-  const std::uint64_t metadata_bytes =
-      whole.serialized_size() - whole.payload().size();
   const std::size_t capacity =
-      static_cast<std::size_t>(metadata_bytes + max_frame);
+      static_cast<std::size_t>(whole.resident_bytes() + whole.max_frame_bytes());
   ASSERT_LT(capacity, whole_bytes.size() / 2)
       << "corpus too small to make the bound interesting";
 
@@ -448,52 +720,27 @@ TEST(ArchiveIO, CompressToValidatesWriterSessionUpFront) {
   EXPECT_THROW(sched.compress_to(writer, corpus.specs), ContainerError);
 }
 
-TEST(ArchiveIO, SequentialAddFieldMatchesContainerAddField) {
-  // ArchiveWriter::add_field (streaming, O(chunk) memory) must emit the
-  // exact bytes of the Container::add_field build, planned and unplanned.
-  const auto data = wavy_field(30000, 15);
-  sz::CompressorConfig cfg;
-  cfg.method = core::Method::GapArrayOptimized;
-  PlanOptions planned;
-  planned.auto_method = true;
-  planned.shared_codebook = true;
+// ---- Archive robustness fuzz ---------------------------------------------
 
-  Container container;
-  container.add_field("plain", data, sz::Dims::d1(30000), cfg, 1500);
-  container.add_field("planned", data, sz::Dims::d1(30000), cfg, 1500,
-                      planned);
-
-  MemorySink sink;
-  ArchiveWriter writer(sink);
-  EXPECT_EQ(writer.add_field("plain", data, sz::Dims::d1(30000), cfg, 1500),
-            0u);
-  EXPECT_EQ(writer.add_field("planned", data, sz::Dims::d1(30000), cfg, 1500,
-                             planned),
-            1u);
-  writer.finish();
-  EXPECT_EQ(sink.bytes(), container.serialize());
-}
-
-// ---- File-archive robustness fuzz ----------------------------------------
-
-/// Tiny two-field v3 file archive (one field on a shared codebook) for the
+/// Tiny two-field v3 archive (one field on a shared codebook) for the
 /// truncation and corruption sweeps.
 std::vector<std::uint8_t> tiny_archive_bytes() {
-  Container c;
   const auto data = wavy_field(600, 21);
   sz::CompressorConfig cfg;
   cfg.method = core::Method::SelfSyncOptimized;
   cfg.radius = 64;
-  c.add_field("a", data, sz::Dims::d1(600), cfg, 256);
+  MemorySink sink;
+  ArchiveWriter writer(sink);
+  writer.add_field("a", data, sz::Dims::d1(600), cfg, 256);
   PlanOptions plan;
   plan.shared_codebook = true;
-  c.add_field("b", data, sz::Dims::d1(600), cfg, 256, plan);
-  return c.serialize();
+  writer.add_field("b", data, sz::Dims::d1(600), cfg, 256, plan);
+  writer.finish();
+  return sink.take();
 }
 
 TEST(ArchiveReaderFuzz, TruncationAtEveryPrefixThrows) {
-  // Mirror of ContainerParserFuzz.TruncationAtEveryPrefixThrows over a
-  // FILE-backed v3 archive: any truncation destroys the footer's
+  // Over a FILE-backed v3 archive: any truncation destroys the footer's
   // size-consistency (or the footer itself), so every prefix must be
   // rejected at open — a streaming reader can never trust a torn tail.
   const auto bytes = tiny_archive_bytes();
@@ -522,8 +769,8 @@ TEST(ArchiveReaderFuzz, SingleBitCrcCorruptionIsContainedPerChunk) {
   const auto original = tiny_archive_bytes();
   const std::string path = temp_path("ohd_crc_fuzz.bin");
   {
-    const Container parsed = Container::deserialize(original);
-    const ChunkRecord& rec = parsed.fields()[1].chunks[2];
+    const MemorySource clean(original);
+    const ChunkRecord rec = ArchiveReader(clean).fields()[1].chunks[2];
     auto bytes = original;
     bytes[wire::kHeaderBytes + rec.payload_offset + rec.payload_bytes / 2] ^=
         0x04;
@@ -578,8 +825,8 @@ TEST(ArchiveReaderFuzz, RandomSingleBitCorruptionNeverCrashes) {
 
 TEST(ArchiveReaderFuzz, WrappingFooterArithmeticRejected) {
   // A crafted footer whose u64 fields wrap the consistency sums back onto
-  // plausible values must still be rejected — otherwise the in-memory parse
-  // path would take an out-of-bounds subspan from untrusted input.
+  // plausible values must still be rejected — otherwise the reader would
+  // size and place its index read from untrusted, wrapped offsets.
   auto bytes = tiny_archive_bytes();
   const std::size_t fo = bytes.size() - wire::kFooterBytes;
   const auto put_u64 = [&](std::size_t off, std::uint64_t v) {
@@ -591,7 +838,6 @@ TEST(ArchiveReaderFuzz, WrappingFooterArithmeticRejected) {
   put_u64(fo + 24, payload);                               // payload bytes
   put_u64(fo + 0, wire::kHeaderBytes + payload);           // wraps to match
   put_u64(fo + 8, bytes.size() + 52);                      // wraps size check
-  EXPECT_THROW(Container::deserialize(bytes), ContainerError);
   const MemorySource source(bytes);
   EXPECT_THROW(ArchiveReader{source}, ContainerError);
 }
@@ -599,30 +845,256 @@ TEST(ArchiveReaderFuzz, WrappingFooterArithmeticRejected) {
 TEST(ArchiveReaderFuzz, TrailingGarbageAndLegacyVersionsRejected) {
   const auto bytes = tiny_archive_bytes();
   // Trailing garbage shifts the footer window onto non-footer bytes.
-  {
-    auto padded = bytes;
-    padded.push_back(0);
-    const MemorySource source(padded);
-    EXPECT_THROW(ArchiveReader{source}, ContainerError);
-    EXPECT_THROW(Container::deserialize(padded), ContainerError);
+  auto padded = bytes;
+  padded.push_back(0);
+  const MemorySource source(padded);
+  EXPECT_THROW(ArchiveReader{source}, ContainerError);
+  // v3 is the only format: the head-indexed version 1/2 layouts (and any
+  // other version byte) are unsupported.
+  for (const std::uint8_t version : {1, 2, 4}) {
+    auto legacy = bytes;
+    legacy[4] = version;
+    EXPECT_EQ(open_error(legacy), "unsupported container version")
+        << int{version};
   }
-  // The reader refuses head-indexed legacy images with a pointer to
-  // Container::deserialize (which still reads them).
-  Container legacy;
-  const auto data = wavy_field(600, 22);
+}
+
+// ---- Malformed-index rejection ---------------------------------------------
+
+/// Small single-field archive with an EMPTY name, so the index offsets of
+/// the layout table in wire_format.hpp are fixed: the u32 field count, then
+/// the name record at index byte 4, dims at 12 (extent[1] at 24), the field
+/// method tag at 52, the shared-codebook length at 53, the chunk count at
+/// 61 (when the field carries no shared codebook), and kChunkRecordBytes
+/// per chunk record from 69 (elem_offset at +16, the codebook-ref byte at
+/// +53). `radius` and `plan` shape the shared-codebook variant.
+std::vector<std::uint8_t> tiny_index_archive(std::uint32_t radius = 512,
+                                             const PlanOptions& plan = {}) {
+  const auto data = wavy_field(600, 21);
   sz::CompressorConfig cfg;
-  legacy.add_field("f", data, sz::Dims::d1(600), cfg, 256);
-  for (const auto& image : {legacy.serialize_v1(), legacy.serialize_v2()}) {
-    const MemorySource source(image);
-    try {
-      const ArchiveReader reader(source);
-      FAIL() << "legacy image was accepted";
-    } catch (const ContainerError& e) {
-      EXPECT_NE(std::string(e.what()).find("Container::deserialize"),
-                std::string::npos);
-    }
-    EXPECT_NO_THROW(Container::deserialize(image).verify());
+  cfg.method = core::Method::SelfSyncOptimized;
+  cfg.radius = radius;
+  MemorySink sink;
+  ArchiveWriter writer(sink);
+  writer.add_field("", data, sz::Dims::d1(600), cfg, 256, plan);
+  writer.finish();
+  return sink.take();
+}
+
+std::vector<std::uint8_t> tiny_shared_archive() {
+  PlanOptions plan;
+  plan.shared_codebook = true;
+  return tiny_index_archive(64, plan);
+}
+
+constexpr std::size_t kRankOffset = 12;
+constexpr std::size_t kExtent1Offset = 24;
+constexpr std::size_t kFieldMethodOffset = 52;
+constexpr std::size_t kSharedCodebookLenOffset = 53;
+constexpr std::size_t kFirstChunkOffset = 69;
+constexpr std::size_t kCodebookRefOffsetInRecord = 53;
+
+/// Applies `patch` to the index section of a v3 image, then reseals the
+/// footer's index CRC-32 (footer bytes 16-19), so the patched record reaches
+/// its own validator instead of tripping the whole-index checksum.
+std::vector<std::uint8_t> patch_index(
+    std::vector<std::uint8_t> bytes,
+    const std::function<void(std::span<std::uint8_t>)>& patch) {
+  const std::size_t footer = bytes.size() - wire::kFooterBytes;
+  util::ByteReader r(std::span<const std::uint8_t>(bytes).subspan(footer));
+  const std::uint64_t index_offset = r.u64();
+  const std::uint64_t index_bytes = r.u64();
+  const std::span<std::uint8_t> index(bytes.data() + index_offset,
+                                      index_bytes);
+  patch(index);
+  const std::uint32_t crc = util::crc32(index);
+  for (int i = 0; i < 4; ++i) {
+    bytes[footer + 16 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
   }
+  return bytes;
+}
+
+/// Expects `bytes` to be rejected at open with a message containing `what`.
+void expect_rejected(const std::vector<std::uint8_t>& bytes,
+                     const std::string& what) {
+  const std::string error = open_error(bytes);
+  EXPECT_NE(error.find(what), std::string::npos)
+      << "expected \"" << what << "\", got \"" << error << "\"";
+}
+
+TEST(ContainerParserFuzz, TruncationAtEveryPrefixThrows) {
+  const auto bytes = tiny_index_archive();
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    EXPECT_NE(open_error(std::span<const std::uint8_t>(bytes.data(), cut)), "")
+        << "cut=" << cut;
+  }
+}
+
+TEST(ContainerParserFuzz, BadMagicThrows) {
+  auto bytes = tiny_index_archive();
+  bytes[0] ^= 0xFF;
+  expect_rejected(bytes, "bad magic");
+}
+
+TEST(ContainerParserFuzz, BadVersionThrows) {
+  auto bytes = tiny_index_archive();
+  bytes[4] = 99;
+  expect_rejected(bytes, "unsupported container version");
+}
+
+TEST(ContainerParserFuzz, UnknownMethodTagThrows) {
+  expect_rejected(patch_index(tiny_index_archive(),
+                              [](std::span<std::uint8_t> index) {
+                                index[kFieldMethodOffset] = 0xEE;
+                              }),
+                  "unknown method tag");
+}
+
+TEST(ContainerParserFuzz, NonContiguousChunkOffsetsThrow) {
+  // elem_offset of the SECOND chunk record (u64 at record offset +16).
+  expect_rejected(
+      patch_index(tiny_index_archive(),
+                  [](std::span<std::uint8_t> index) {
+                    index[kFirstChunkOffset + wire::kChunkRecordBytes + 16] ^=
+                        0x01;
+                  }),
+      "chunk element offsets are not contiguous");
+}
+
+TEST(ContainerParserFuzz, BadCodebookRefTagThrows) {
+  expect_rejected(
+      patch_index(tiny_index_archive(),
+                  [](std::span<std::uint8_t> index) {
+                    std::uint8_t& ref =
+                        index[kFirstChunkOffset + kCodebookRefOffsetInRecord];
+                    ASSERT_EQ(ref, 0);  // Private, pinning the layout offset
+                    ref = 0xEE;
+                  }),
+      "unknown codebook-ref tag");
+}
+
+TEST(ContainerParserFuzz, SharedRefWithoutFieldCodebookThrows) {
+  expect_rejected(
+      patch_index(tiny_index_archive(),
+                  [](std::span<std::uint8_t> index) {
+                    // The field carries no shared codebook (length 0)...
+                    for (std::size_t i = 0; i < 8; ++i) {
+                      ASSERT_EQ(index[kSharedCodebookLenOffset + i], 0);
+                    }
+                    // ... so a chunk claiming SharedField is inconsistent.
+                    index[kFirstChunkOffset + kCodebookRefOffsetInRecord] =
+                        static_cast<std::uint8_t>(CodebookRef::SharedField);
+                  }),
+      "chunk references a shared codebook the field does not carry");
+}
+
+TEST(ContainerParserFuzz, SharedCodebookCrcMismatchThrows) {
+  const auto original = tiny_shared_archive();
+  expect_rejected(
+      patch_index(original,
+                  [](std::span<std::uint8_t> index) {
+                    std::uint64_t cb_len = 0;
+                    for (std::size_t i = 0; i < 8; ++i) {
+                      cb_len |= std::uint64_t{
+                                    index[kSharedCodebookLenOffset + i]}
+                                << (8 * i);
+                    }
+                    ASSERT_GT(cb_len, 0u);
+                    // Flip a byte in the middle of the codebook's length
+                    // table.
+                    index[kSharedCodebookLenOffset + 8 + cb_len / 2] ^= 0x01;
+                  }),
+      "shared codebook CRC-32 mismatch");
+  // The intact bytes open, and the codebook is attached to the field.
+  const MemorySource source(original);
+  const ArchiveReader reader(source);
+  ASSERT_EQ(reader.fields().size(), 1u);
+  EXPECT_NE(reader.fields()[0].shared_codebook, nullptr);
+}
+
+TEST(ContainerParserFuzz, SharedTruncationAtEveryPrefixThrows) {
+  const auto bytes = tiny_shared_archive();
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    EXPECT_NE(open_error(std::span<const std::uint8_t>(bytes.data(), cut)), "")
+        << "cut=" << cut;
+  }
+}
+
+/// Every outcome of a random byte flip must be: clean open failure,
+/// checksum/frame rejection at decode time, or a successful decode (the
+/// flip hit non-load-bearing bytes). Nothing else — no crashes, no UB.
+void flip_random_bytes(const std::vector<std::uint8_t>& original,
+                       std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  for (int trial = 0; trial < 300; ++trial) {
+    auto bytes = original;
+    const std::size_t pos = rng.bounded(bytes.size());
+    bytes[pos] ^= static_cast<std::uint8_t>(1 + rng.bounded(255));
+    try {
+      const MemorySource source(bytes);
+      const ArchiveReader reader(source);
+      cudasim::SimContext ctx;
+      (void)reader.decode_chunk(ctx, 0, 0);
+    } catch (const std::invalid_argument&) {
+    }
+  }
+}
+
+TEST(ContainerParserFuzz, SharedRandomSingleByteCorruptionNeverCrashes) {
+  flip_random_bytes(tiny_shared_archive(), 79);
+  SUCCEED();
+}
+
+TEST(ContainerParserFuzz, OverflowingExtentRejected) {
+  // Rank 2 with extent[1] = 2^63 + 1: the extent product wraps, so the
+  // parser must reject it before any buffer is sized from the product.
+  expect_rejected(patch_index(tiny_index_archive(),
+                              [](std::span<std::uint8_t> index) {
+                                index[kRankOffset] = 2;
+                                index[kExtent1Offset + 7] = 0x80;
+                              }),
+                  "extent product overflows");
+  // Rank 1 with a non-unit trailing extent is implausible on its own.
+  expect_rejected(patch_index(tiny_index_archive(),
+                              [](std::span<std::uint8_t> index) {
+                                index[kExtent1Offset + 7] = 0x80;
+                              }),
+                  "implausible extent");
+}
+
+TEST(ContainerParserFuzz, DuplicateFieldNamesRejected) {
+  const auto data = wavy_field(800, 31);
+  sz::CompressorConfig cfg;
+  MemorySink sink;
+  ArchiveWriter writer(sink);
+  writer.add_field("a", data, sz::Dims::d1(800), cfg, 400);
+  writer.add_field("b", data, sz::Dims::d1(800), cfg, 400);
+  writer.finish();
+  // Rename field "b" to "a" in the index: its name is stored as u64 length
+  // 1 followed by 'b' — a 9-byte pattern unique in the index.
+  expect_rejected(
+      patch_index(sink.take(),
+                  [](std::span<std::uint8_t> index) {
+                    const std::uint8_t pattern[9] = {1, 0, 0, 0, 0,
+                                                     0, 0, 0, 'b'};
+                    const auto it =
+                        std::search(index.begin(), index.end(),
+                                    std::begin(pattern), std::end(pattern));
+                    ASSERT_NE(it, index.end());
+                    *(it + 8) = 'a';
+                  }),
+      "duplicate field name 'a' in container");
+}
+
+TEST(ContainerParserFuzz, TrailingBytesRejected) {
+  auto bytes = tiny_index_archive();
+  bytes.push_back(0);
+  expect_rejected(bytes, "archive footer");
+}
+
+TEST(ContainerParserFuzz, RandomSingleByteCorruptionNeverCrashes) {
+  flip_random_bytes(tiny_index_archive(), 77);
+  SUCCEED();
 }
 
 // ---- Salvage & repair ------------------------------------------------------
@@ -941,7 +1413,8 @@ TEST(Salvage, PayloadCorruptionKeepsTheStrictIndexAndQuarantinesAtDecode) {
   // batch decompress refuses the archive, and the degraded decompress
   // quarantines exactly the flipped chunk.
   const auto original = tiny_archive_bytes();
-  const Container parsed = Container::deserialize(original);
+  const MemorySource clean(original);
+  const ArchiveReader parsed(clean);
   const ChunkRecord& rec = parsed.fields()[1].chunks[2];
   auto bytes = original;
   bytes[wire::kHeaderBytes + rec.payload_offset + rec.payload_bytes / 2] ^=

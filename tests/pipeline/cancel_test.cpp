@@ -58,8 +58,7 @@ class BatchCancelTest : public ::testing::Test {
     spec.dims = sz::Dims::d1(data.size());
     spec.chunk_elems = 2048;
     ThreadPool pool(2);
-    archive_ = BatchScheduler(pool).compress(std::vector<FieldSpec>{spec})
-                   .serialize();
+    archive_ = BatchScheduler(pool).compress(std::vector<FieldSpec>{spec});
     data_ = data;
   }
 

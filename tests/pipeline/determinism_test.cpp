@@ -1,5 +1,5 @@
 // Pipeline determinism: a batch run on N workers must be bit-identical to
-// the sequential run — container bytes, decoded floats, aggregated
+// the sequential run — archive bytes, decoded floats, aggregated
 // PhaseTimings, and the simulated makespan — because all merges are ordered
 // by chunk id and every chunk task owns a fresh SimContext.
 #include "pipeline/batch.hpp"
@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "data/generic.hpp"
+#include "pipeline/archive_io.hpp"
+#include "pipeline/byte_stream.hpp"
 #include "util/rng.hpp"
 
 namespace ohd::pipeline {
@@ -71,21 +73,22 @@ Corpus make_corpus() {
 TEST(BatchDeterminism, CompressedContainerIsWorkerCountInvariant) {
   const Corpus corpus = make_corpus();
   ThreadPool p1(1), p4(4);
-  const Container a = BatchScheduler(p1).compress(corpus.specs);
-  const Container b = BatchScheduler(p4).compress(corpus.specs);
-  EXPECT_EQ(a.serialize(), b.serialize());
+  EXPECT_EQ(BatchScheduler(p1).compress(corpus.specs),
+            BatchScheduler(p4).compress(corpus.specs));
 }
 
 TEST(BatchDeterminism, DecompressIsBitIdenticalAcrossWorkerCounts) {
   const Corpus corpus = make_corpus();
   ThreadPool p4(4);
-  const Container container = BatchScheduler(p4).compress(corpus.specs);
+  const auto archive = BatchScheduler(p4).compress(corpus.specs);
+  const MemorySource source(archive);
+  const ArchiveReader reader(source);
 
   ThreadPool p1(1), p3(3);
-  const BatchDecompressResult seq = BatchScheduler(p1).decompress(container);
+  const BatchDecompressResult seq = BatchScheduler(p1).decompress(reader);
   for (std::size_t workers : {std::size_t{3}, std::size_t{4}}) {
     ThreadPool& pool = workers == 3 ? p3 : p4;
-    const BatchDecompressResult par = BatchScheduler(pool).decompress(container);
+    const BatchDecompressResult par = BatchScheduler(pool).decompress(reader);
     ASSERT_EQ(par.fields.size(), seq.fields.size());
     for (std::size_t fi = 0; fi < seq.fields.size(); ++fi) {
       EXPECT_EQ(par.fields[fi].decode.data, seq.fields[fi].decode.data)
@@ -127,7 +130,7 @@ TEST(BatchDeterminism, DecodeCoversAllFiveMethods) {
 
 /// The planned (two-fan-out) compress path: adaptive method selection plus
 /// shared codebooks must stay worker-count invariant AND byte-identical to
-/// the sequential Container::add_field build.
+/// the sequential ArchiveWriter::add_field build.
 TEST(BatchDeterminism, PlannedCompressIsWorkerCountInvariant) {
   Corpus corpus = make_corpus();
   for (FieldSpec& spec : corpus.specs) {
@@ -137,20 +140,21 @@ TEST(BatchDeterminism, PlannedCompressIsWorkerCountInvariant) {
   // The 8-bit-incapable methods only: auto selection re-picks per chunk, so
   // the spec method is just the fallback.
   ThreadPool p1(1), p4(4);
-  const Container a = BatchScheduler(p1).compress(corpus.specs);
-  const Container b = BatchScheduler(p4).compress(corpus.specs);
-  EXPECT_EQ(a.serialize(), b.serialize());
+  const auto a = BatchScheduler(p1).compress(corpus.specs);
+  EXPECT_EQ(BatchScheduler(p4).compress(corpus.specs), a);
 
-  Container sequential;
+  MemorySink sequential;
+  ArchiveWriter writer(sequential);
   for (const FieldSpec& spec : corpus.specs) {
-    sequential.add_field(spec.name, spec.data, spec.dims, spec.config,
-                         spec.chunk_elems, spec.plan);
+    writer.add_field(spec.name, spec.data, spec.dims, spec.config,
+                     spec.chunk_elems, spec.plan);
   }
-  EXPECT_EQ(sequential.serialize(), a.serialize());
+  writer.finish();
+  EXPECT_EQ(sequential.bytes(), a);
 
   // The planned corpus actually exercises shared codebooks somewhere.
   std::size_t shared_fields = 0;
-  for (const FieldEntry& f : a.fields()) {
+  for (const FieldEntry& f : writer.fields()) {
     shared_fields += f.shared_codebook != nullptr;
   }
   EXPECT_GE(shared_fields, 1u);
@@ -163,14 +167,15 @@ TEST(BatchDeterminism, PlannedDecompressIsBitIdenticalAcrossWorkerCounts) {
     spec.plan.shared_codebook = true;
   }
   ThreadPool p4(4);
-  const Container container = BatchScheduler(p4).compress(corpus.specs);
+  const auto archive = BatchScheduler(p4).compress(corpus.specs);
+  const MemorySource source(archive);
+  const ArchiveReader reader(source);
 
   ThreadPool p1(1), p3(3);
-  const BatchDecompressResult seq = BatchScheduler(p1).decompress(container);
+  const BatchDecompressResult seq = BatchScheduler(p1).decompress(reader);
   for (std::size_t workers : {std::size_t{3}, std::size_t{4}}) {
     ThreadPool& pool = workers == 3 ? p3 : p4;
-    const BatchDecompressResult par =
-        BatchScheduler(pool).decompress(container);
+    const BatchDecompressResult par = BatchScheduler(pool).decompress(reader);
     ASSERT_EQ(par.fields.size(), seq.fields.size());
     for (std::size_t fi = 0; fi < seq.fields.size(); ++fi) {
       EXPECT_EQ(par.fields[fi].decode.data, seq.fields[fi].decode.data)
@@ -178,14 +183,6 @@ TEST(BatchDeterminism, PlannedDecompressIsBitIdenticalAcrossWorkerCounts) {
     }
     expect_phases_identical(par.phases, seq.phases);
     EXPECT_EQ(par.chunk_seconds, seq.chunk_seconds);
-  }
-
-  // And the archive itself survives a serialize/deserialize round trip with
-  // decoding bit-identical to the in-memory container.
-  const Container parsed = Container::deserialize(container.serialize());
-  const BatchDecompressResult reparsed = BatchScheduler(p4).decompress(parsed);
-  for (std::size_t fi = 0; fi < seq.fields.size(); ++fi) {
-    EXPECT_EQ(reparsed.fields[fi].decode.data, seq.fields[fi].decode.data);
   }
 }
 
@@ -208,20 +205,24 @@ TEST(BatchScheduler, CompressRejectsInvalidSpecsBeforeFanOut) {
   EXPECT_THROW(sched.compress(dupes), ContainerError);
 
   // The pool is still usable afterwards.
-  EXPECT_EQ(sched.compress(corpus.specs).fields().size(), 4u);
+  const auto archive = sched.compress(corpus.specs);
+  const MemorySource source(archive);
+  EXPECT_EQ(ArchiveReader(source).fields().size(), 4u);
 }
 
 TEST(BatchScheduler, DecompressSurfacesCorruptionWithPendingTasks) {
   const Corpus corpus = make_corpus();
   ThreadPool pool(2);
   BatchScheduler sched(pool);
-  auto bytes = sched.compress(corpus.specs).serialize();
-
-  const Container intact = Container::deserialize(bytes);
+  const auto bytes = sched.compress(corpus.specs);
+  const MemorySource intact_source(bytes);
+  const ArchiveReader intact(intact_source);
   // The v3 payload section starts right after the 8-byte head; frame CRCs
-  // are lazy, so the flip surfaces at decode time, not at parse time.
-  bytes[8 + 5] ^= 0x10;  // corrupt the first chunk's frame
-  const Container corrupted = Container::deserialize(bytes);
+  // are lazy, so the flip surfaces at decode time, not at open time.
+  auto flipped = bytes;
+  flipped[8 + 5] ^= 0x10;  // corrupt the first chunk's frame
+  const MemorySource corrupted_source(flipped);
+  const ArchiveReader corrupted(corrupted_source);
 
   // The CRC failure propagates while sibling chunk tasks are still in
   // flight; the scheduler must wait them out before rethrowing.
@@ -233,8 +234,9 @@ TEST(BatchDeterminism, MakespanShrinksWithSimulatedWorkers) {
   const Corpus corpus = make_corpus();
   ThreadPool p4(4);
   BatchScheduler sched(p4);
-  const Container container = sched.compress(corpus.specs);
-  const BatchDecompressResult r = sched.decompress(container);
+  const auto archive = sched.compress(corpus.specs);
+  const MemorySource source(archive);
+  const BatchDecompressResult r = sched.decompress(ArchiveReader(source));
   ASSERT_GE(r.chunk_seconds.size(), 16u);
 
   const double ms1 = r.makespan(1);

@@ -93,11 +93,7 @@ TEST(CompressionService, RoundTripMatchesDirectPipeline) {
     s.chunk_elems = opts.chunk_elems;
     specs.push_back(s);
   }
-  pipeline::MemorySink direct;
-  pipeline::ArchiveWriter writer(direct);
-  pipeline::BatchScheduler(pool).compress_to(writer, specs);
-  writer.finish();
-  EXPECT_EQ(archive, direct.bytes());
+  EXPECT_EQ(archive, pipeline::BatchScheduler(pool).compress(specs));
 
   // Decompress through the service: error-bounded floats, both fields.
   const ArchiveHandle h = svc.open_archive(
