@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 
 #include "huffman/decode_table.hpp"
@@ -321,13 +320,9 @@ FieldPlan plan_from_probes(std::vector<ChunkProbe> probes,
     throw std::invalid_argument("cannot plan a field with no chunks");
   }
   // Calibrated pricing is applied to a local copy so the caller's selector
-  // stays untouched (it may be shared across fields with different plans).
-  std::optional<MethodSelector> calibrated;
-  if (options.use_calibration) {
-    calibrated.emplace(selector);
-    calibrated->calibrate(default_calibration());
-  }
-  const MethodSelector& sel = calibrated ? *calibrated : selector;
+  // stays untouched (it may be shared across fields and callers).
+  MethodSelector sel = selector;
+  sel.calibrate(default_calibration());
 
   const std::size_t num_chunks = probes.size();
   FieldPlan plan;

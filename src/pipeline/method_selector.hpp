@@ -89,8 +89,8 @@ struct MethodCalibration {
 /// The committed calibration (src/pipeline/selector_calibration.hpp),
 /// regression-fitted over the calibration corpus with the current CostModel
 /// defaults. Apply with MethodSelector::calibrate(); selectors start
-/// uncalibrated (identity) so rankings stay a pure function of the probe
-/// unless the caller opts in.
+/// uncalibrated (identity), and field planning (plan_from_probes) always
+/// prices through a calibrated copy.
 std::span<const MethodCalibration> default_calibration();
 
 /// Ranks the float-capable decoder families for a chunk. Candidates are the
@@ -137,15 +137,10 @@ class MethodSelector {
 
 /// Field-level planning knobs (FieldSpec::plan / ArchiveWriter::add_field).
 struct PlanOptions {
-  bool auto_method = false;     // per-chunk method selection
+  /// Per-chunk method selection, ranked through the committed regression
+  /// fit (default_calibration()).
+  bool auto_method = false;
   bool shared_codebook = false; // field-level codebook, ratio-driven refs
-  /// Prices auto_method rankings through the committed regression fit
-  /// (default_calibration()) instead of the raw analytic estimates. OFF by
-  /// default: method choice stays a pure function of the probe and the
-  /// analytic model (the pricing tests pin those rankings), and the fitted
-  /// corrections opt in per field once enough trajectory runs confirm their
-  /// stability on the target machine.
-  bool use_calibration = false;
 };
 
 /// The planner's decision for one chunk.

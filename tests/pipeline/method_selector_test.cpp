@@ -253,21 +253,22 @@ TEST(PlanFieldTest, AutoMethodMatchesSelector) {
     chunks.push_back(quantized_from_codes(skewed_codes(8000, 512, 20.0, i)));
   }
   const MethodSelector selector;
+  MethodSelector calibrated = selector;
+  calibrated.calibrate(default_calibration());
   PlanOptions options;
   options.auto_method = true;
   const FieldPlan plan =
       plan_field(chunks, core::Method::CuszNaive, options, selector);
   for (std::size_t i = 0; i < chunks.size(); ++i) {
     EXPECT_EQ(plan.chunks[i].method,
-              selector.select(probe_chunk(chunks[i])));
+              calibrated.select(probe_chunk(chunks[i])));
   }
 }
 
 TEST(PlanFieldTest, UseCalibrationPricesThroughTheCommittedFit) {
-  // With PlanOptions::use_calibration the plan must pick exactly what a
-  // default_calibration()-calibrated copy of the selector picks, while the
-  // caller's selector object stays untouched (identity-calibrated) — and
-  // with the flag off (the default), the uncalibrated rankings stay pinned.
+  // The plan must pick exactly what a default_calibration()-calibrated copy
+  // of the selector picks, while the caller's selector object stays
+  // untouched (identity-calibrated).
   std::vector<sz::QuantizedField> chunks;
   for (int i = 0; i < 4; ++i) {
     chunks.push_back(
@@ -279,7 +280,6 @@ TEST(PlanFieldTest, UseCalibrationPricesThroughTheCommittedFit) {
 
   PlanOptions options;
   options.auto_method = true;
-  options.use_calibration = true;
   const FieldPlan plan =
       plan_field(chunks, core::Method::CuszNaive, options, selector);
   for (std::size_t i = 0; i < chunks.size(); ++i) {
@@ -290,14 +290,6 @@ TEST(PlanFieldTest, UseCalibrationPricesThroughTheCommittedFit) {
                   .decode_seconds,
               MethodSelector().estimate(core::Method::GapArrayOptimized, probe)
                   .decode_seconds);
-  }
-
-  options.use_calibration = false;
-  const FieldPlan uncalibrated =
-      plan_field(chunks, core::Method::CuszNaive, options, selector);
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
-    EXPECT_EQ(uncalibrated.chunks[i].method,
-              selector.select(probe_chunk(chunks[i])));
   }
 }
 
