@@ -11,9 +11,8 @@
 //  * IO/compute overlap — the streamed decompress fetches frames inside the
 //    decode tasks, so file IO overlaps ThreadPool decode; the staged path
 //    reads the whole file into memory, opens a reader over those bytes, then
-//    decodes. The wall-clock ratio is
-//    reported (near 1.0 when the page cache hides IO, higher on cold/slow
-//    storage).
+//    decodes. The wall-clock ratio is reported (near 1.0 when the page cache
+//    hides IO, higher on cold/slow storage).
 //  * fault-tolerance happy path — the default strict mode pays nothing for
 //    the recovery machinery: the default writer output stays byte-identical
 //    to the whole-buffer image (happy_path_archive_overhead_fraction == 0),

@@ -178,9 +178,10 @@ class MemorySource : public ByteSource {
 
 /// Source that OWNS its bytes — for handing a finished in-memory archive
 /// (BatchScheduler::compress output) to a long-lived consumer (a service
-/// client's open ArchiveReader) without the caller keeping the vector alive. Neither copyable nor movable: readers
-/// borrow the source by reference, so its address must be stable; share it
-/// behind a shared_ptr instead.
+/// client's open ArchiveReader) without the caller keeping the vector
+/// alive. Neither copyable nor movable: readers borrow the source by
+/// reference, so its address must be stable; share it behind a shared_ptr
+/// instead.
 class OwningMemorySource : public ByteSource {
  public:
   explicit OwningMemorySource(std::vector<std::uint8_t> bytes)
