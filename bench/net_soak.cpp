@@ -11,7 +11,8 @@
 //  * zero lost responses — every wire request a driver submits settles
 //    exactly once with a verified response; the per-client accounting
 //    (requests_sent == responses_received, errors_received == 0) and the
-//    server's accounting (frames_out covers every response) agree.
+//    server's accounting (frames_out covers every response) agree, and the
+//    error frames the clients received sum to the server's error_frames.
 //  * reconnect convergence — a client whose server is shut down and
 //    replaced (same Unix-socket path) observes ConnectionLost, reconnects
 //    inside compress_retrying's backoff loop, and completes with a
@@ -133,6 +134,7 @@ struct SoakOutcome {
   std::uint64_t responses = 0;    // wire futures that yielded a value
   std::uint64_t verified = 0;     // responses bit-identical to direct path
   std::uint64_t busy_retries = 0;
+  std::uint64_t errors_received = 0;  // typed error frames clients demuxed
   double wall_s = 0.0;
   bool accounting_ok = false;     // client counters reconcile, zero errors
 };
@@ -146,7 +148,7 @@ SoakOutcome run_soak(service::CompressionService& svc,
                      const net::Endpoint& endpoint, std::size_t elems) {
   SoakOutcome out;
   std::atomic<std::uint64_t> submitted{0}, responses{0}, verified{0},
-      busy_retries{0};
+      busy_retries{0}, errors_received{0};
   std::atomic<bool> accounting_ok{true};
 
   util::WallTimer wall;
@@ -243,6 +245,7 @@ SoakOutcome run_soak(service::CompressionService& svc,
 
       svc.close_client(ref);
       const net::ClientStats cs = client.stats();
+      errors_received.fetch_add(cs.errors_received, std::memory_order_relaxed);
       // Each round: compress + open_archive + decompress + chunk + range +
       // close_archive = 6 wire requests, plus the OpenClient handshake.
       if (cs.errors_received != 0 ||
@@ -263,6 +266,7 @@ SoakOutcome run_soak(service::CompressionService& svc,
   out.responses = responses.load();
   out.verified = verified.load();
   out.busy_retries = busy_retries.load();
+  out.errors_received = errors_received.load();
   out.accounting_ok = accounting_ok.load();
   return out;
 }
@@ -342,7 +346,6 @@ int run(bool emit_json, const char* json_path) {
   std::uint64_t srv_frames_in = 0, srv_frames_out = 0;
   std::uint64_t srv_bytes_in = 0, srv_bytes_out = 0;
   std::uint64_t srv_error_frames = 0, srv_decode_rejects = 0;
-  std::uint64_t net_error_frames_stat = 0;
   {
     const obs::ScopedTelemetry telemetry;
     service::ServiceConfig cfg;
@@ -363,11 +366,11 @@ int run(bool emit_json, const char* json_path) {
     srv_bytes_out = ss.bytes_out;
     srv_error_frames = ss.error_frames;
     srv_decode_rejects = ss.decode_rejects;
-    net_error_frames_stat = svc.stats().net_error_frames;
     svc.shutdown();
   }
 
-  // Hard gates.
+  // Hard gates. The error-frame check crosses the wire: every error frame
+  // the server sent was demuxed by exactly one soak client.
   const std::uint64_t expected = kClients * kRounds * 4;  // checked submits
   const bool bit_identical =
       soak.verified == expected && soak.responses == expected;
@@ -375,7 +378,7 @@ int run(bool emit_json, const char* json_path) {
                          soak.responses == soak.submitted &&
                          soak.submitted == expected &&
                          srv_decode_rejects == 0 &&
-                         srv_error_frames == net_error_frames_stat;
+                         soak.errors_received == srv_error_frames;
   const double throughput =
       soak.wall_s > 0 ? static_cast<double>(soak.responses) / soak.wall_s : 0;
 
@@ -394,13 +397,13 @@ int run(bool emit_json, const char* json_path) {
       bit_identical ? "yes" : "NO", zero_lost ? "yes" : "NO");
   std::printf(
       "server: %llu/%llu frames in/out, %llu/%llu bytes in/out, %llu error "
-      "frames (service stat %llu), %llu decode rejects\n",
+      "frames (clients received %llu), %llu decode rejects\n",
       static_cast<unsigned long long>(srv_frames_in),
       static_cast<unsigned long long>(srv_frames_out),
       static_cast<unsigned long long>(srv_bytes_in),
       static_cast<unsigned long long>(srv_bytes_out),
       static_cast<unsigned long long>(srv_error_frames),
-      static_cast<unsigned long long>(net_error_frames_stat),
+      static_cast<unsigned long long>(soak.errors_received),
       static_cast<unsigned long long>(srv_decode_rejects));
   std::printf(
       "reconnect: disconnect observed: %s, converged: %s, bit-identical: "

@@ -388,6 +388,14 @@ struct ChaosOutcome {
   bool faults_observed = false;
 };
 
+/// The process total of "reader.io_retries": every ArchiveReader's own
+/// retry counter, live or destroyed (absent until a reader exists).
+std::uint64_t reader_io_retries() {
+  const obs::Snapshot snap = obs::registry().snapshot();
+  const obs::CounterSnap* c = snap.counter("reader.io_retries");
+  return c == nullptr ? 0 : c->value;
+}
+
 /// Fault-injected request-lifecycle storm: every archive read may fail or
 /// come up short (retried transparently by the service's ReaderOptions),
 /// drivers cancel a seeded quarter of their submissions, attach occasional
@@ -398,6 +406,7 @@ ChaosOutcome run_chaos(std::size_t elems, std::size_t chunk_elems) {
   constexpr std::size_t kChaosClients = 8;
   constexpr std::size_t kChaosDrivers = 4;
   constexpr std::size_t kChaosRounds = 10;
+  const std::uint64_t retries_before = reader_io_retries();
 
   service::ServiceConfig cfg;
   cfg.workers = 2;
@@ -559,13 +568,13 @@ ChaosOutcome run_chaos(std::size_t elems, std::size_t chunk_elems) {
   out.admitted = admitted.load();
   out.settled = settled.load();
   out.completed = completed.load();
-  out.io_retries = stats.io_retries;
+  out.io_retries = reader_io_retries() - retries_before;
   out.zero_lost = out.settled == out.admitted && unexpected.load() == 0 &&
                   stats.accepted == out.admitted + setup_requests &&
                   stats.settled() == stats.accepted && stats.failed == 0;
   out.bit_identical = mismatched.load() == 0 && out.completed > 0;
   out.quota_reconciled = stats.inflight == 0 && stats.inflight_bytes == 0;
-  out.faults_observed = stats.io_retries > 0;
+  out.faults_observed = out.io_retries > 0;
   return out;
 }
 

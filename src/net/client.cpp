@@ -5,7 +5,6 @@
 #include <tuple>
 #include <utility>
 
-#include "net/net_metrics.hpp"
 #include "obs/metrics.hpp"
 
 namespace ohd::net {
@@ -131,8 +130,7 @@ void ServiceClient::connect_locked(std::unique_lock<std::mutex>& lock) {
       sock_ = std::make_unique<Socket>(std::move(sock));
       connected_ = true;
       if (ever_connected_) {
-        ++reconnects_;
-        if (obs::enabled()) net_metrics().reconnects.add(1);
+        reconnects_.add(1);
       }
       ever_connected_ = true;
       const std::uint64_t generation = ++generation_;
@@ -550,7 +548,7 @@ ClientStats ServiceClient::stats() const {
   s.requests_sent = requests_sent_;
   s.responses_received = responses_received_;
   s.errors_received = errors_received_;
-  s.reconnects = reconnects_;
+  s.reconnects = reconnects_.value();
   s.retries = retries_;
   s.retry_after_waits = retry_after_waits_;
   return s;

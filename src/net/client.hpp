@@ -40,6 +40,7 @@
 
 #include "net/frame.hpp"
 #include "net/socket.hpp"
+#include "obs/metrics.hpp"
 #include "pipeline/byte_stream.hpp"
 #include "service/service_types.hpp"
 
@@ -65,7 +66,7 @@ struct ClientConfig {
   std::function<void(std::chrono::nanoseconds)> sleep_fn;
 };
 
-/// Always-on accounting snapshot of one client.
+/// Accounting snapshot of one client.
 struct ClientStats {
   std::uint64_t requests_sent = 0;
   std::uint64_t responses_received = 0;
@@ -179,9 +180,12 @@ class ServiceClient {
   std::uint64_t requests_sent_ = 0;
   std::uint64_t responses_received_ = 0;
   std::uint64_t errors_received_ = 0;
-  std::uint64_t reconnects_ = 0;
   std::uint64_t retries_ = 0;
   std::uint64_t retry_after_waits_ = 0;
+  /// Listed in the registry as "net.reconnects".
+  obs::Counter reconnects_;
+  obs::MetricsRegistry::Owner metrics_{
+      obs::registry(), {{"net.reconnects", &reconnects_}}};
 };
 
 }  // namespace ohd::net

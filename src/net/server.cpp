@@ -1,6 +1,7 @@
 #include "net/server.hpp"
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -8,12 +9,15 @@
 #include <unordered_map>
 #include <utility>
 
-#include "net/net_metrics.hpp"
 #include "pipeline/byte_stream.hpp"
 
 namespace ohd::net {
 
 namespace {
+
+/// Completer poll slice: the bound on how long a settled response can wait
+/// while the completer is blocked on a different future.
+constexpr std::chrono::microseconds kCompletionPoll{200};
 
 /// Rethrows body-parse failures as FrameError so the single catch-all in
 /// handle_request maps them onto BadRequest (wire_error_from_exception puts
@@ -77,8 +81,6 @@ struct ServiceServer::Connection {
 
   std::atomic<bool> done{false};  // completer finished (threads joinable)
   bool claimed = false;           // under conn_mutex_: a reaper owns the join
-  bool harvested = false;         // under conn_mutex_: error_frames retired
-  obs::Counter error_frames;
 
   std::thread reader;
   std::thread completer;
@@ -96,7 +98,6 @@ ServiceServer::ServiceServer(service::CompressionService& service,
     listeners_.push_back(std::make_unique<Listener>(ep));
     endpoints_.push_back(listeners_.back()->endpoint());
   }
-  service_.set_net_error_frames_source([this] { return error_frames(); });
   for (auto& listener : listeners_) {
     acceptors_.emplace_back([this, l = listener.get()] { acceptor_loop(*l); });
   }
@@ -113,10 +114,7 @@ ServiceServer::ServiceServer(service::CompressionService& service)
         return cfg;
       }()) {}
 
-ServiceServer::~ServiceServer() {
-  shutdown();
-  service_.set_net_error_frames_source(nullptr);
-}
+ServiceServer::~ServiceServer() { shutdown(); }
 
 void ServiceServer::shutdown() {
   {
@@ -158,18 +156,9 @@ ServerStats ServiceServer::stats() const {
   s.bytes_out = bytes_out_.value();
   s.requests_submitted = requests_submitted_.value();
   s.decode_rejects = decode_rejects_.value();
-  s.error_frames = error_frames();
+  s.error_frames = error_frames_.value();
   s.cancels_relayed = cancels_relayed_.value();
   return s;
-}
-
-std::uint64_t ServiceServer::error_frames() const {
-  std::lock_guard<std::mutex> lock(conn_mutex_);
-  std::uint64_t total = retired_error_frames_;
-  for (const auto& c : connections_) {
-    if (!c->harvested) total += c->error_frames.value();
-  }
-  return total;
 }
 
 void ServiceServer::acceptor_loop(Listener& listener) {
@@ -184,7 +173,6 @@ void ServiceServer::acceptor_loop(Listener& listener) {
     }
     connections_accepted_.add(1);
     open_connections_.add(1);
-    if (obs::enabled()) net_metrics().connections.add(1);
     conn->reader = std::thread([this, conn] { reader_loop(conn); });
     conn->completer = std::thread([this, conn] { completer_loop(conn); });
     reap_connections(/*join_all=*/false);
@@ -203,7 +191,6 @@ void ServiceServer::reader_loop(const std::shared_ptr<Connection>& conn) {
       } catch (const std::invalid_argument& e) {
         // A bad HEADER desynchronizes the stream: one id-0 reject, then close.
         decode_rejects_.add(1);
-        if (obs::enabled()) net_metrics().decode_rejects.add(1);
         ErrorBody body;
         body.code = WireErrorCode::BadRequest;
         body.message = e.what();
@@ -219,17 +206,12 @@ void ServiceServer::reader_loop(const std::shared_ptr<Connection>& conn) {
       }
       frames_in_.add(1);
       bytes_in_.add(kFrameHeaderBytes + payload.size());
-      if (obs::enabled()) {
-        net_metrics().frames_in.add(1);
-        net_metrics().bytes_in.add(kFrameHeaderBytes + payload.size());
-      }
       try {
         verify_payload(header, payload);
       } catch (const FrameError& e) {
         // The header (and so the frame boundary) was sound — the stream is
         // still synchronized. Reject just this request.
         decode_rejects_.add(1);
-        if (obs::enabled()) net_metrics().decode_rejects.add(1);
         ErrorBody body;
         body.code = WireErrorCode::BadRequest;
         body.message = e.what();
@@ -266,7 +248,6 @@ void ServiceServer::reader_loop(const std::shared_ptr<Connection>& conn) {
           // Response/Error/Pong arriving AT the server is a protocol
           // violation; treat it like a desync.
           decode_rejects_.add(1);
-          if (obs::enabled()) net_metrics().decode_rejects.add(1);
           ErrorBody body;
           body.code = WireErrorCode::BadRequest;
           body.message = "frame: unexpected frame type from client";
@@ -343,7 +324,7 @@ void ServiceServer::handle_request(Connection& c, const FrameHeader& header,
                 "connection already negotiated a client session");
           }
         }
-        service::ClientOptions opts = config_.client_defaults;
+        service::ClientOptions opts;
         opts.rel_error_bound = body.rel_error_bound;
         opts.radius = body.radius;
         opts.chunk_elems = static_cast<std::size_t>(body.chunk_elems);
@@ -496,7 +477,6 @@ void ServiceServer::handle_request(Connection& c, const FrameHeader& header,
     const ErrorBody body = wire_error_from_exception(std::current_exception());
     if (body.code == WireErrorCode::BadRequest) {
       decode_rejects_.add(1);
-      if (obs::enabled()) net_metrics().decode_rejects.add(1);
     }
     send_error(c, header.request_id, body);
   }
@@ -561,10 +541,10 @@ void ServiceServer::completer_loop(const std::shared_ptr<Connection>& conn) {
         if (completed_one) continue;
         // Nothing settled: bounded wait on the OLDEST submission, so a
         // response that lands on any other future waits at most
-        // completion_poll before the next scan picks it up.
+        // kCompletionPoll before the next scan picks it up.
         auto wait = c.pending.front().wait;
         lock.unlock();
-        wait(config_.completion_poll);
+        wait(kCompletionPoll);
         lock.lock();
         continue;
       }
@@ -573,8 +553,7 @@ void ServiceServer::completer_loop(const std::shared_ptr<Connection>& conn) {
     }
   }
   // Session teardown, exactly once, after the last response flushed: close
-  // the connection's service client (releases its archive handles), then
-  // retire this connection's error-frame count into the lifetime total.
+  // the connection's service client (releases its archive handles).
   service::ClientId client = 0;
   bool open = false;
   {
@@ -590,15 +569,7 @@ void ServiceServer::completer_loop(const std::shared_ptr<Connection>& conn) {
       // The service may already be stopping; the session is gone either way.
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(conn_mutex_);
-    if (!c.harvested) {
-      retired_error_frames_ += c.error_frames.value();
-      c.harvested = true;
-    }
-  }
   open_connections_.sub(1);
-  if (obs::enabled()) net_metrics().connections.sub(1);
   c.sock.shutdown_both();  // wake a reader still blocked in recv, if any
   c.done.store(true);
 }
@@ -616,10 +587,6 @@ void ServiceServer::send_frame(Connection& c, const FrameHeader& header,
   }
   frames_out_.add(1);
   bytes_out_.add(frame.size());
-  if (obs::enabled()) {
-    net_metrics().frames_out.add(1);
-    net_metrics().bytes_out.add(frame.size());
-  }
 }
 
 void ServiceServer::send_response(Connection& c, RequestOp op,
@@ -639,8 +606,7 @@ void ServiceServer::send_error(Connection& c, std::uint64_t request_id,
   FrameHeader h;
   h.type = FrameType::Error;
   h.request_id = request_id;
-  c.error_frames.add(1);
-  if (obs::enabled()) net_metrics().error_frames.add(1);
+  error_frames_.add(1);
   send_frame(c, h, w.bytes());
 }
 
@@ -660,8 +626,6 @@ void ServiceServer::reap_connections(bool join_all) {
     if (c->reader.joinable()) c->reader.join();
     if (c->completer.joinable()) c->completer.join();
   }
-  // Forget them only AFTER the join: a joined completer has harvested its
-  // error frames, so the lifetime total never dips.
   if (!doomed.empty()) {
     std::lock_guard<std::mutex> lock(conn_mutex_);
     std::erase_if(connections_, [&](const std::shared_ptr<Connection>& c) {

@@ -30,15 +30,12 @@
 // server cancels them (nobody can read the responses); graceful shutdown()
 // instead drains every in-flight request, flushes its response, then closes.
 //
-// Telemetry: per-server always-on counters behind stats(); while
-// obs::enabled() the process registry aggregates the same values under
-// "net.*" (frames/bytes in+out, decode rejects, error frames, connection
-// gauge). Lifetime error-frame totals are additionally harvested into the
-// owning CompressionService's ServiceStats::net_error_frames (exactly-once
-// per connection, the io_retries discipline).
+// Telemetry: the server owns the counters behind stats(), and the process
+// registry lists the wire-level ones under "net.*" (frames/bytes in+out,
+// decode rejects, error frames, the open-connection gauge) — the same
+// instruments, so stats() and a snapshot cannot disagree.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -60,16 +57,9 @@ struct ServerConfig {
   /// Per-frame payload ceiling; frames declaring more are rejected before
   /// the payload is read or allocated.
   std::uint64_t max_frame_payload = kDefaultMaxPayload;
-  /// Completer poll slice: the bound on how long a settled response can wait
-  /// while the completer is blocked on a different future.
-  std::chrono::microseconds completion_poll{200};
-  /// Base ClientOptions of every wire session; OpenClient's negotiated
-  /// fields (rel_error_bound, radius, chunk_elems) override onto this, the
-  /// rest (decoder, planning, method) apply as-is.
-  service::ClientOptions client_defaults;
 };
 
-/// Always-on accounting snapshot of one server.
+/// Accounting snapshot of one server.
 struct ServerStats {
   std::uint64_t connections_accepted = 0;
   std::int64_t open_connections = 0;
@@ -87,8 +77,7 @@ class ServiceServer {
  public:
   /// Binds every configured endpoint and starts accepting immediately.
   /// Throws NetError when a bind/listen fails (nothing half-started: all
-  /// listeners succeed or the constructor throws). Attaches the
-  /// error-frame source to `service` stats.
+  /// listeners succeed or the constructor throws).
   ServiceServer(service::CompressionService& service, ServerConfig config);
 
   /// Convenience: listens where service.config() says (listen_tcp /
@@ -96,7 +85,7 @@ class ServiceServer {
   /// TCP loopback listener.
   explicit ServiceServer(service::CompressionService& service);
 
-  /// shutdown(), then detaches from the service.
+  /// shutdown().
   ~ServiceServer();
 
   ServiceServer(const ServiceServer&) = delete;
@@ -113,10 +102,6 @@ class ServiceServer {
   bool stopped() const;
 
   ServerStats stats() const;
-
-  /// Lifetime error-frame total: live connections plus harvested closed
-  /// ones — the value surfaced through ServiceStats::net_error_frames.
-  std::uint64_t error_frames() const;
 
  private:
   struct Connection;
@@ -157,11 +142,10 @@ class ServiceServer {
 
   mutable std::mutex conn_mutex_;
   std::vector<std::shared_ptr<Connection>> connections_;
-  std::uint64_t retired_error_frames_ = 0;  // harvested at connection close
   bool stopping_ = false;
 
-  // Always-on instruments behind stats(); mirrored under "net.*" while
-  // obs::enabled().
+  // The instruments behind stats(); metrics_ lists the wire-level ones in
+  // the registry under "net.*".
   obs::Counter connections_accepted_;
   obs::Gauge open_connections_;
   obs::Counter frames_in_;
@@ -170,7 +154,17 @@ class ServiceServer {
   obs::Counter bytes_out_;
   obs::Counter requests_submitted_;
   obs::Counter decode_rejects_;
+  obs::Counter error_frames_;
   obs::Counter cancels_relayed_;
+  obs::MetricsRegistry::Owner metrics_{
+      obs::registry(),
+      {{"net.frames_in", &frames_in_},
+       {"net.frames_out", &frames_out_},
+       {"net.bytes_in", &bytes_in_},
+       {"net.bytes_out", &bytes_out_},
+       {"net.decode_rejects", &decode_rejects_},
+       {"net.error_frames", &error_frames_}},
+      {{"net.connections", &open_connections_}}};
 };
 
 }  // namespace ohd::net

@@ -1,9 +1,9 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdlib>
 #include <map>
-#include <memory>
 #include <mutex>
 
 namespace ohd::obs {
@@ -94,13 +94,24 @@ void LatencyHistogram::reset() {
   max_.store(0, std::memory_order_relaxed);
 }
 
+struct MetricsRegistry::CounterSlot {
+  Counter own;
+  std::vector<const Counter*> live;  // owners' instruments
+  std::uint64_t retired = 0;         // destroyed owners' final values
+};
+
+struct MetricsRegistry::GaugeSlot {
+  Gauge own;
+  std::vector<const Gauge*> live;
+  std::int64_t retired_peak = 0;
+};
+
 struct MetricsRegistry::Impl {
   std::mutex mutex;
-  // Node-based maps: instrument addresses are stable across later inserts.
-  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges;
-  std::map<std::string, std::unique_ptr<LatencyHistogram>, std::less<>>
-      histograms;
+  // Node-based maps: slot addresses are stable across later inserts.
+  std::map<std::string, CounterSlot, std::less<>> counters;
+  std::map<std::string, GaugeSlot, std::less<>> gauges;
+  std::map<std::string, LatencyHistogram, std::less<>> histograms;
 };
 
 MetricsRegistry::~MetricsRegistry() {
@@ -118,32 +129,69 @@ MetricsRegistry::Impl* MetricsRegistry::impl() {
   return p;
 }
 
+namespace {
+
+/// Get-or-create under the registry mutex (held by the caller).
 template <typename Map>
-static auto& get_or_create(std::mutex& mutex, Map& map,
-                           std::string_view name) {
-  std::lock_guard<std::mutex> lock(mutex);
+auto& slot(Map& map, std::string_view name) {
   auto it = map.find(name);
-  if (it == map.end()) {
-    it = map.emplace(std::string(name),
-                     std::make_unique<typename Map::mapped_type::element_type>())
-             .first;
-  }
-  return *it->second;
+  if (it == map.end()) it = map.try_emplace(std::string(name)).first;
+  return it->second;
 }
+
+}  // namespace
 
 Counter& MetricsRegistry::counter(std::string_view name) {
   Impl* p = impl();
-  return get_or_create(p->mutex, p->counters, name);
+  std::lock_guard<std::mutex> lock(p->mutex);
+  return slot(p->counters, name).own;
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name) {
   Impl* p = impl();
-  return get_or_create(p->mutex, p->gauges, name);
+  std::lock_guard<std::mutex> lock(p->mutex);
+  return slot(p->gauges, name).own;
 }
 
 LatencyHistogram& MetricsRegistry::histogram(std::string_view name) {
   Impl* p = impl();
-  return get_or_create(p->mutex, p->histograms, name);
+  std::lock_guard<std::mutex> lock(p->mutex);
+  return slot(p->histograms, name);
+}
+
+MetricsRegistry::Owner::Owner(MetricsRegistry& registry, Counters counters,
+                              Gauges gauges)
+    : impl_(registry.impl()) {
+  std::lock_guard<std::mutex> lock(impl_->mutex);
+  try {
+    for (const auto& [name, c] : counters) {
+      CounterSlot& s = slot(impl_->counters, name);
+      counters_.emplace_back(&s, c);
+      s.live.push_back(c);
+    }
+    for (const auto& [name, g] : gauges) {
+      GaugeSlot& s = slot(impl_->gauges, name);
+      gauges_.emplace_back(&s, g);
+      s.live.push_back(g);
+    }
+  } catch (...) {
+    unlist();  // never leave a failed object's instruments listed
+    throw;
+  }
+}
+
+MetricsRegistry::Owner::~Owner() {
+  std::lock_guard<std::mutex> lock(impl_->mutex);
+  for (const auto& [s, c] : counters_) s->retired += c->value();
+  for (const auto& [s, g] : gauges_) {
+    s->retired_peak = std::max(s->retired_peak, g->peak());
+  }
+  unlist();
+}
+
+void MetricsRegistry::Owner::unlist() {
+  for (const auto& [s, c] : counters_) std::erase(s->live, c);
+  for (const auto& [s, g] : gauges_) std::erase(s->live, g);
 }
 
 Snapshot MetricsRegistry::snapshot() const {
@@ -152,23 +200,31 @@ Snapshot MetricsRegistry::snapshot() const {
   if (p == nullptr) return snap;
   std::lock_guard<std::mutex> lock(p->mutex);
   snap.counters.reserve(p->counters.size());
-  for (const auto& [name, c] : p->counters) {
-    snap.counters.push_back({name, c->value()});
+  for (const auto& [name, s] : p->counters) {
+    std::uint64_t value = s.own.value() + s.retired;
+    for (const Counter* c : s.live) value += c->value();
+    snap.counters.push_back({name, value});
   }
   snap.gauges.reserve(p->gauges.size());
-  for (const auto& [name, g] : p->gauges) {
-    snap.gauges.push_back({name, g->value(), g->peak()});
+  for (const auto& [name, s] : p->gauges) {
+    std::int64_t value = s.own.value();
+    std::int64_t peak = std::max(s.own.peak(), s.retired_peak);
+    for (const Gauge* g : s.live) {
+      value += g->value();
+      peak = std::max(peak, g->peak());
+    }
+    snap.gauges.push_back({name, value, peak});
   }
   snap.histograms.reserve(p->histograms.size());
   for (const auto& [name, h] : p->histograms) {
     HistogramSnap hs;
     hs.name = name;
-    hs.count = h->count();
-    hs.sum_ns = h->sum();
-    hs.max_ns = h->max();
-    hs.p50_ns = h->quantile(0.50);
-    hs.p95_ns = h->quantile(0.95);
-    hs.p99_ns = h->quantile(0.99);
+    hs.count = h.count();
+    hs.sum_ns = h.sum();
+    hs.max_ns = h.max();
+    hs.p50_ns = h.quantile(0.50);
+    hs.p95_ns = h.quantile(0.95);
+    hs.p99_ns = h.quantile(0.99);
     snap.histograms.push_back(std::move(hs));
   }
   return snap;
@@ -178,9 +234,15 @@ void MetricsRegistry::reset() {
   Impl* p = impl_.load(std::memory_order_acquire);
   if (p == nullptr) return;
   std::lock_guard<std::mutex> lock(p->mutex);
-  for (auto& [name, c] : p->counters) c->reset();
-  for (auto& [name, g] : p->gauges) g->reset();
-  for (auto& [name, h] : p->histograms) h->reset();
+  for (auto& [name, s] : p->counters) {
+    s.own.reset();
+    s.retired = 0;
+  }
+  for (auto& [name, s] : p->gauges) {
+    s.own.reset();
+    s.retired_peak = 0;
+  }
+  for (auto& [name, h] : p->histograms) h.reset();
 }
 
 MetricsRegistry& registry() {

@@ -1,38 +1,45 @@
 // Telemetry metrics: the one registry every layer of the archive stack
-// reports into (pipeline/thread_pool, pipeline/batch, pipeline/archive_io,
-// pipeline/byte_stream, pipeline/fault_injection), replacing the ad-hoc
-// per-component atomics that preceded it.
+// reports into (pipeline, service, net).
 //
 // Three lock-free instrument kinds, registered by stable dotted names
 // ("reader.frame_fetch_ns", "pool.queue_depth", ...; the full catalogue is in
 // README "Observability"):
 //  * Counter          — monotone u64 total.
-//  * Gauge            — current value plus a CAS-maxed peak (the
-//                       ArchiveReader frame-residency gauge generalized).
+//  * Gauge            — current value plus a CAS-maxed peak.
 //  * LatencyHistogram — fixed power-of-two ns buckets with p50/p95/p99/max
 //                       snapshots; recording is two relaxed fetch_adds plus
 //                       one CAS-max, so worker threads never contend on a
 //                       lock.
-// Instruments themselves are UNCONDITIONAL (plain atomics — components that
-// need always-on per-object accessors, like ArchiveReader::peak_frame_bytes,
-// embed them directly). The process-wide enable flag gates the EXPENSIVE
-// parts at the call sites: clock reads, registry mirroring, and trace spans
-// all hide behind enabled(), so a disabled build path costs one relaxed load
-// and a predictable branch per operation.
 //
-// MetricsRegistry::snapshot() freezes every instrument into a Snapshot whose
-// to_json() is the uniform telemetry block the bench drivers (and the future
-// service layer) emit. Registration takes a mutex; instrument handles are
-// stable for the registry's lifetime, so hot paths resolve names once and
-// record through raw pointers.
+// One instrument per number, after the collector model of the Prometheus
+// client libraries: an object whose count also backs a per-object accessor
+// (stats(), io_retries(), ...) owns that Counter or Gauge and lists it under
+// its catalogue name through a MetricsRegistry::Owner member. snapshot()
+// reads owned instruments in place, and an owner's destruction folds its
+// counters into a retired total, so totals never go backwards. Numbers with
+// no owning object (histograms, process-wide gauges, pipeline totals) live
+// in the registry itself and are reached through counter()/gauge()/
+// histogram() handles.
+//
+// Counters and gauges always count. The process-wide enable flag gates only
+// the expensive parts — clock reads, histogram samples and trace spans — so
+// a disabled call site costs one relaxed load and a predictable branch.
+//
+// MetricsRegistry::snapshot() freezes every name into a Snapshot whose
+// to_json() is the uniform telemetry block the bench drivers emit.
+// Registration takes a mutex; registry-held handles are stable for the
+// registry's lifetime, so hot paths resolve names once and record through
+// raw pointers.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/phase_timings.hpp"
@@ -40,9 +47,8 @@
 namespace ohd::obs {
 
 /// Process-wide telemetry gate. Defaults to off (or on when the process
-/// started with OHD_TELEMETRY=1); instruments embedded in components keep
-/// counting regardless, but clock reads, registry mirrors, and spans are
-/// skipped while disabled.
+/// started with OHD_TELEMETRY=1). Counters and gauges count regardless;
+/// clock reads, histogram samples and spans are skipped while disabled.
 bool enabled();
 void set_enabled(bool on);
 
@@ -68,8 +74,7 @@ class Counter {
 
 /// Current value plus high-water mark. add() with a positive delta CAS-maxes
 /// the peak, so the peak observes every instantaneous maximum even under
-/// concurrent add/sub — the exact discipline ArchiveReader's
-/// peak_frame_bytes_ used before it moved here.
+/// concurrent add/sub.
 class Gauge {
  public:
   void add(std::int64_t n) {
@@ -178,6 +183,8 @@ struct Snapshot {
 /// record into) for the registry's lifetime, including across reset().
 class MetricsRegistry {
  public:
+  class Owner;
+
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
@@ -187,16 +194,51 @@ class MetricsRegistry {
   Gauge& gauge(std::string_view name);
   LatencyHistogram& histogram(std::string_view name);
 
+  /// Per name, the sum of the registry's own instrument, every live owner's
+  /// and the retired total. Counters and gauge values add; a gauge's peak
+  /// is the largest peak of any instrument, live or retired. Reads atomics
+  /// only: it never calls into an owner.
   Snapshot snapshot() const;
 
-  /// Zeroes every instrument; handles stay registered and valid. Tests use
-  /// this (via ScopedTelemetry) to isolate runs on the process registry.
+  /// Zeroes the registry's own instruments and the retired totals; handles
+  /// stay registered and valid. Owned instruments (and so their objects'
+  /// stats()) are never written. Tests use this (via ScopedTelemetry) to
+  /// isolate runs on the process registry.
   void reset();
 
  private:
+  struct CounterSlot;
+  struct GaugeSlot;
   struct Impl;
   Impl* impl();  // lazily built so a never-touched registry costs nothing
   mutable std::atomic<Impl*> impl_{nullptr};
+};
+
+/// An object's own counters and gauges, listed under catalogue names for
+/// the object's lifetime. Hold it as a member declared AFTER the listed
+/// instruments, so it is destroyed before them. Construction and
+/// destruction take the registry mutex once; recording never touches the
+/// registry.
+class MetricsRegistry::Owner {
+ public:
+  using Counters =
+      std::initializer_list<std::pair<std::string_view, const Counter*>>;
+  using Gauges =
+      std::initializer_list<std::pair<std::string_view, const Gauge*>>;
+
+  Owner(MetricsRegistry& registry, Counters counters, Gauges gauges = {});
+  /// Adds the counters into the retired totals and the gauge peaks into the
+  /// retired peaks, then unlists them.
+  ~Owner();
+  Owner(const Owner&) = delete;
+  Owner& operator=(const Owner&) = delete;
+
+ private:
+  void unlist();
+
+  Impl* impl_;
+  std::vector<std::pair<CounterSlot*, const Counter*>> counters_;
+  std::vector<std::pair<GaugeSlot*, const Gauge*>> gauges_;
 };
 
 /// The process-wide registry every instrumented component reports into.

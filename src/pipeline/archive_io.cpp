@@ -12,11 +12,12 @@ namespace ohd::pipeline {
 
 namespace {
 
-// Process-wide aggregates across all reader/writer sessions (the per-reader
-// accessors live on the reader's own instruments). Handles resolved once;
-// recording is raw-atomic. Only touched behind obs::enabled().
+// Process-wide aggregates across all reader/writer sessions ("reader.
+// io_retries" is each reader's own instrument instead). Handles resolved
+// once; recording is raw-atomic. "reader.frame_bytes" stays process-wide
+// because its peak is the peak of the SUM over concurrent readers, which no
+// per-reader peak can give.
 struct ReaderMetrics {
-  obs::Counter& io_retries;
   obs::Counter& bytes_read;
   obs::Counter& crc_checks;
   obs::Gauge& frame_bytes;
@@ -24,8 +25,7 @@ struct ReaderMetrics {
 };
 
 ReaderMetrics& reader_metrics() {
-  static ReaderMetrics m{obs::registry().counter("reader.io_retries"),
-                         obs::registry().counter("reader.bytes_read"),
+  static ReaderMetrics m{obs::registry().counter("reader.bytes_read"),
                          obs::registry().counter("reader.crc_checks"),
                          obs::registry().gauge("reader.frame_bytes"),
                          obs::registry().histogram("reader.frame_fetch_ns")};
@@ -193,11 +193,9 @@ void ArchiveWriter::write_chunk(const ChunkExtent& extent,
   payload_bytes_ += frame.size();
   next_elem_ += extent.dims.count();
   current_.chunks.push_back(rec);
-  if (obs::enabled()) {
-    WriterMetrics& m = writer_metrics();
-    m.bytes_written.add(frame.size());
-    m.chunks.add(1);
-  }
+  WriterMetrics& m = writer_metrics();
+  m.bytes_written.add(frame.size());
+  m.chunks.add(1);
 }
 
 void ArchiveWriter::end_field() {
@@ -314,7 +312,7 @@ std::uint64_t ArchiveWriter::finish() {
   // (FileSink fsyncs; AtomicFileSink publishes its temp file atomically).
   sink_.commit();
   finished_ = true;
-  if (obs::enabled()) writer_metrics().bytes_written.add(w.size());
+  writer_metrics().bytes_written.add(w.size());
   return wire::kHeaderBytes + payload_bytes_ + w.size();
 }
 
@@ -322,17 +320,12 @@ FrameResidency::FrameResidency(const ArchiveReader& reader,
                                std::uint64_t bytes)
     : reader_(reader), bytes_(bytes) {
   reader_.frame_bytes_.add(static_cast<std::int64_t>(bytes_));
-  if (obs::enabled()) {
-    mirrored_ = true;
-    reader_metrics().frame_bytes.add(static_cast<std::int64_t>(bytes_));
-  }
+  reader_metrics().frame_bytes.add(static_cast<std::int64_t>(bytes_));
 }
 
 FrameResidency::~FrameResidency() {
   reader_.frame_bytes_.sub(static_cast<std::int64_t>(bytes_));
-  if (mirrored_) {
-    reader_metrics().frame_bytes.sub(static_cast<std::int64_t>(bytes_));
-  }
+  reader_metrics().frame_bytes.sub(static_cast<std::int64_t>(bytes_));
 }
 
 ArchiveReader::ArchiveReader(const ByteSource& source, ReaderOptions options)
@@ -401,11 +394,8 @@ void ArchiveReader::read_at_retried(std::uint64_t offset,
                                     std::span<std::uint8_t> out) const {
   with_retry(
       options_.retry, [&] { source_.read_at(offset, out); },
-      [&] {
-        io_retries_.add(1);
-        if (obs::enabled()) reader_metrics().io_retries.add(1);
-      });
-  if (obs::enabled()) reader_metrics().bytes_read.add(out.size());
+      [&] { io_retries_.add(1); });
+  reader_metrics().bytes_read.add(out.size());
 }
 
 bool ArchiveReader::field_complete(std::size_t field) const {
@@ -449,9 +439,8 @@ const ChunkRecord& ArchiveReader::record(std::size_t field,
 
 std::vector<std::uint8_t> ArchiveReader::fetch_frame(
     const ChunkRecord& rec) const {
-  const obs::ScopedOp op(
-      "reader.frame_fetch",
-      obs::enabled() ? &reader_metrics().frame_fetch_ns : nullptr);
+  const obs::ScopedOp op("reader.frame_fetch",
+                         &reader_metrics().frame_fetch_ns);
   std::vector<std::uint8_t> frame(rec.payload_bytes);
   read_at_retried(wire::kHeaderBytes + rec.payload_offset, frame);
   return frame;
@@ -462,7 +451,7 @@ std::vector<std::uint8_t> ArchiveReader::read_frame(std::size_t field,
   const ChunkRecord& rec = record(field, chunk);
   const FrameResidency lease(*this, rec.payload_bytes);
   std::vector<std::uint8_t> frame = fetch_frame(rec);
-  if (obs::enabled()) reader_metrics().crc_checks.add(1);
+  reader_metrics().crc_checks.add(1);
   if (util::crc32(frame) != rec.crc32) {
     throw ContainerError("field '" + fields_[field].name + "' chunk " +
                          std::to_string(chunk) +
@@ -484,7 +473,7 @@ sz::DecompressionResult ArchiveReader::decode_chunk(
   const ChunkRecord& rec = record(field, chunk);
   const FrameResidency lease(*this, rec.payload_bytes);
   const std::vector<std::uint8_t> frame = fetch_frame(rec);
-  if (obs::enabled()) reader_metrics().crc_checks.add(1);
+  reader_metrics().crc_checks.add(1);
   const sz::CompressedBlob blob =
       wire::parse_chunk_frame(fields_[field], chunk, frame);
   return sz::decompress(ctx, blob, decoder);
@@ -496,7 +485,7 @@ sz::DecompressionResult ArchiveReader::decode_chunk_into(
   const ChunkRecord& rec = record(field, chunk);
   const FrameResidency lease(*this, rec.payload_bytes);
   const std::vector<std::uint8_t> frame = fetch_frame(rec);
-  if (obs::enabled()) reader_metrics().crc_checks.add(1);
+  reader_metrics().crc_checks.add(1);
   const sz::CompressedBlob blob =
       wire::parse_chunk_frame(fields_[field], chunk, frame);
   return sz::decompress_into(ctx, blob, out, decoder);
@@ -610,7 +599,7 @@ void ArchiveReader::verify() const {
     for (std::size_t c = 0; c < fields_[f].chunks.size(); ++c) {
       const ChunkRecord& rec = fields_[f].chunks[c];
       const FrameResidency lease(*this, rec.payload_bytes);
-      if (obs::enabled()) reader_metrics().crc_checks.add(1);
+      reader_metrics().crc_checks.add(1);
       if (util::crc32(fetch_frame(rec)) != rec.crc32) {
         throw ContainerError("field '" + fields_[f].name + "' chunk " +
                              std::to_string(c) +

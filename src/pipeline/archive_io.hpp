@@ -288,20 +288,22 @@ class ArchiveReader {
   /// index, and whether the recovered chunks tile the field.
   std::vector<std::vector<std::uint32_t>> salvage_ordinals_;
   std::vector<bool> salvage_complete_;
-  /// Per-reader telemetry instruments (obs/metrics.hpp): always-on so the
-  /// io_retries()/peak_frame_bytes() accessors keep their exact pre-obs
-  /// semantics; the process registry additionally aggregates across readers
-  /// under "reader.*" when obs::enabled().
+  /// Per-reader instruments behind io_retries()/peak_frame_bytes().
+  /// io_retries_ is also the registry's "reader.io_retries" (listed by
+  /// metrics_, and retired into the process total when the reader goes).
   mutable obs::Counter io_retries_;
   mutable obs::Gauge frame_bytes_;  // current + peak resident frame bytes
+  obs::MetricsRegistry::Owner metrics_{
+      obs::registry(), {{"reader.io_retries", &io_retries_}}};
 };
 
-/// RAII accounting of frame bytes held against a reader's residency gauge.
-/// The decode entry points hold one internally for the duration of each
-/// fetch+decode; prefetching consumers (BatchScheduler::decode_range) hold
-/// one per in-flight frame, so peak_frame_bytes() observes every resident
-/// frame wherever it lives — the streaming-memory tests assert against the
-/// gauge instead of trusting call structure.
+/// RAII accounting of frame bytes held against a reader's residency gauge
+/// and the process-wide "reader.frame_bytes" gauge. The decode entry points
+/// hold one internally for the duration of each fetch+decode; prefetching
+/// consumers (BatchScheduler::decode_range) hold one per in-flight frame, so
+/// peak_frame_bytes() observes every resident frame wherever it lives — the
+/// streaming-memory tests assert against the gauge instead of trusting call
+/// structure.
 class FrameResidency {
  public:
   FrameResidency(const ArchiveReader& reader, std::uint64_t bytes);
@@ -312,10 +314,6 @@ class FrameResidency {
  private:
   const ArchiveReader& reader_;
   std::uint64_t bytes_;
-  /// True when the registry gauge was incremented too — the decrement is
-  /// keyed off this, not off a re-read of the enable flag, so a mid-flight
-  /// flag flip can never unbalance "reader.frame_bytes".
-  bool mirrored_ = false;
 };
 
 }  // namespace ohd::pipeline

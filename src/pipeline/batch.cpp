@@ -27,8 +27,7 @@ double BatchDecompressResult::makespan(std::size_t workers) const {
 namespace {
 
 // Scheduler-wide aggregates; per-chunk task latencies record from worker
-// threads, phase spans from the collecting thread. Only touched behind
-// obs::enabled().
+// threads, phase spans from the collecting thread.
 struct BatchMetrics {
   obs::LatencyHistogram& quantize_ns;
   obs::LatencyHistogram& encode_ns;
@@ -160,8 +159,7 @@ void BatchScheduler::compress_to(ArchiveWriter& writer,
           state.quants.push_back(pool_.submit([&spec, &state, &cancel, extent] {
             cancel.throw_if_cancelled();
             const obs::ScopedOp op(
-                "batch.quantize",
-                obs::enabled() ? &batch_metrics().quantize_ns : nullptr);
+                "batch.quantize", &batch_metrics().quantize_ns);
             ProbedChunk out;
             out.q = sz::quantize_with_abs_bound(
                 spec.data.subspan(extent.elem_offset, extent.dims.count()),
@@ -176,9 +174,7 @@ void BatchScheduler::compress_to(ArchiveWriter& writer,
           state.frames.push_back(pool_.submit([&spec, &state, &cancel, extent] {
             cancel.throw_if_cancelled();
             // Fused path: quantize + encode in one task, charged as encode.
-            const obs::ScopedOp op(
-                "batch.encode",
-                obs::enabled() ? &batch_metrics().encode_ns : nullptr);
+            const obs::ScopedOp op("batch.encode", &batch_metrics().encode_ns);
             const auto blob = sz::compress_with_abs_bound(
                 spec.data.subspan(extent.elem_offset, extent.dims.count()),
                 extent.dims, state.abs_eb, spec.config);
@@ -219,9 +215,7 @@ void BatchScheduler::compress_to(ArchiveWriter& writer,
                                              : CodebookRef::Private});
         state.frames.push_back(pool_.submit([&spec, &state, &cancel, ci] {
           cancel.throw_if_cancelled();
-          const obs::ScopedOp op(
-              "batch.encode",
-              obs::enabled() ? &batch_metrics().encode_ns : nullptr);
+          const obs::ScopedOp op("batch.encode", &batch_metrics().encode_ns);
           return encode_planned_chunk(std::move(state.quantized[ci]),
                                       state.plan.chunks[ci], spec.config,
                                       state.shared.get());
@@ -253,10 +247,8 @@ void BatchScheduler::compress_to(ArchiveWriter& writer,
                                : state.meta[ci]);
       }
       writer.end_field();
-      if (obs::enabled()) {
-        batch_metrics().chunks_encoded.add(state.frames.size());
-        count_field_chunks(spec.name, ".chunks", state.frames.size());
-      }
+      batch_metrics().chunks_encoded.add(state.frames.size());
+      count_field_chunks(spec.name, ".chunks", state.frames.size());
     }
   } catch (...) {
     for (FieldState& state : states) {
@@ -316,11 +308,8 @@ BatchDecompressResult BatchScheduler::decompress(
       // between chunks — never inside one.
       cancel.throw_if_cancelled();
       const FieldEntry& entry = fields[fi];
-      if (obs::enabled()) {
-        batch_metrics().chunks_decoded.add(entry.chunks.size());
-        count_field_chunks(entry.name, ".chunks_decoded",
-                           entry.chunks.size());
-      }
+      batch_metrics().chunks_decoded.add(entry.chunks.size());
+      count_field_chunks(entry.name, ".chunks_decoded", entry.chunks.size());
       futures[fi].reserve(entry.chunks.size());
       for (std::size_t ci = 0; ci < entry.chunks.size(); ++ci) {
         const std::span<float> dest(
@@ -332,8 +321,7 @@ BatchDecompressResult BatchScheduler::decompress(
               // Fetch + decode + reconstruct of one chunk: the reader's own
               // "reader.frame_fetch" span nests under this one.
               const obs::ScopedOp op(
-                  "batch.decode",
-                  obs::enabled() ? &batch_metrics().decode_ns : nullptr);
+                  "batch.decode", &batch_metrics().decode_ns);
               cudasim::SimContext ctx;
               return reader.decode_chunk_into(ctx, fi, ci, dest, decoder);
             }));
@@ -354,9 +342,7 @@ BatchDecompressResult BatchScheduler::decompress(
     for (auto& field_futures : futures) wait_all(field_futures);
     throw;
   }
-  if (obs::enabled()) {
-    obs::absorb_phase_timings(obs::registry(), out.phases);
-  }
+  obs::absorb_phase_timings(obs::registry(), out.phases);
   return out;
 }
 
@@ -387,9 +373,7 @@ PartialBatchDecompress BatchScheduler::decompress_partial(
             res.fields[fi].decode.data.data() + entry.chunks[ci].elem_offset,
             entry.chunks[ci].dims.count());
         futures[fi].push_back(pool_.submit([&reader, &decoder, fi, ci, dest] {
-          const obs::ScopedOp op(
-              "batch.decode",
-              obs::enabled() ? &batch_metrics().decode_ns : nullptr);
+          const obs::ScopedOp op("batch.decode", &batch_metrics().decode_ns);
           cudasim::SimContext ctx;
           return reader.decode_chunk_into(ctx, fi, ci, dest, decoder);
         }));

@@ -14,17 +14,11 @@
 namespace ohd::pipeline {
 namespace {
 
-// Aggregates across all file sinks; per-sink counts stay on the sink's own
-// instrument (FileSink::flush_retries()). Only touched behind obs::enabled().
-struct SinkMetrics {
-  obs::Counter& flush_retries;
-  obs::LatencyHistogram& flush_ns;
-};
-
-SinkMetrics& sink_metrics() {
-  static SinkMetrics m{obs::registry().counter("sink.flush_retries"),
-                       obs::registry().histogram("sink.flush_ns")};
-  return m;
+/// Flush latency across all file sinks ("sink.flush_retries" is each sink's
+/// own instrument).
+obs::LatencyHistogram& flush_ns() {
+  static obs::LatencyHistogram& h = obs::registry().histogram("sink.flush_ns");
+  return h;
 }
 
 /// "<what> '<path>' failed: <strerror>" with the errno captured at the
@@ -103,8 +97,7 @@ void FileSink::write(std::span<const std::uint8_t> bytes) {
 
 void FileSink::flush() {
   if (file_ == nullptr) return;  // already closed: nothing buffered
-  const obs::ScopedOp op(
-      "sink.flush", obs::enabled() ? &sink_metrics().flush_ns : nullptr);
+  const obs::ScopedOp op("sink.flush", &flush_ns());
   with_retry(
       flush_retry_,
       [&] {
@@ -119,10 +112,7 @@ void FileSink::flush() {
           throw ArchiveError(errno_detail("flush of", path_, err));
         }
       },
-      [&] {
-        flush_retries_.add(1);
-        if (obs::enabled()) sink_metrics().flush_retries.add(1);
-      });
+      [&] { flush_retries_.add(1); });
 }
 
 void FileSink::close() {

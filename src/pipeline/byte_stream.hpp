@@ -234,9 +234,11 @@ class FileSink : public ByteSink {
   std::FILE* file_ = nullptr;
   std::uint64_t written_ = 0;
   RetryPolicy flush_retry_;
-  /// Always-on per-sink instrument behind flush_retries(); the process
-  /// registry additionally aggregates "sink.flush_retries" when enabled.
+  /// The per-sink instrument behind flush_retries(), listed as the
+  /// registry's "sink.flush_retries".
   obs::Counter flush_retries_;
+  obs::MetricsRegistry::Owner metrics_{
+      obs::registry(), {{"sink.flush_retries", &flush_retries_}}};
 };
 
 /// Crash-consistent file sink: writes go to `<path>.tmp`; commit() flushes,

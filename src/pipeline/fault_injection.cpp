@@ -42,11 +42,6 @@ void sleep_latency(std::chrono::microseconds latency) {
   if (latency.count() > 0) std::this_thread::sleep_for(latency);
 }
 
-/// Process-registry aggregation of injected faults across all wrappers.
-void mirror_fault(const char* name, std::uint64_t n = 1) {
-  if (n != 0 && obs::enabled()) obs::registry().counter(name).add(n);
-}
-
 }  // namespace
 
 FaultStats FaultInjectingSource::stats() const {
@@ -83,18 +78,14 @@ void FaultInjectingSource::read_at(std::uint64_t offset,
     switch (d.kind) {
       case Decision::Kind::Transient:
         transient_read_errors_.add(1);
-        mirror_fault("fault.transient_read_errors");
         break;
       case Decision::Kind::Partial:
         short_reads_.add(1);
-        mirror_fault("fault.short_reads");
         break;
       case Decision::Kind::Clean:
         break;
     }
-    const auto latency_us = static_cast<std::uint64_t>(d.latency.count());
-    injected_latency_us_.add(latency_us);
-    mirror_fault("fault.injected_latency_us", latency_us);
+    injected_latency_us_.add(static_cast<std::uint64_t>(d.latency.count()));
   }
   sleep_latency(d.latency);
   switch (d.kind) {
@@ -129,18 +120,14 @@ void FaultInjectingSink::write(std::span<const std::uint8_t> bytes) {
     switch (d.kind) {
       case Decision::Kind::Transient:
         transient_write_errors_.add(1);
-        mirror_fault("fault.transient_write_errors");
         break;
       case Decision::Kind::Partial:
         torn_writes_.add(1);
-        mirror_fault("fault.torn_writes");
         break;
       case Decision::Kind::Clean:
         break;
     }
-    const auto latency_us = static_cast<std::uint64_t>(d.latency.count());
-    injected_latency_us_.add(latency_us);
-    mirror_fault("fault.injected_latency_us", latency_us);
+    injected_latency_us_.add(static_cast<std::uint64_t>(d.latency.count()));
   }
   sleep_latency(d.latency);
   switch (d.kind) {

@@ -75,10 +75,10 @@ struct FaultStats {
 /// Thread-safe (the source contract requires concurrent read_at): the
 /// operation counter and the fault draw live behind a mutex, the inner read
 /// runs outside it. Counts are held on obs instruments — stats() assembles
-/// the FaultStats view, and injected faults additionally aggregate into the
-/// process registry under "fault.*" when obs::enabled() — but every
-/// increment still happens under the mutex, so the schedule (which depends
-/// on the fault count via max_faults) stays deterministic.
+/// the FaultStats view, and the fault and latency counters are listed in
+/// the process registry under "fault.*" — but every increment still happens
+/// under the mutex, so the schedule (which depends on the fault count via
+/// max_faults) stays deterministic.
 class FaultInjectingSource : public ByteSource {
  public:
   FaultInjectingSource(const ByteSource& inner, FaultSpec spec)
@@ -99,6 +99,11 @@ class FaultInjectingSource : public ByteSource {
   mutable obs::Counter transient_read_errors_;
   mutable obs::Counter short_reads_;
   mutable obs::Counter injected_latency_us_;
+  obs::MetricsRegistry::Owner metrics_{
+      obs::registry(),
+      {{"fault.transient_read_errors", &transient_read_errors_},
+       {"fault.short_reads", &short_reads_},
+       {"fault.injected_latency_us", &injected_latency_us_}}};
 };
 
 class FaultInjectingSink : public ByteSink {
@@ -122,6 +127,11 @@ class FaultInjectingSink : public ByteSink {
   obs::Counter torn_writes_;
   obs::Counter transient_write_errors_;
   obs::Counter injected_latency_us_;
+  obs::MetricsRegistry::Owner metrics_{
+      obs::registry(),
+      {{"fault.torn_writes", &torn_writes_},
+       {"fault.transient_write_errors", &transient_write_errors_},
+       {"fault.injected_latency_us", &injected_latency_us_}}};
 };
 
 }  // namespace ohd::pipeline

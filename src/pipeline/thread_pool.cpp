@@ -45,18 +45,14 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::enqueue(std::function<void()> fn) {
-  Task task{std::move(fn), 0};
-  if (obs::enabled()) {
-    task.enqueue_ns = obs::now_ns();
-    pool_metrics().queue_depth.add(1);
-  }
+  Task task{std::move(fn), obs::enabled() ? obs::now_ns() : 0};
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_) {
-      if (task.enqueue_ns != 0) pool_metrics().queue_depth.sub(1);
       throw std::runtime_error("submit() on a stopping ThreadPool");
     }
     queue_.push_back(std::move(task));
+    pool_metrics().queue_depth.add(1);
   }
   wake_.notify_one();
 }
@@ -70,10 +66,10 @@ void ThreadPool::worker_loop() {
       if (queue_.empty()) return;  // stopping and fully drained
       task = std::move(queue_.front());
       queue_.pop_front();
+      pool_metrics().queue_depth.sub(1);
     }
     if (task.enqueue_ns != 0) {
       PoolMetrics& m = pool_metrics();
-      m.queue_depth.sub(1);
       const std::uint64_t start_ns = obs::now_ns();
       m.task_wait_ns.record(start_ns - task.enqueue_ns);
       task.fn();  // packaged_task captures exceptions into the future

@@ -48,8 +48,7 @@ class ThreadPool {
 
  private:
   /// Queue entry. enqueue_ns is nonzero only when telemetry was enabled at
-  /// submit time; the dequeue side keys every metric update off it, so an
-  /// enable-flag flip mid-flight can never unbalance the queue-depth gauge.
+  /// submit time; the dequeue side keys the wait/run samples off it.
   struct Task {
     std::function<void()> fn;
     std::uint64_t enqueue_ns = 0;

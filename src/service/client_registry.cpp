@@ -60,11 +60,7 @@ ArchiveHandle ClientContext::open_reader(
   while (readers_.size() >= cap) {
     const ArchiveHandle victim = lru_.back();
     lru_.pop_back();
-    const auto it = readers_.find(victim);
-    // Harvest the victim's retry total before the registry drops its
-    // reference — io_retries() stays a lifetime figure across evictions.
-    retired_io_retries_ += it->second.entry->reader.io_retries();
-    readers_.erase(it);
+    readers_.erase(victim);
     if (evicted != nullptr) {
       ++*evicted;
     }
@@ -96,18 +92,7 @@ void ClientContext::close_reader(ArchiveHandle handle) {
                       std::to_string(id_));
   }
   lru_.erase(it->second.lru_pos);
-  retired_io_retries_ += it->second.entry->reader.io_retries();
   readers_.erase(it);
-}
-
-std::uint64_t ClientContext::io_retries() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::uint64_t total = retired_io_retries_;
-  for (const auto& [handle, slot] : readers_) {
-    (void)handle;
-    total += slot.entry->reader.io_retries();
-  }
-  return total;
 }
 
 std::size_t ClientContext::open_reader_count() const {
@@ -175,9 +160,6 @@ std::shared_ptr<ClientContext> ClientRegistry::close(ClientId id) {
   }
   auto ctx = std::move(it->second);
   clients_.erase(it);
-  // Fold the departing client's lifetime retry total into the registry's
-  // retired counter so io_retries() never decreases across close_client.
-  retired_io_retries_ += ctx->io_retries();
   return ctx;
 }
 
@@ -192,16 +174,6 @@ std::size_t ClientRegistry::open_readers() const {
   for (const auto& [id, ctx] : clients_) {
     (void)id;
     total += ctx->open_reader_count();
-  }
-  return total;
-}
-
-std::uint64_t ClientRegistry::io_retries() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::uint64_t total = retired_io_retries_;
-  for (const auto& [id, ctx] : clients_) {
-    (void)id;
-    total += ctx->io_retries();
   }
   return total;
 }

@@ -86,12 +86,6 @@ class ClientContext {
     return inflight_bytes_.load(std::memory_order_relaxed);
   }
 
-  /// Lifetime total of transient-IO retries by this client's readers:
-  /// retries of the currently open ones plus everything harvested from
-  /// evicted/closed readers at eviction/close time (retries an in-flight
-  /// request performs on an already-harvested reader are not re-counted).
-  std::uint64_t io_retries() const;
-
  private:
   const ClientId id_;
   const ClientOptions options_;
@@ -105,8 +99,6 @@ class ClientContext {
   mutable std::list<ArchiveHandle> lru_;
   std::unordered_map<ArchiveHandle, Slot> readers_;
   ArchiveHandle next_handle_ = 1;
-  /// Retries of readers no longer in readers_, folded in when they left.
-  std::uint64_t retired_io_retries_ = 0;
 
   std::atomic<std::uint64_t> inflight_{0};
   std::atomic<std::uint64_t> inflight_bytes_{0};
@@ -128,17 +120,11 @@ class ClientRegistry {
   std::size_t size() const;
   /// Sum of open_reader_count() over all active clients.
   std::size_t open_readers() const;
-  /// Lifetime transient-IO retry total across ALL clients ever registered:
-  /// active clients' io_retries() plus the totals harvested from clients at
-  /// close_client time.
-  std::uint64_t io_retries() const;
 
  private:
   mutable std::mutex mutex_;
   std::unordered_map<ClientId, std::shared_ptr<ClientContext>> clients_;
   ClientId next_id_ = 1;
-  /// io_retries() of clients harvested at close().
-  std::uint64_t retired_io_retries_ = 0;
 };
 
 }  // namespace ohd::service

@@ -13,30 +13,12 @@ namespace ohd::service {
 
 namespace {
 
-/// Registry handles of the "service.*" catalogue, resolved once; recording
-/// through them is lock-free. Heap-allocated so the handles (which point
-/// into the process registry, itself never destroyed before exit) outlive
-/// every service instance.
+/// Registry-held "service.*" instruments with no per-service twin: the
+/// queue-age gauges (computed from enqueue stamps) and the per-class
+/// histograms. Resolved once; recording through them is lock-free.
+/// Heap-allocated so the handles (which point into the process registry,
+/// itself never destroyed before exit) outlive every service instance.
 struct ServiceMetrics {
-  obs::Counter& accepted;
-  obs::Counter& rejected_busy;
-  obs::Counter& rejected_client_cap;
-  obs::Counter& rejected_quota;
-  obs::Counter& completed;
-  obs::Counter& failed;
-  obs::Counter& cancelled;        // service.cancel.total
-  obs::Counter& cancel_queued;    // service.cancel.queued
-  obs::Counter& cancel_running;   // service.cancel.running
-  obs::Counter& expired;          // service.expired.total
-  obs::Counter& expired_queued;   // service.expired.queued
-  obs::Counter& shed;             // service.shed.count
-  obs::Counter& shed_rejected;    // service.shed.rejected
-  obs::Counter& readers_evicted;
-  obs::Gauge& queue_depth;
-  obs::Gauge& inflight;
-  obs::Gauge& inflight_bytes;
-  obs::Gauge& active_clients;
-  obs::Gauge& open_readers;
   obs::Gauge* queue_age[kPriorityClasses];
   obs::LatencyHistogram* queue_wait[kRequestClasses];
   obs::LatencyHistogram* latency[kRequestClasses];
@@ -45,28 +27,7 @@ struct ServiceMetrics {
 ServiceMetrics& service_metrics() {
   static ServiceMetrics* m = [] {
     auto& r = obs::registry();
-    auto* sm = new ServiceMetrics{r.counter("service.accepted"),
-                                  r.counter("service.rejected_busy"),
-                                  r.counter("service.rejected_client_cap"),
-                                  r.counter("service.rejected_quota"),
-                                  r.counter("service.completed"),
-                                  r.counter("service.failed"),
-                                  r.counter("service.cancel.total"),
-                                  r.counter("service.cancel.queued"),
-                                  r.counter("service.cancel.running"),
-                                  r.counter("service.expired.total"),
-                                  r.counter("service.expired.queued"),
-                                  r.counter("service.shed.count"),
-                                  r.counter("service.shed.rejected"),
-                                  r.counter("service.readers_evicted"),
-                                  r.gauge("service.queue_depth"),
-                                  r.gauge("service.inflight"),
-                                  r.gauge("service.inflight_bytes"),
-                                  r.gauge("service.active_clients"),
-                                  r.gauge("service.open_readers"),
-                                  {},
-                                  {},
-                                  {}};
+    auto* sm = new ServiceMetrics{};
     for (std::size_t i = 0; i < kPriorityClasses; ++i) {
       sm->queue_age[i] = &r.gauge(
           std::string("service.queue_age.") +
@@ -156,7 +117,27 @@ std::size_t range_cost(std::uint64_t elem_begin, std::uint64_t elem_end) {
 CompressionService::CompressionService(ServiceConfig config)
     : config_(normalize(std::move(config))),
       pool_(config_.workers),
-      scheduler_(pool_) {
+      scheduler_(pool_),
+      metrics_(obs::registry(),
+               {{"service.accepted", &accepted_},
+                {"service.rejected_busy", &rejected_busy_},
+                {"service.rejected_client_cap", &rejected_client_cap_},
+                {"service.rejected_quota", &rejected_quota_},
+                {"service.completed", &completed_},
+                {"service.failed", &failed_},
+                {"service.cancel.total", &cancelled_},
+                {"service.cancel.queued", &cancel_queued_},
+                {"service.cancel.running", &cancel_running_},
+                {"service.expired.total", &expired_},
+                {"service.expired.queued", &expired_queued_},
+                {"service.shed.count", &shed_},
+                {"service.shed.rejected", &shed_rejected_},
+                {"service.readers_evicted", &readers_evicted_}},
+               {{"service.queue_depth", &queue_depth_gauge_},
+                {"service.inflight", &inflight_gauge_},
+                {"service.inflight_bytes", &inflight_bytes_gauge_},
+                {"service.active_clients", &active_clients_},
+                {"service.open_readers", &open_readers_}}) {
   dispatchers_.reserve(config_.dispatchers);
   for (std::size_t i = 0; i < config_.dispatchers; ++i) {
     dispatchers_.emplace_back([this] { dispatcher_loop(); });
@@ -171,20 +152,21 @@ ClientId CompressionService::open_client(ClientOptions options) {
     throw ServiceStopped("open_client: service is shut down");
   }
   auto ctx = clients_.open(std::move(options));
-  if (obs::enabled()) {
-    service_metrics().active_clients.set(
-        static_cast<std::int64_t>(clients_.size()));
-  }
+  sample_client_gauges();
   return ctx->id();
 }
 
 void CompressionService::close_client(ClientId id) {
   clients_.close(id);  // throws ClientError on unknown ids (double close)
-  if (obs::enabled()) {
-    auto& m = service_metrics();
-    m.active_clients.set(static_cast<std::int64_t>(clients_.size()));
-    m.open_readers.set(static_cast<std::int64_t>(clients_.open_readers()));
-  }
+  sample_client_gauges();
+}
+
+void CompressionService::sample_client_gauges() {
+  // Sampled under mutex_, so of concurrent opens and closes the last sample
+  // is taken after all of them: the gauges never settle on a stale count.
+  std::lock_guard<std::mutex> lock(mutex_);
+  active_clients_.set(static_cast<std::int64_t>(clients_.size()));
+  open_readers_.set(static_cast<std::int64_t>(clients_.open_readers()));
 }
 
 ArchiveHandle CompressionService::open_archive(
@@ -194,23 +176,14 @@ ArchiveHandle CompressionService::open_archive(
   const ArchiveHandle handle =
       client->open_reader(std::move(source), config_.reader,
                           config_.max_open_readers_per_client, &evicted);
-  if (evicted != 0) {
-    readers_evicted_.add(evicted);
-  }
-  if (obs::enabled()) {
-    auto& m = service_metrics();
-    if (evicted != 0) m.readers_evicted.add(evicted);
-    m.open_readers.set(static_cast<std::int64_t>(clients_.open_readers()));
-  }
+  readers_evicted_.add(evicted);
+  sample_client_gauges();
   return handle;
 }
 
 void CompressionService::close_archive(ClientId id, ArchiveHandle handle) {
   clients_.find(id)->close_reader(handle);
-  if (obs::enabled()) {
-    service_metrics().open_readers.set(
-        static_cast<std::int64_t>(clients_.open_readers()));
-  }
+  sample_client_gauges();
 }
 
 std::uint64_t CompressionService::retry_after_ns_locked() const {
@@ -238,7 +211,6 @@ RequestId CompressionService::admit(RequestClass cls,
     // admitted work): slot cap, then byte quota, then queue high-water.
     if (!client.try_acquire_slot(config_.max_inflight_per_client)) {
       rejected_client_cap_.add(1);
-      if (obs::enabled()) service_metrics().rejected_client_cap.add(1);
       throw ServiceBusy("submit: client " + std::to_string(client.id()) +
                         " at in-flight cap (" +
                         std::to_string(client.inflight()) + "/" +
@@ -249,7 +221,6 @@ RequestId CompressionService::admit(RequestClass cls,
                                   config_.max_inflight_bytes_per_client)) {
       client.release_slot();
       rejected_quota_.add(1);
-      if (obs::enabled()) service_metrics().rejected_quota.add(1);
       throw ServiceBusy(
           "submit: client " + std::to_string(client.id()) +
           " over byte quota (in flight " +
@@ -266,11 +237,7 @@ RequestId CompressionService::admit(RequestClass cls,
         client.release_bytes(state->bytes);
         client.release_slot();
         rejected_busy_.add(1);
-        if (obs::enabled()) {
-          auto& m = service_metrics();
-          m.rejected_busy.add(1);
-          m.shed_rejected.add(1);
-        }
+        shed_rejected_.add(1);
         const std::uint64_t hint = retry_after_ns_locked();
         throw ServiceOverloaded(
             "submit: queue overloaded (depth " +
@@ -300,9 +267,6 @@ RequestId CompressionService::admit(RequestClass cls,
         vs.shed.store(true, std::memory_order_release);
       }
       queue_depth_gauge_.sub(1);
-      if (obs::enabled()) {
-        service_metrics().queue_depth.set(queue_depth_gauge_.value());
-      }
       shed_run = std::move(victim->run);
     }
     // Admitted: from here to push nothing throws, so acquired slot/bytes
@@ -315,16 +279,8 @@ RequestId CompressionService::admit(RequestClass cls,
     inflight_gauge_.add(1);
     inflight_bytes_gauge_.add(static_cast<std::int64_t>(state->bytes));
     queue_depth_gauge_.add(1);
-    const bool telemetry = obs::enabled();
-    if (telemetry) {
-      auto& m = service_metrics();
-      m.accepted.add(1);
-      m.inflight.set(inflight_gauge_.value());
-      m.inflight_bytes.set(inflight_bytes_gauge_.value());
-      m.queue_depth.set(queue_depth_gauge_.value());
-    }
     queue_.push(QueuedRequest{id, state->priority, cls,
-                              telemetry ? obs::now_ns() : 0,
+                              obs::enabled() ? obs::now_ns() : 0,
                               state->deadline_ns, std::move(run)});
   }
   // The shed victim's packaged task runs OUTSIDE the lock: its body throws
@@ -356,9 +312,6 @@ void CompressionService::dispatcher_loop() {
                              : 0.2 * inter + 0.8 * drain_ewma_ns_;
       }
       last_pop_ns_ = now;
-      if (obs::enabled()) {
-        service_metrics().queue_depth.set(queue_depth_gauge_.value());
-      }
     }
     const auto ci = static_cast<std::size_t>(req.cls);
     if (req.enqueue_ns != 0) {
@@ -374,26 +327,21 @@ void CompressionService::sweeper_loop() {
     sweep_wake_.wait_for(lock, config_.sweep_interval,
                          [this] { return stopping_; });
     if (stopping_) break;
-    std::vector<QueuedRequest> expired = queue_.expire(obs::now_ns());
+    const std::uint64_t now = obs::now_ns();
+    std::vector<QueuedRequest> expired = queue_.expire(now);
     if (!expired.empty()) {
       queue_depth_gauge_.sub(static_cast<std::int64_t>(expired.size()));
+      expired_queued_.add(expired.size());
     }
-    if (obs::enabled()) {
-      auto& m = service_metrics();
-      if (!expired.empty()) {
-        m.queue_depth.set(queue_depth_gauge_.value());
-        m.expired_queued.add(expired.size());
-      }
-      // Queue-age gauges: how long the OLDEST queued request of each class
-      // has been waiting (0 when the class is empty or admitted without
-      // telemetry).
-      const std::uint64_t now = obs::now_ns();
-      for (std::size_t p = 0; p < kPriorityClasses; ++p) {
-        const std::uint64_t oldest =
-            queue_.oldest_enqueue_ns(static_cast<Priority>(p));
-        m.queue_age[p]->set(
-            oldest == 0 ? 0 : static_cast<std::int64_t>(now - oldest));
-      }
+    // Queue-age gauges: how long the OLDEST queued request of each class has
+    // been waiting (0 when the class is empty or was admitted without
+    // telemetry, which takes no enqueue stamp).
+    ServiceMetrics& m = service_metrics();
+    for (std::size_t p = 0; p < kPriorityClasses; ++p) {
+      const std::uint64_t oldest =
+          queue_.oldest_enqueue_ns(static_cast<Priority>(p));
+      m.queue_age[p]->set(
+          oldest == 0 ? 0 : static_cast<std::int64_t>(now - oldest));
     }
     if (expired.empty()) continue;
     // Settle the expired futures OUTSIDE the lock: each body re-checks its
@@ -440,38 +388,28 @@ auto CompressionService::run_counted(RequestState& state, bool dispatched,
     state.client->release_bytes(state.bytes);
     inflight_gauge_.sub(1);
     inflight_bytes_gauge_.sub(static_cast<std::int64_t>(state.bytes));
-    if (obs::enabled()) {
-      auto& m = service_metrics();
-      m.inflight.set(inflight_gauge_.value());
-      m.inflight_bytes.set(inflight_bytes_gauge_.value());
-    }
     std::lock_guard<std::mutex> lock(mutex_);
     live_.erase(state.id);
   };
   try {
     auto result = fn();
     completed_.add(1);
-    if (obs::enabled()) service_metrics().completed.add(1);
     finish();
     return result;
   } catch (const ServiceOverloaded&) {
     shed_.add(1);
-    if (obs::enabled()) service_metrics().shed.add(1);
     finish();
     throw;
   } catch (const RequestCancelled&) {
     cancelled_.add(1);
-    if (obs::enabled()) service_metrics().cancelled.add(1);
     finish();
     throw;
   } catch (const DeadlineExceeded&) {
     expired_.add(1);
-    if (obs::enabled()) service_metrics().expired.add(1);
     finish();
     throw;
   } catch (...) {
     failed_.add(1);
-    if (obs::enabled()) service_metrics().failed.add(1);
     finish();
     throw;
   }
@@ -636,15 +574,11 @@ CancelResult CompressionService::cancel(RequestId id) {
     it->second->cancel.request_cancel();
     auto removed = queue_.remove(id);
     if (!removed) {
-      if (obs::enabled()) service_metrics().cancel_running.add(1);
+      cancel_running_.add(1);
       return CancelResult::Signalled;
     }
     queue_depth_gauge_.sub(1);
-    if (obs::enabled()) {
-      auto& m = service_metrics();
-      m.queue_depth.set(queue_depth_gauge_.value());
-      m.cancel_queued.add(1);
-    }
+    cancel_queued_.add(1);
     queued_run = std::move(removed->run);
   }
   // Settle the removed request's future on this thread, outside the lock:
@@ -686,24 +620,8 @@ bool CompressionService::stopped() const {
   return stopping_;
 }
 
-void CompressionService::set_net_error_frames_source(
-    std::function<std::uint64_t()> fn) {
-  std::lock_guard<std::mutex> lock(net_stats_mutex_);
-  net_error_frames_fn_ = std::move(fn);
-}
-
 ServiceStats CompressionService::stats() const {
   ServiceStats s;
-  {
-    // Copy under the lock, call outside it: the provider reads the server's
-    // own connection bookkeeping and must not nest inside service locks.
-    std::function<std::uint64_t()> fn;
-    {
-      std::lock_guard<std::mutex> lock(net_stats_mutex_);
-      fn = net_error_frames_fn_;
-    }
-    if (fn) s.net_error_frames = fn();
-  }
   s.accepted = accepted_.value();
   s.rejected_busy = rejected_busy_.value();
   s.rejected_client_cap = rejected_client_cap_.value();
@@ -714,15 +632,14 @@ ServiceStats CompressionService::stats() const {
   s.expired = expired_.value();
   s.shed = shed_.value();
   s.readers_evicted = readers_evicted_.value();
-  s.io_retries = clients_.io_retries();
   s.queue_depth = queue_depth_gauge_.value();
   s.queue_depth_peak = queue_depth_gauge_.peak();
   s.inflight = inflight_gauge_.value();
   s.inflight_peak = inflight_gauge_.peak();
   s.inflight_bytes = inflight_bytes_gauge_.value();
   s.inflight_bytes_peak = inflight_bytes_gauge_.peak();
-  s.active_clients = clients_.size();
-  s.open_readers = clients_.open_readers();
+  s.active_clients = static_cast<std::size_t>(active_clients_.value());
+  s.open_readers = static_cast<std::size_t>(open_readers_.value());
   return s;
 }
 

@@ -51,12 +51,13 @@
 // ORDER is not deterministic with >1 dispatcher — responses are matched to
 // requests by future, never by order.
 //
-// Telemetry: always-on embedded instruments back stats() exactly; while
-// obs::enabled(), the process registry additionally carries the "service.*"
-// catalogue (accepted/rejected/completed/cancelled/expired/shed counters,
-// queue-depth / in-flight / in-flight-byte gauges, per-class queue-age
-// gauges "service.queue_age.<priority>_ns", and per-request-class queue-wait
-// + service-latency histograms).
+// Telemetry: the service owns its counters and gauges (accepted/rejected/
+// completed/cancelled/expired/shed, queue depth, in flight, in-flight
+// bytes, active clients, open readers). stats() reads them, and the process
+// registry lists the same instruments under "service.*", so the two cannot
+// disagree. The registry itself holds the per-class queue-age gauges
+// "service.queue_age.<priority>_ns" and the per-request-class queue-wait +
+// service-latency histograms, which record only while obs::enabled().
 //
 // Full reference: docs/service_api.md.
 #pragma once
@@ -192,16 +193,8 @@ class CompressionService {
 
   // ---- introspection ---------------------------------------------------
 
-  /// Exact always-on accounting (independent of the telemetry flag).
+  /// Exact accounting (independent of the telemetry flag).
   ServiceStats stats() const;
-
-  /// Attaches the network front end's error-frame accounting to stats():
-  /// `fn` must return the server's LIFETIME error-frame total (live
-  /// connections plus counts harvested exactly once at connection close —
-  /// the io_retries discipline, so the total never decreases). nullptr
-  /// detaches; net::ServiceServer attaches in its constructor and detaches
-  /// in its destructor.
-  void set_net_error_frames_source(std::function<std::uint64_t()> fn);
   std::size_t queue_depth() const;
   const ServiceConfig& config() const { return config_; }
   /// The shared pool, exposed for tests pinning residency ceilings.
@@ -265,6 +258,9 @@ class CompressionService {
   /// dispatchers have popped at least twice). Requires mutex_.
   std::uint64_t retry_after_ns_locked() const;
 
+  /// Sets the active-client and open-reader gauges from clients_.
+  void sample_client_gauges();
+
   ServiceConfig config_;
   ClientRegistry clients_;
   pipeline::ThreadPool pool_;
@@ -282,13 +278,8 @@ class CompressionService {
   double drain_ewma_ns_ = 0.0;
   std::uint64_t last_pop_ns_ = 0;
 
-  /// Attached network front end's lifetime error-frame total (its own lock
-  /// because stats() deliberately avoids mutex_).
-  mutable std::mutex net_stats_mutex_;
-  std::function<std::uint64_t()> net_error_frames_fn_;
-
-  /// Always-on embedded instruments behind stats(); the registry mirrors
-  /// them under "service.*" while obs::enabled().
+  /// The service's own instruments: stats() reads them, and metrics_ lists
+  /// them in the registry under "service.*".
   obs::Counter accepted_;
   obs::Counter rejected_busy_;
   obs::Counter rejected_client_cap_;
@@ -296,12 +287,19 @@ class CompressionService {
   obs::Counter completed_;
   obs::Counter failed_;
   obs::Counter cancelled_;
+  obs::Counter cancel_queued_;
+  obs::Counter cancel_running_;
   obs::Counter expired_;
+  obs::Counter expired_queued_;
   obs::Counter shed_;
+  obs::Counter shed_rejected_;
   obs::Counter readers_evicted_;
   obs::Gauge queue_depth_gauge_;
   obs::Gauge inflight_gauge_;
   obs::Gauge inflight_bytes_gauge_;
+  obs::Gauge active_clients_;
+  obs::Gauge open_readers_;
+  obs::MetricsRegistry::Owner metrics_;
 
   /// Started last in the constructor; joined by shutdown().
   std::vector<std::thread> dispatchers_;

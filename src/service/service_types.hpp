@@ -263,9 +263,9 @@ struct CompressResult {
   std::vector<std::uint8_t> archive;
 };
 
-/// Always-on accounting snapshot (exact regardless of the telemetry flag;
-/// the obs registry additionally aggregates the same values under
-/// "service.*" while obs::enabled()).
+/// Accounting snapshot, exact regardless of the telemetry flag. It reads
+/// the service's own instruments, which the obs registry lists under
+/// "service.*".
 struct ServiceStats {
   std::uint64_t accepted = 0;
   std::uint64_t rejected_busy = 0;        // queue high-water rejections
@@ -277,16 +277,6 @@ struct ServiceStats {
   std::uint64_t expired = 0;              // futures holding DeadlineExceeded
   std::uint64_t shed = 0;                 // queued, then shed under overload
   std::uint64_t readers_evicted = 0;      // LRU evictions across all clients
-  /// Transient-IO retries performed by the readers the service opened, over
-  /// its whole lifetime (closed/evicted readers keep counting): operator
-  /// visibility into fault pressure without a telemetry snapshot.
-  std::uint64_t io_retries = 0;
-  /// Typed error frames the attached network front end has sent, over its
-  /// whole lifetime: live connections' counts plus totals harvested exactly
-  /// once when a connection closes (the io_retries discipline). 0 when no
-  /// net::ServiceServer is attached — server-side rejects are visible here
-  /// without scraping logs.
-  std::uint64_t net_error_frames = 0;
   std::int64_t queue_depth = 0;           // pending requests right now
   std::int64_t queue_depth_peak = 0;
   std::int64_t inflight = 0;              // pending + executing right now

@@ -1,13 +1,16 @@
 // obs/metrics.hpp: instrument exactness under concurrency (counter totals,
 // gauge balance and peak monotonicity, histogram totals), histogram quantile
 // correctness against a sorted reference, registry get-or-create / snapshot /
-// reset semantics, snapshot JSON shape, the PhaseTimings bridge, and the
-// disabled-mode no-op guarantees of ScopedOp.
+// reset semantics, the collection of owned instruments (live owners add,
+// retired counters persist, reset never writes an owner), snapshot JSON
+// shape, the PhaseTimings bridge, and the disabled-mode no-op guarantees of
+// ScopedOp.
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -221,6 +224,139 @@ TEST(MetricsRegistry, ConcurrentRegistrationAndRecording) {
   EXPECT_EQ(spread, kThreads * 500u);
 }
 
+/// An object that owns one counter and one gauge, listed under fixed names.
+struct Widget {
+  explicit Widget(MetricsRegistry& reg)
+      : owner(reg, {{"widget.count", &count}}, {{"widget.level", &level}}) {}
+  Counter count;
+  Gauge level;
+  MetricsRegistry::Owner owner;
+};
+
+TEST(MetricsOwner, LiveOwnersAndTheRegistryAdd) {
+  MetricsRegistry reg;
+  reg.counter("widget.count").add(1);
+  Widget a(reg);
+  Widget b(reg);
+  a.count.add(2);
+  b.count.add(3);
+  EXPECT_EQ(reg.snapshot().counter("widget.count")->value, 6u);
+  b.count.add(4);  // read in place: no re-registration needed
+  EXPECT_EQ(reg.snapshot().counter("widget.count")->value, 10u);
+}
+
+TEST(MetricsOwner, DestroyedOwnersCountersPersist) {
+  MetricsRegistry reg;
+  {
+    Widget gone(reg);
+    gone.count.add(5);
+  }
+  EXPECT_EQ(reg.snapshot().counter("widget.count")->value, 5u);
+  Widget live(reg);
+  live.count.add(2);
+  EXPECT_EQ(reg.snapshot().counter("widget.count")->value, 7u);
+}
+
+TEST(MetricsOwner, GaugeValueSumsLiveOwnersAndPeakIsTheMax) {
+  MetricsRegistry reg;
+  Widget a(reg);
+  a.level.add(4);
+  a.level.sub(1);  // value 3, peak 4
+  {
+    Widget b(reg);
+    b.level.add(6);
+    b.level.sub(2);  // value 4, peak 6
+    const GaugeSnap* g = reg.snapshot().gauge("widget.level");
+    ASSERT_NE(g, nullptr);
+    EXPECT_EQ(g->value, 7);
+    EXPECT_EQ(g->peak, 6);
+  }
+  // A destroyed owner's value leaves with it; its peak stays the maximum.
+  const GaugeSnap* g = reg.snapshot().gauge("widget.level");
+  EXPECT_EQ(g->value, 3);
+  EXPECT_EQ(g->peak, 6);
+}
+
+TEST(MetricsOwner, ResetClearsRegistryHeldAndRetiredButNeverAnOwner) {
+  MetricsRegistry reg;
+  reg.counter("widget.count").add(1);
+  reg.gauge("widget.level").add(9);
+  {
+    Widget gone(reg);
+    gone.count.add(5);
+    gone.level.add(8);
+  }
+  Widget live(reg);
+  live.count.add(2);
+  live.level.add(3);
+  reg.reset();
+  // Only the live owner's instruments remain, and reset did not touch them.
+  EXPECT_EQ(live.count.value(), 2u);
+  EXPECT_EQ(live.level.value(), 3);
+  EXPECT_EQ(live.level.peak(), 3);
+  const Snapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counter("widget.count")->value, 2u);
+  EXPECT_EQ(snap.gauge("widget.level")->value, 3);
+  EXPECT_EQ(snap.gauge("widget.level")->peak, 3);
+}
+
+TEST(MetricsOwner, OwnersComeAndGoWhileSnapshottingAndResetting) {
+  MetricsRegistry reg;
+  constexpr int kThreads = 8;
+  constexpr int kOwnersPerThread = 200;
+  const auto churn = [&reg] {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&reg] {
+        for (int i = 0; i < kOwnersPerThread; ++i) {
+          Widget w(reg);
+          w.count.add(3);
+          w.level.add(1);
+          w.level.sub(1);
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+  };
+
+  // Churn against a thread that snapshots and resets throughout.
+  std::atomic<bool> done{false};
+  std::thread resetter([&] {
+    while (!done.load()) {
+      (void)reg.snapshot();
+      reg.reset();
+    }
+  });
+  churn();
+  done = true;
+  resetter.join();
+
+  // Churn against a snapshot-only reader: the total never goes backwards
+  // and ends exact.
+  reg.reset();
+  done = false;
+  bool monotone = true;
+  std::thread reader([&] {
+    std::uint64_t last = 0;
+    while (!done.load()) {
+      const Snapshot snap = reg.snapshot();
+      const CounterSnap* c = snap.counter("widget.count");
+      const std::uint64_t now = c == nullptr ? 0 : c->value;
+      if (now < last) monotone = false;
+      last = now;
+    }
+  });
+  churn();
+  done = true;
+  reader.join();
+  EXPECT_TRUE(monotone);
+  const Snapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counter("widget.count")->value,
+            std::uint64_t{3} * kThreads * kOwnersPerThread);
+  EXPECT_EQ(snap.gauge("widget.level")->value, 0);
+  EXPECT_EQ(snap.gauge("widget.level")->peak, 1);
+}
+
 TEST(Snapshot, JsonHasDocumentedSchema) {
   MetricsRegistry reg;
   reg.counter("reader.bytes_read").add(42);
@@ -279,8 +415,8 @@ TEST(EnableFlag, ScopedOpIsNoOpWhileDisabled) {
 }
 
 TEST(EnableFlag, InstrumentsStayAlwaysOn) {
-  // Components that embed instruments (ArchiveReader, FileSink) keep exact
-  // per-object counts regardless of the process-wide flag.
+  // Counters and gauges count regardless of the process-wide flag; only
+  // clock reads, histogram samples and spans wait for it.
   const bool was = enabled();
   set_enabled(false);
   Counter c;

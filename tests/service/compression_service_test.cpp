@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -822,6 +823,7 @@ TEST(CompressionService, OverloadShedsNewestBackgroundFirst) {
 
 /// Owning fault wrapper: FaultInjectingSource borrows its inner source, so
 /// the archive bytes and the injector travel together behind one shared_ptr.
+/// While `armed` is false, reads bypass the injector.
 struct FaultyArchiveSource : pipeline::ByteSource {
   FaultyArchiveSource(std::vector<std::uint8_t> bytes,
                       pipeline::FaultSpec spec)
@@ -829,36 +831,84 @@ struct FaultyArchiveSource : pipeline::ByteSource {
   std::uint64_t size() const override { return faults.size(); }
   void read_at(std::uint64_t offset,
                std::span<std::uint8_t> out) const override {
-    faults.read_at(offset, out);
+    if (armed.load()) {
+      faults.read_at(offset, out);
+    } else {
+      mem.read_at(offset, out);
+    }
   }
   pipeline::OwningMemorySource mem;
   pipeline::FaultInjectingSource faults;
+  std::atomic<bool> armed{true};
 };
 
+/// The snapshot's "reader.io_retries": every reader's own retry counter,
+/// live or destroyed.
+std::uint64_t snapshot_io_retries() {
+  const auto snap = obs::registry().snapshot();
+  const obs::CounterSnap* c = snap.counter("reader.io_retries");
+  return c == nullptr ? 0 : c->value;
+}
+
+/// rate 1.0 with max_faults 2: the first two armed reads fault, then the
+/// wrapper goes transparent — exactly two retries, every run.
+pipeline::FaultSpec two_transient_faults() {
+  pipeline::FaultSpec spec;
+  spec.seed = 7;
+  spec.transient_read_rate = 1.0;
+  spec.max_faults = 2;
+  return spec;
+}
+
 TEST(CompressionService, ReaderIoRetriesSurfaceInStats) {
+  obs::ScopedTelemetry telemetry;
   ServiceConfig cfg;
   cfg.reader.retry.max_attempts = 4;
   CompressionService svc(cfg);
   const ClientId client = svc.open_client();
   auto bytes = svc.submit_compress(client, small_job(95)).get().archive;
 
-  // rate 1.0 with max_faults 2: the first two reads fault, then the wrapper
-  // goes transparent — exactly two retries, every run.
-  pipeline::FaultSpec spec;
-  spec.seed = 7;
-  spec.transient_read_rate = 1.0;
-  spec.max_faults = 2;
   const ArchiveHandle h = svc.open_archive(
-      client, std::make_shared<FaultyArchiveSource>(std::move(bytes), spec));
+      client, std::make_shared<FaultyArchiveSource>(std::move(bytes),
+                                                    two_transient_faults()));
   EXPECT_EQ(svc.submit_decompress(client, h).get().fields.size(), 1u);
-  EXPECT_EQ(svc.stats().io_retries, 2u);
+  EXPECT_EQ(snapshot_io_retries(), 2u);
 
-  // The total survives closing the reader and then the client (harvested
-  // into retired counters, not lost with the ArchiveReader).
+  // The total survives closing the reader and then the client: a destroyed
+  // reader's count moves into the registry's retired total.
   svc.close_archive(client, h);
-  EXPECT_EQ(svc.stats().io_retries, 2u);
+  EXPECT_EQ(snapshot_io_retries(), 2u);
   svc.close_client(client);
-  EXPECT_EQ(svc.stats().io_retries, 2u);
+  EXPECT_EQ(snapshot_io_retries(), 2u);
+}
+
+TEST(CompressionService, RetriesOnAnEvictedReaderStillCount) {
+  obs::ScopedTelemetry telemetry;
+  ServiceConfig cfg;
+  cfg.reader.retry.max_attempts = 4;
+  cfg.max_open_readers_per_client = 1;
+  CompressionService svc(cfg);
+  const ClientId client = svc.open_client();
+  auto bytes = svc.submit_compress(client, small_job(95)).get().archive;
+
+  auto faulty =
+      std::make_shared<FaultyArchiveSource>(bytes, two_transient_faults());
+  faulty->armed = false;  // a clean open; the faults hit the chunk read
+  const ArchiveHandle h = svc.open_archive(client, faulty);
+  svc.pause();
+  auto chunk = svc.submit_chunk(client, h, 0, 0);
+  // Opening a second archive evicts `h` while its chunk read is queued; the
+  // request keeps the evicted reader alive and retries on it.
+  svc.open_archive(client, std::make_shared<pipeline::OwningMemorySource>(
+                               std::move(bytes)));
+  EXPECT_EQ(svc.stats().readers_evicted, 1u);
+  faulty->armed = true;
+  svc.resume();
+  EXPECT_FALSE(chunk.get().empty());
+
+  EXPECT_EQ(faulty->faults.stats().transient_read_errors, 2u);
+  EXPECT_EQ(snapshot_io_retries(),
+            faulty->faults.stats().transient_read_errors);
 }
 
 // ---- Lifecycle telemetry catalogue ----------------------------------------
