@@ -12,10 +12,10 @@ namespace ohd::pipeline {
 
 namespace {
 
-// Process-wide aggregates across all reader/writer sessions ("reader.
-// io_retries" is each reader's own instrument instead). Handles resolved
-// once; recording is raw-atomic. "reader.frame_bytes" stays process-wide
-// because its peak is the peak of the SUM over concurrent readers, which no
+// Process-wide aggregates across all reader/writer sessions; each reader
+// owns its "reader.io_retries" counter instead. Handles resolved once;
+// recording is raw-atomic. "reader.frame_bytes" stays process-wide because
+// its peak is the peak of the SUM over concurrent readers, which no
 // per-reader peak can give.
 struct ReaderMetrics {
   obs::Counter& bytes_read;

@@ -8,7 +8,9 @@
 // close_reader / close of the whole client) only drops the REGISTRY's
 // reference. A request that resolved its handle before the eviction keeps
 // the entry — source and reader both — alive until it finishes, so eviction
-// can never invalidate an in-flight decode.
+// can never invalidate an in-flight decode. Nor does it lose counts: each
+// reader owns its "reader.io_retries" counter, and the obs registry keeps
+// a destroyed reader's count.
 #pragma once
 
 #include <atomic>

@@ -266,15 +266,15 @@ TEST(MetricsOwner, GaugeValueSumsLiveOwnersAndPeakIsTheMax) {
     Widget b(reg);
     b.level.add(6);
     b.level.sub(2);  // value 4, peak 6
-    const GaugeSnap* g = reg.snapshot().gauge("widget.level");
-    ASSERT_NE(g, nullptr);
-    EXPECT_EQ(g->value, 7);
-    EXPECT_EQ(g->peak, 6);
+    const Snapshot snap = reg.snapshot();
+    ASSERT_NE(snap.gauge("widget.level"), nullptr);
+    EXPECT_EQ(snap.gauge("widget.level")->value, 7);
+    EXPECT_EQ(snap.gauge("widget.level")->peak, 6);
   }
   // A destroyed owner's value leaves with it; its peak stays the maximum.
-  const GaugeSnap* g = reg.snapshot().gauge("widget.level");
-  EXPECT_EQ(g->value, 3);
-  EXPECT_EQ(g->peak, 6);
+  const Snapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.gauge("widget.level")->value, 3);
+  EXPECT_EQ(snap.gauge("widget.level")->peak, 6);
 }
 
 TEST(MetricsOwner, ResetClearsRegistryHeldAndRetiredButNeverAnOwner) {
