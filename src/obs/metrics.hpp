@@ -216,7 +216,8 @@ class MetricsRegistry {
 
 /// An object's own counters and gauges, listed under catalogue names for
 /// the object's lifetime. Hold it as a member declared AFTER the listed
-/// instruments, so it is destroyed before them. Construction and
+/// instruments, so it is destroyed before them; the registry must outlive
+/// it (the process registry is never destroyed). Construction and
 /// destruction take the registry mutex once; recording never touches the
 /// registry.
 class MetricsRegistry::Owner {
