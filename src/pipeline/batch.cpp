@@ -46,10 +46,13 @@ BatchMetrics& batch_metrics() {
 }
 
 /// Per-field chunk-count counters are registered by field name at fan-out
-/// time (dynamic names are exactly what the registry's get-or-create is
-/// for); `suffix` distinguishes the write and decode directions.
+/// time; `suffix` distinguishes the write and decode directions. Field names
+/// come from callers, wire clients included, and the registry never forgets
+/// a name, so these count only while telemetry is enabled: a long-running
+/// service with telemetry off must not grow with every new name.
 void count_field_chunks(const std::string& field, const char* suffix,
                         std::uint64_t chunks) {
+  if (!obs::enabled()) return;
   obs::registry().counter("batch.field." + field + suffix).add(chunks);
 }
 

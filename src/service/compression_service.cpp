@@ -162,9 +162,9 @@ void CompressionService::close_client(ClientId id) {
 }
 
 void CompressionService::sample_client_gauges() {
-  // Sampled under mutex_, so of concurrent opens and closes the last sample
-  // is taken after all of them: the gauges never settle on a stale count.
-  std::lock_guard<std::mutex> lock(mutex_);
+  // Serialised, so of concurrent opens and closes the last sample is taken
+  // after all of them: the gauges never settle on a stale count.
+  std::lock_guard<std::mutex> lock(client_gauges_mutex_);
   active_clients_.set(static_cast<std::int64_t>(clients_.size()));
   open_readers_.set(static_cast<std::int64_t>(clients_.open_readers()));
 }

@@ -299,6 +299,9 @@ class CompressionService {
   obs::Gauge inflight_bytes_gauge_;
   obs::Gauge active_clients_;
   obs::Gauge open_readers_;
+  /// Serialises sample_client_gauges(); kept apart from mutex_ so opens and
+  /// closes never wait on admission.
+  std::mutex client_gauges_mutex_;
   obs::MetricsRegistry::Owner metrics_;
 
   /// Started last in the constructor; joined by shutdown().

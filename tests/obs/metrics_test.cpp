@@ -233,28 +233,20 @@ struct Widget {
   MetricsRegistry::Owner owner;
 };
 
-TEST(MetricsOwner, LiveOwnersAndTheRegistryAdd) {
+TEST(MetricsOwner, CountersAddOverTheRegistryLiveAndDestroyedOwners) {
   MetricsRegistry reg;
   reg.counter("widget.count").add(1);
-  Widget a(reg);
-  Widget b(reg);
-  a.count.add(2);
-  b.count.add(3);
-  EXPECT_EQ(reg.snapshot().counter("widget.count")->value, 6u);
-  b.count.add(4);  // read in place: no re-registration needed
-  EXPECT_EQ(reg.snapshot().counter("widget.count")->value, 10u);
-}
-
-TEST(MetricsOwner, DestroyedOwnersCountersPersist) {
-  MetricsRegistry reg;
-  {
-    Widget gone(reg);
-    gone.count.add(5);
-  }
-  EXPECT_EQ(reg.snapshot().counter("widget.count")->value, 5u);
   Widget live(reg);
   live.count.add(2);
-  EXPECT_EQ(reg.snapshot().counter("widget.count")->value, 7u);
+  {
+    Widget gone(reg);
+    gone.count.add(3);
+    EXPECT_EQ(reg.snapshot().counter("widget.count")->value, 6u);
+  }
+  // The destroyed owner's count persists in the retired total.
+  EXPECT_EQ(reg.snapshot().counter("widget.count")->value, 6u);
+  live.count.add(4);  // read in place: no re-registration needed
+  EXPECT_EQ(reg.snapshot().counter("widget.count")->value, 10u);
 }
 
 TEST(MetricsOwner, GaugeValueSumsLiveOwnersAndPeakIsTheMax) {

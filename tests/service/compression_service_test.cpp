@@ -823,11 +823,13 @@ TEST(CompressionService, OverloadShedsNewestBackgroundFirst) {
 
 /// Owning fault wrapper: FaultInjectingSource borrows its inner source, so
 /// the archive bytes and the injector travel together behind one shared_ptr.
-/// While `armed` is false, reads bypass the injector.
+/// Rate 1.0 with max_faults 2: the first two armed reads fault, then the
+/// wrapper goes transparent — exactly two retries, every run. While `armed`
+/// is false, reads bypass the injector.
 struct FaultyArchiveSource : pipeline::ByteSource {
-  FaultyArchiveSource(std::vector<std::uint8_t> bytes,
-                      pipeline::FaultSpec spec)
-      : mem(std::move(bytes)), faults(mem, spec) {}
+  explicit FaultyArchiveSource(std::vector<std::uint8_t> bytes)
+      : mem(std::move(bytes)),
+        faults(mem, {.seed = 7, .transient_read_rate = 1.0, .max_faults = 2}) {}
   std::uint64_t size() const override { return faults.size(); }
   void read_at(std::uint64_t offset,
                std::span<std::uint8_t> out) const override {
@@ -850,16 +852,6 @@ std::uint64_t snapshot_io_retries() {
   return c == nullptr ? 0 : c->value;
 }
 
-/// rate 1.0 with max_faults 2: the first two armed reads fault, then the
-/// wrapper goes transparent — exactly two retries, every run.
-pipeline::FaultSpec two_transient_faults() {
-  pipeline::FaultSpec spec;
-  spec.seed = 7;
-  spec.transient_read_rate = 1.0;
-  spec.max_faults = 2;
-  return spec;
-}
-
 TEST(CompressionService, ReaderIoRetriesSurfaceInStats) {
   obs::ScopedTelemetry telemetry;
   ServiceConfig cfg;
@@ -869,8 +861,7 @@ TEST(CompressionService, ReaderIoRetriesSurfaceInStats) {
   auto bytes = svc.submit_compress(client, small_job(95)).get().archive;
 
   const ArchiveHandle h = svc.open_archive(
-      client, std::make_shared<FaultyArchiveSource>(std::move(bytes),
-                                                    two_transient_faults()));
+      client, std::make_shared<FaultyArchiveSource>(std::move(bytes)));
   EXPECT_EQ(svc.submit_decompress(client, h).get().fields.size(), 1u);
   EXPECT_EQ(snapshot_io_retries(), 2u);
 
@@ -891,8 +882,7 @@ TEST(CompressionService, RetriesOnAnEvictedReaderStillCount) {
   const ClientId client = svc.open_client();
   auto bytes = svc.submit_compress(client, small_job(95)).get().archive;
 
-  auto faulty =
-      std::make_shared<FaultyArchiveSource>(bytes, two_transient_faults());
+  auto faulty = std::make_shared<FaultyArchiveSource>(bytes);
   faulty->armed = false;  // a clean open; the faults hit the chunk read
   const ArchiveHandle h = svc.open_archive(client, faulty);
   svc.pause();
