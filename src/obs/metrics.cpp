@@ -94,15 +94,17 @@ void LatencyHistogram::reset() {
   max_.store(0, std::memory_order_relaxed);
 }
 
+// `live` lists the owners' instruments; a list, so an owner unlists its
+// node in O(1) however many owners share the name.
 struct MetricsRegistry::CounterSlot {
   Counter own;
-  std::vector<const Counter*> live;  // owners' instruments
-  std::uint64_t retired = 0;         // destroyed owners' final values
+  std::list<const Counter*> live;
+  std::uint64_t retired = 0;  // destroyed owners' final values
 };
 
 struct MetricsRegistry::GaugeSlot {
   Gauge own;
-  std::vector<const Gauge*> live;
+  std::list<const Gauge*> live;
   std::int64_t retired_peak = 0;
 };
 
@@ -162,17 +164,17 @@ LatencyHistogram& MetricsRegistry::histogram(std::string_view name) {
 MetricsRegistry::Owner::Owner(MetricsRegistry& registry, Counters counters,
                               Gauges gauges)
     : impl_(registry.impl()) {
+  counters_.reserve(counters.size());  // so no emplace_back below throws
+  gauges_.reserve(gauges.size());
   std::lock_guard<std::mutex> lock(impl_->mutex);
   try {
     for (const auto& [name, c] : counters) {
       CounterSlot& s = slot(impl_->counters, name);
-      counters_.emplace_back(&s, c);
-      s.live.push_back(c);
+      counters_.emplace_back(&s, s.live.insert(s.live.end(), c));
     }
     for (const auto& [name, g] : gauges) {
       GaugeSlot& s = slot(impl_->gauges, name);
-      gauges_.emplace_back(&s, g);
-      s.live.push_back(g);
+      gauges_.emplace_back(&s, s.live.insert(s.live.end(), g));
     }
   } catch (...) {
     unlist();  // never leave a failed object's instruments listed
@@ -182,16 +184,16 @@ MetricsRegistry::Owner::Owner(MetricsRegistry& registry, Counters counters,
 
 MetricsRegistry::Owner::~Owner() {
   std::lock_guard<std::mutex> lock(impl_->mutex);
-  for (const auto& [s, c] : counters_) s->retired += c->value();
-  for (const auto& [s, g] : gauges_) {
-    s->retired_peak = std::max(s->retired_peak, g->peak());
+  for (const auto& [s, node] : counters_) s->retired += (*node)->value();
+  for (const auto& [s, node] : gauges_) {
+    s->retired_peak = std::max(s->retired_peak, (*node)->peak());
   }
   unlist();
 }
 
 void MetricsRegistry::Owner::unlist() {
-  for (const auto& [s, c] : counters_) std::erase(s->live, c);
-  for (const auto& [s, g] : gauges_) std::erase(s->live, g);
+  for (const auto& [s, node] : counters_) s->live.erase(node);
+  for (const auto& [s, node] : gauges_) s->live.erase(node);
 }
 
 Snapshot MetricsRegistry::snapshot() const {

@@ -40,6 +40,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <list>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -221,8 +222,8 @@ class MetricsRegistry {
 /// the object's lifetime. Hold it as a member declared AFTER the listed
 /// instruments, so it is destroyed before them; the registry must outlive
 /// it (the process registry is never destroyed). Construction and
-/// destruction take the registry mutex once; recording never touches the
-/// registry.
+/// destruction take the registry mutex once and cost the same however many
+/// owners share a name; recording never touches the registry.
 class MetricsRegistry::Owner {
  public:
   using Counters =
@@ -240,9 +241,12 @@ class MetricsRegistry::Owner {
  private:
   void unlist();
 
+  // Each entry keeps this owner's node in its name's live list.
+  using CounterNode = std::list<const Counter*>::iterator;
+  using GaugeNode = std::list<const Gauge*>::iterator;
   Impl* impl_;
-  std::vector<std::pair<CounterSlot*, const Counter*>> counters_;
-  std::vector<std::pair<GaugeSlot*, const Gauge*>> gauges_;
+  std::vector<std::pair<CounterSlot*, CounterNode>> counters_;
+  std::vector<std::pair<GaugeSlot*, GaugeNode>> gauges_;
 };
 
 /// The process-wide registry every instrumented component reports into.

@@ -57,10 +57,12 @@ ArchiveHandle ClientContext::open_reader(
   if (cap == 0) {
     throw ClientError("open_archive: reader cap is zero");
   }
+  std::int64_t delta = 1;  // one gauge update, so no transient overshoot
   while (readers_.size() >= cap) {
     const ArchiveHandle victim = lru_.back();
     lru_.pop_back();
     readers_.erase(victim);
+    --delta;
     if (evicted != nullptr) {
       ++*evicted;
     }
@@ -68,6 +70,7 @@ ArchiveHandle ClientContext::open_reader(
   const ArchiveHandle handle = next_handle_++;
   lru_.push_front(handle);
   readers_.emplace(handle, Slot{lru_.begin(), std::move(entry)});
+  if (open_readers_ != nullptr) open_readers_->add(delta);
   return handle;
 }
 
@@ -93,11 +96,20 @@ void ClientContext::close_reader(ArchiveHandle handle) {
   }
   lru_.erase(it->second.lru_pos);
   readers_.erase(it);
+  if (open_readers_ != nullptr) open_readers_->sub(1);
 }
 
 std::size_t ClientContext::open_reader_count() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return readers_.size();
+}
+
+void ClientContext::detach_readers_gauge() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (open_readers_ != nullptr) {
+    open_readers_->sub(static_cast<std::int64_t>(readers_.size()));
+    open_readers_ = nullptr;
+  }
 }
 
 bool ClientContext::try_acquire_slot(std::size_t cap) {
@@ -136,8 +148,10 @@ void ClientContext::release_bytes(std::size_t bytes) {
 std::shared_ptr<ClientContext> ClientRegistry::open(ClientOptions options) {
   std::lock_guard<std::mutex> lock(mutex_);
   const ClientId id = next_id_++;
-  auto ctx = std::make_shared<ClientContext>(id, std::move(options));
+  auto ctx =
+      std::make_shared<ClientContext>(id, std::move(options), &open_readers_);
   clients_.emplace(id, ctx);
+  active_clients_.add(1);
   return ctx;
 }
 
@@ -160,22 +174,17 @@ std::shared_ptr<ClientContext> ClientRegistry::close(ClientId id) {
   }
   auto ctx = std::move(it->second);
   clients_.erase(it);
+  active_clients_.sub(1);
+  ctx->detach_readers_gauge();
   return ctx;
 }
 
 std::size_t ClientRegistry::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return clients_.size();
+  return static_cast<std::size_t>(active_clients_.value());
 }
 
 std::size_t ClientRegistry::open_readers() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t total = 0;
-  for (const auto& [id, ctx] : clients_) {
-    (void)id;
-    total += ctx->open_reader_count();
-  }
-  return total;
+  return static_cast<std::size_t>(open_readers_.value());
 }
 
 }  // namespace ohd::service

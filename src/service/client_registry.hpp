@@ -22,6 +22,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "pipeline/archive_io.hpp"
 #include "pipeline/byte_stream.hpp"
 #include "service/service_types.hpp"
@@ -44,8 +45,11 @@ struct ReaderEntry {
 /// resolve handles, and the service may open/close archives, concurrently.
 class ClientContext {
  public:
-  ClientContext(ClientId id, ClientOptions options)
-      : id_(id), options_(std::move(options)) {}
+  /// `open_readers`, when non-null, is the registry-wide gauge this client
+  /// adds its open reader count into, until detach_readers_gauge().
+  ClientContext(ClientId id, ClientOptions options,
+                obs::Gauge* open_readers = nullptr)
+      : id_(id), options_(std::move(options)), open_readers_(open_readers) {}
 
   ClientId id() const { return id_; }
   const ClientOptions& options() const { return options_; }
@@ -68,6 +72,10 @@ class ClientContext {
   void close_reader(ArchiveHandle handle);
 
   std::size_t open_reader_count() const;
+
+  /// Takes this client's readers out of its open-readers gauge and stops
+  /// counting into it; the registry calls it when it closes the client.
+  void detach_readers_gauge();
 
   /// Reserves an in-flight slot if the client is under `cap`; the matching
   /// release_slot() must run when the request leaves the service (complete,
@@ -101,6 +109,7 @@ class ClientContext {
   mutable std::list<ArchiveHandle> lru_;
   std::unordered_map<ArchiveHandle, Slot> readers_;
   ArchiveHandle next_handle_ = 1;
+  obs::Gauge* open_readers_;  // guarded by mutex_
 
   std::atomic<std::uint64_t> inflight_{0};
   std::atomic<std::uint64_t> inflight_bytes_{0};
@@ -123,10 +132,17 @@ class ClientRegistry {
   /// Sum of open_reader_count() over all active clients.
   std::size_t open_readers() const;
 
+  /// The two counts above as gauges (value + peak), each kept up to date as
+  /// clients and readers open and close, so reading one walks no client.
+  const obs::Gauge& active_clients_gauge() const { return active_clients_; }
+  const obs::Gauge& open_readers_gauge() const { return open_readers_; }
+
  private:
   mutable std::mutex mutex_;
   std::unordered_map<ClientId, std::shared_ptr<ClientContext>> clients_;
   ClientId next_id_ = 1;
+  obs::Gauge active_clients_;
+  obs::Gauge open_readers_;
 };
 
 }  // namespace ohd::service

@@ -136,8 +136,8 @@ CompressionService::CompressionService(ServiceConfig config)
                {{"service.queue_depth", &queue_depth_gauge_},
                 {"service.inflight", &inflight_gauge_},
                 {"service.inflight_bytes", &inflight_bytes_gauge_},
-                {"service.active_clients", &active_clients_},
-                {"service.open_readers", &open_readers_}}) {
+                {"service.active_clients", &clients_.active_clients_gauge()},
+                {"service.open_readers", &clients_.open_readers_gauge()}}) {
   dispatchers_.reserve(config_.dispatchers);
   for (std::size_t i = 0; i < config_.dispatchers; ++i) {
     dispatchers_.emplace_back([this] { dispatcher_loop(); });
@@ -151,22 +151,11 @@ ClientId CompressionService::open_client(ClientOptions options) {
   if (stopped()) {
     throw ServiceStopped("open_client: service is shut down");
   }
-  auto ctx = clients_.open(std::move(options));
-  sample_client_gauges();
-  return ctx->id();
+  return clients_.open(std::move(options))->id();
 }
 
 void CompressionService::close_client(ClientId id) {
   clients_.close(id);  // throws ClientError on unknown ids (double close)
-  sample_client_gauges();
-}
-
-void CompressionService::sample_client_gauges() {
-  // Serialised, so of concurrent opens and closes the last sample is taken
-  // after all of them: the gauges never settle on a stale count.
-  std::lock_guard<std::mutex> lock(client_gauges_mutex_);
-  active_clients_.set(static_cast<std::int64_t>(clients_.size()));
-  open_readers_.set(static_cast<std::int64_t>(clients_.open_readers()));
 }
 
 ArchiveHandle CompressionService::open_archive(
@@ -177,13 +166,11 @@ ArchiveHandle CompressionService::open_archive(
       client->open_reader(std::move(source), config_.reader,
                           config_.max_open_readers_per_client, &evicted);
   readers_evicted_.add(evicted);
-  sample_client_gauges();
   return handle;
 }
 
 void CompressionService::close_archive(ClientId id, ArchiveHandle handle) {
   clients_.find(id)->close_reader(handle);
-  sample_client_gauges();
 }
 
 std::uint64_t CompressionService::retry_after_ns_locked() const {
@@ -638,8 +625,8 @@ ServiceStats CompressionService::stats() const {
   s.inflight_peak = inflight_gauge_.peak();
   s.inflight_bytes = inflight_bytes_gauge_.value();
   s.inflight_bytes_peak = inflight_bytes_gauge_.peak();
-  s.active_clients = static_cast<std::size_t>(active_clients_.value());
-  s.open_readers = static_cast<std::size_t>(open_readers_.value());
+  s.active_clients = clients_.size();
+  s.open_readers = clients_.open_readers();
   return s;
 }
 

@@ -53,7 +53,9 @@
 //
 // Telemetry: the service owns its counters and gauges (accepted/rejected/
 // completed/cancelled/expired/shed, queue depth, in flight, in-flight
-// bytes, active clients, open readers). stats() reads them, and the process
+// bytes; active clients and open readers live in its client registry,
+// which keeps them as clients and readers come and go, so reading them
+// walks no client). stats() reads them, and the process
 // registry lists the same instruments under "service.*", so the two cannot
 // disagree. The registry itself holds the per-class queue-age gauges
 // "service.queue_age.<priority>_ns" and the per-request-class queue-wait +
@@ -258,9 +260,6 @@ class CompressionService {
   /// dispatchers have popped at least twice). Requires mutex_.
   std::uint64_t retry_after_ns_locked() const;
 
-  /// Sets the active-client and open-reader gauges from clients_.
-  void sample_client_gauges();
-
   ServiceConfig config_;
   ClientRegistry clients_;
   pipeline::ThreadPool pool_;
@@ -297,11 +296,6 @@ class CompressionService {
   obs::Gauge queue_depth_gauge_;
   obs::Gauge inflight_gauge_;
   obs::Gauge inflight_bytes_gauge_;
-  obs::Gauge active_clients_;
-  obs::Gauge open_readers_;
-  /// Serialises sample_client_gauges(); kept apart from mutex_ so opens and
-  /// closes never wait on admission.
-  std::mutex client_gauges_mutex_;
   obs::MetricsRegistry::Owner metrics_;
 
   /// Started last in the constructor; joined by shutdown().

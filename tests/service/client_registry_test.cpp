@@ -130,8 +130,14 @@ TEST(ClientRegistry, OpenReadersSumsAcrossClients) {
   a->open_reader(src, {}, 4);
   b->open_reader(src, {}, 4);
   EXPECT_EQ(reg.open_readers(), 3u);
+  b->open_reader(src, {}, 1);  // cap 1 evicts b's reader: 3, no overshoot
+  EXPECT_EQ(reg.open_readers(), 3u);
+  EXPECT_EQ(reg.open_readers_gauge().peak(), 3);
   reg.close(a->id());
   EXPECT_EQ(reg.open_readers(), 1u);
+  a->open_reader(src, {}, 4);  // a closed client's readers no longer count
+  EXPECT_EQ(reg.open_readers(), 1u);
+  EXPECT_EQ(reg.active_clients_gauge().peak(), 2);
 }
 
 TEST(ClientRegistry, IdsAreMonotoneAndNeverReused) {
