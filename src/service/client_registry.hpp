@@ -46,7 +46,8 @@ struct ReaderEntry {
 class ClientContext {
  public:
   /// `open_readers`, when non-null, is the registry-wide gauge this client
-  /// adds its open reader count into, until detach_readers_gauge().
+  /// adds its open reader count into, until detach_readers_gauge(); it must
+  /// outlive every open_reader/close_reader call made before that.
   ClientContext(ClientId id, ClientOptions options,
                 obs::Gauge* open_readers = nullptr)
       : id_(id), options_(std::move(options)), open_readers_(open_readers) {}
