@@ -106,7 +106,7 @@ bool partial_verified(const pipeline::PartialBatchDecompress& partial,
                       const pipeline::BatchDecompressResult& reference) {
   for (std::size_t fi = 0; fi < partial.report.fields.size(); ++fi) {
     const pipeline::FieldReport& fr = partial.report.fields[fi];
-    const std::vector<float>& got = partial.result.fields[fi].decode.data;
+    const std::vector<float>& got = partial.values[fi];
     const std::vector<float>* ref = nullptr;
     for (const auto& field : reference.fields) {
       if (field.name == fr.name) ref = &field.decode.data;

@@ -175,7 +175,7 @@ int run_json_mode(const char* out_path) {
   const sz::CompressedBlob blob =
       sz::compress(field, sz::Dims::d1(kNumSymbols), cfg);
   std::vector<float> fused_out(kNumSymbols);
-  sz::fused_decode_reconstruct(blob, fused_out);
+  sz::host_decompress_into(blob, fused_out);
   const auto& blob_stream =
       std::get<huffman::StreamEncoding>(blob.encoded.payload);
   const std::vector<float> staged_expect = sz::lorenzo_reconstruct(
@@ -192,7 +192,7 @@ int run_json_mode(const char* out_path) {
   });
   const double fused_recon_s = best_seconds(kReps, staged_expect, [&] {
     std::vector<float> out(kNumSymbols);
-    sz::fused_decode_reconstruct(blob, out);
+    sz::host_decompress_into(blob, out);
     return out;
   });
 

@@ -26,12 +26,12 @@
 // Floats are verified bit-identical between the streamed and whole-buffer
 // decompress before anything is reported.
 //
-//  * telemetry overhead — the streamed decompress is rerun with the full
-//    observability stack live (process-wide enable flag, registry mirroring,
-//    installed trace recorder) and the min-of-reps wall is compared against
-//    the plain run; the fraction is guarded (< 2% budget, wall-clock
-//    tolerance on top) so instrumentation can never silently tax the hot
-//    path.
+//  * telemetry overhead — the streamed decompress runs in interleaved pairs,
+//    plain and with the full observability stack live (process-wide enable
+//    flag, installed trace recorder), until each side has ~0.25 s of timed
+//    work; the median per-pair ratio minus one is guarded (< 2% budget,
+//    wall-clock tolerance on top) so instrumentation can never silently tax
+//    the hot path.
 //
 //   ./bench_stream_io                    # table on stdout
 //   ./bench_stream_io --json [path]      # also write BENCH_stream.json
@@ -229,37 +229,61 @@ int run(bool emit_json, const char* json_path, const char* trace_path,
     stream_wall = std::min(stream_wall, t.seconds());
   }
 
-  // Telemetry overhead: the same streamed decompress with the full
-  // observability stack live — process-wide flag on, every registry mirror
-  // taken, a trace recorder collecting spans. Both sides are min-of-reps on
-  // a warm page cache so the fraction isolates instrumentation cost.
-  constexpr int kOverheadReps = 5;
-  double plain_wall = stream_wall;
-  for (int rep = kReps; rep < kOverheadReps; ++rep) {
-    util::WallTimer t;
-    streamed = sched.decompress(reader);
-    plain_wall = std::min(plain_wall, t.seconds());
-  }
+  // Telemetry overhead: the streamed decompress plain and with the full
+  // observability stack live, in interleaved pairs of alternating order, so
+  // drift in machine speed hits both sides alike; a single smoke-scale
+  // decompress takes ~2 ms, so min-of-5 comparisons were run-to-run noise.
+  // The flag flip, registry reset and recorder clear stay outside the timed
+  // regions. The snapshot and trace are the last instrumented run's, so
+  // they describe exactly one streamed decompress.
+  constexpr double kOverheadBudgetS = 0.25;
+  constexpr std::size_t kMinOverheadPairs = 5;
   obs::TraceRecorder recorder;
   pipeline::BatchDecompressResult traced;
-  double telemetry_wall = 1e300;
-  std::string snapshot_json;
-  std::size_t trace_spans = 0;
-  {
-    const obs::ScopedTelemetry scope(&recorder);
-    for (int rep = 0; rep < kOverheadReps; ++rep) {
-      recorder.clear();
-      obs::registry().reset();
-      util::WallTimer t;
-      traced = sched.decompress(reader);
-      telemetry_wall = std::min(telemetry_wall, t.seconds());
+  obs::Snapshot snapshot;
+  std::vector<double> pair_ratios;
+  double plain_total = 0.0;
+  double telemetry_total = 0.0;
+  const auto timed_plain = [&] {
+    util::WallTimer t;
+    streamed = sched.decompress(reader);
+    return t.seconds();
+  };
+  const auto timed_instrumented = [&] {
+    recorder.clear();
+    const obs::ScopedTelemetry scope(&recorder);  // resets the registry
+    util::WallTimer t;
+    traced = sched.decompress(reader);
+    const double wall = t.seconds();
+    snapshot = obs::registry().snapshot();
+    return wall;
+  };
+  while (pair_ratios.size() < kMinOverheadPairs ||
+         std::min(plain_total, telemetry_total) < kOverheadBudgetS) {
+    double plain = 0.0;
+    double instrumented = 0.0;
+    if (pair_ratios.size() % 2 == 0) {
+      plain = timed_plain();
+      instrumented = timed_instrumented();
+    } else {
+      instrumented = timed_instrumented();
+      plain = timed_plain();
     }
-    // Snapshot/trace come from the last rep (registry reset per rep, so the
-    // report describes exactly one streamed decompress).
-    snapshot_json = obs::registry().snapshot().to_json(4);
-    trace_spans = recorder.spans().size();
+    plain_total += plain;
+    telemetry_total += instrumented;
+    pair_ratios.push_back(instrumented / plain);
   }
-  const double telemetry_overhead = telemetry_wall / plain_wall - 1.0;
+  const double plain_wall = plain_total / pair_ratios.size();
+  const double telemetry_wall = telemetry_total / pair_ratios.size();
+  std::sort(pair_ratios.begin(), pair_ratios.end());
+  const std::size_t mid = pair_ratios.size() / 2;
+  const double telemetry_overhead =
+      (pair_ratios.size() % 2 != 0
+           ? pair_ratios[mid]
+           : 0.5 * (pair_ratios[mid - 1] + pair_ratios[mid])) -
+      1.0;
+  const std::string snapshot_json = snapshot.to_json(4);
+  const std::size_t trace_spans = recorder.spans().size();
 
   // Fault-tolerance happy path: the same corpus written once more with
   // recovery preambles (WriterOptions::recovery_preambles). Two properties
@@ -321,10 +345,10 @@ int run(bool emit_json, const char* json_path, const char* trace_path,
       100.0 * peak_fraction, static_cast<unsigned long long>(budget),
       overlap_speedup);
   std::printf(
-      "telemetry: plain %.1f ms, instrumented %.1f ms => overhead %+.2f%% "
-      "(%zu trace spans)\n",
-      plain_wall * 1e3, telemetry_wall * 1e3, 100.0 * telemetry_overhead,
-      trace_spans);
+      "telemetry: %zu interleaved pairs, mean plain %.1f ms, instrumented "
+      "%.1f ms => median per-pair overhead %+.2f%% (%zu trace spans)\n",
+      pair_ratios.size(), plain_wall * 1e3, telemetry_wall * 1e3,
+      100.0 * telemetry_overhead, trace_spans);
   std::printf(
       "recovery preambles: +%llu B (%.2f%% overhead), strict decode read "
       "amplification %.4fx\n",

@@ -97,14 +97,6 @@ struct DecoderConfig {
   // keep the single-symbol probe. Set false to A/B the single-symbol LUT.
   bool use_multisym_lut = true;
 
-  // Fused decode->dequantize->reconstruct write path (sz::decompress and the
-  // pipeline chunk decode): stream decoded quantization codes through the
-  // 1-D Lorenzo sink straight into the destination float buffer instead of
-  // staging a quant-code vector, an int64 lattice vector, and a separate
-  // reconstruct pass. Floats are exactly identical; rank-2/3 blobs always
-  // use the staged path (their predictor needs random access to neighbors).
-  bool use_fused_write = true;
-
   CostModel cost;
 };
 

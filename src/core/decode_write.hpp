@@ -108,8 +108,9 @@ namespace detail {
 /// Decodes exactly `n` codewords from `units`/`total_bits` starting at
 /// `start_bit`, invoking sink(symbol) for each, with the multi-symbol LUT on
 /// the bulk and single-symbol steps on the < kMaxMultiSymbols tail. Throws
-/// if the stream desynchronizes (an unassigned prefix), which a well-formed
-/// encoding never produces.
+/// std::invalid_argument on a prefix that matches no codeword: a codebook
+/// may be incomplete (a lone 1-bit code), so a frame with valid CRCs can
+/// still hold such bits, and that is bad data, never a library fault.
 template <typename Sink>
 void host_decode_span(std::span<const std::uint32_t> units,
                       std::uint64_t total_bits, std::uint64_t start_bit,
@@ -122,7 +123,7 @@ void host_decode_span(std::span<const std::uint32_t> units,
   while (emitted + huffman::DecodeTable::kMaxMultiSymbols <= n) {
     const huffman::DecodedBatch batch = huffman::decode_multi(reader, cb, table);
     if (batch.count == 0) [[unlikely]] {
-      throw std::runtime_error("host decode desynchronized");
+      throw std::invalid_argument("host decode hit an unassigned prefix");
     }
     for (std::uint32_t i = 0; i < batch.count; ++i) sink(batch.symbols[i]);
     emitted += batch.count;
@@ -130,7 +131,7 @@ void host_decode_span(std::span<const std::uint32_t> units,
   while (emitted < n) {
     const huffman::DecodedSymbol d = huffman::decode_one_lut(reader, cb, table);
     if (!d.valid) [[unlikely]] {
-      throw std::runtime_error("host decode desynchronized");
+      throw std::invalid_argument("host decode hit an unassigned prefix");
     }
     sink(d.symbol);
     ++emitted;

@@ -72,7 +72,11 @@ DecodeResult decode_gap_array(cudasim::SimContext& ctx,
       cudasim::device_exclusive_prefix_sum(ctx, sym_count, "output_index");
   result.phases.output_index_s = ctx.timeline().total() - t0;
   if (out_index.back() != stream.num_symbols) {
-    throw std::logic_error("gap-array counting produced inconsistent totals");
+    // The codebook may be incomplete, so a payload bit pattern that matches
+    // no codeword is bad data.
+    throw std::invalid_argument(
+        "gap-array decode found a different symbol count than the stream "
+        "declares (bits that match no codeword, or a corrupt payload)");
   }
 
   // ---- Decode + write phase -------------------------------------------------

@@ -238,7 +238,11 @@ DecodeResult decode_selfsync(cudasim::SimContext& ctx,
                                            "output_index");
   result.phases.output_index_s = ctx.timeline().total() - t_before;
   if (out_index.back() != enc.num_symbols) {
-    throw std::logic_error("self-sync produced inconsistent symbol counts");
+    // The codebook may be incomplete (the encoder itself writes a lone 1-bit
+    // code), so a payload bit pattern that matches no codeword is bad data.
+    throw std::invalid_argument(
+        "self-sync decode found a different symbol count than the stream "
+        "declares (bits that match no codeword, or a corrupt payload)");
   }
 
   // ---- Phase 4: decode + write ---------------------------------------------

@@ -163,8 +163,8 @@ Frame parse_frame(std::span<const std::uint8_t> bytes,
 // require the payload to be EXHAUSTED — trailing garbage is a reject.
 
 /// OpenClient: the wire-negotiable subset of service::ClientOptions. The
-/// server fills the rest (decoder config, planning) from its defaults, so
-/// both ends of a bit-identity check must agree on those defaults.
+/// server fills the rest (method, planning) from its defaults, so both ends
+/// of a bit-identity check must agree on those defaults.
 struct OpenClientBody {
   double rel_error_bound = 1e-3;
   std::uint32_t radius = 512;

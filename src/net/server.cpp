@@ -103,17 +103,6 @@ ServiceServer::ServiceServer(service::CompressionService& service,
   }
 }
 
-ServiceServer::ServiceServer(service::CompressionService& service)
-    : ServiceServer(service, [&] {
-        ServerConfig cfg;
-        const service::ServiceConfig& sc = service.config();
-        if (sc.listen_tcp) cfg.listen.push_back(Endpoint::tcp(sc.listen_tcp_port));
-        if (!sc.listen_unix_path.empty()) {
-          cfg.listen.push_back(Endpoint::unix_socket(sc.listen_unix_path));
-        }
-        return cfg;
-      }()) {}
-
 ServiceServer::~ServiceServer() { shutdown(); }
 
 void ServiceServer::shutdown() {

@@ -75,15 +75,12 @@ struct ServerStats {
 
 class ServiceServer {
  public:
-  /// Binds every configured endpoint and starts accepting immediately.
-  /// Throws NetError when a bind/listen fails (nothing half-started: all
-  /// listeners succeed or the constructor throws).
-  ServiceServer(service::CompressionService& service, ServerConfig config);
-
-  /// Convenience: listens where service.config() says (listen_tcp /
-  /// listen_tcp_port / listen_unix_path); with neither set, one ephemeral
-  /// TCP loopback listener.
-  explicit ServiceServer(service::CompressionService& service);
+  /// Binds every configured endpoint (by default one ephemeral TCP loopback
+  /// listener) and starts accepting immediately. Throws NetError when a
+  /// bind/listen fails (nothing half-started: all listeners succeed or the
+  /// constructor throws).
+  explicit ServiceServer(service::CompressionService& service,
+                         ServerConfig config = {});
 
   /// shutdown().
   ~ServiceServer();

@@ -23,10 +23,9 @@
 //
 // Counters and gauges always count. The process-wide enable flag gates only
 // the expensive parts — clock reads, histogram samples and trace spans — so
-// a disabled call site costs one relaxed load and a predictable branch. The
-// one exception is a counter whose name comes from a caller (per-field
-// "batch.field.<name>.*"): the registry never forgets a name, so such names
-// are registered only while enabled.
+// a disabled call site costs one relaxed load and a predictable branch. No
+// metric name comes from a caller: the registry never forgets a name, so
+// its set of names stays fixed however long a process runs.
 //
 // MetricsRegistry::snapshot() freezes every name into a Snapshot whose
 // to_json() is the uniform telemetry block the bench drivers emit.

@@ -4,6 +4,7 @@
 
 #include "obs/trace.hpp"
 #include "pipeline/method_selector.hpp"
+#include "pipeline/value_reads.hpp"
 #include "pipeline/wire_format.hpp"
 #include "sz/serialize.hpp"
 #include "util/checksum.hpp"
@@ -467,28 +468,30 @@ std::vector<std::uint8_t> ArchiveReader::read_frame_unverified(
   return fetch_frame(rec);
 }
 
-sz::DecompressionResult ArchiveReader::decode_chunk(
-    cudasim::SimContext& ctx, std::size_t field, std::size_t chunk,
-    const core::DecoderConfig& decoder) const {
+template <typename Decode>
+auto ArchiveReader::with_chunk_blob(std::size_t field, std::size_t chunk,
+                                    Decode&& decode) const {
   const ChunkRecord& rec = record(field, chunk);
   const FrameResidency lease(*this, rec.payload_bytes);
   const std::vector<std::uint8_t> frame = fetch_frame(rec);
   reader_metrics().crc_checks.add(1);
-  const sz::CompressedBlob blob =
-      wire::parse_chunk_frame(fields_[field], chunk, frame);
-  return sz::decompress(ctx, blob, decoder);
+  return decode(wire::parse_chunk_frame(fields_[field], chunk, frame));
+}
+
+sz::DecompressionResult ArchiveReader::decode_chunk(
+    cudasim::SimContext& ctx, std::size_t field, std::size_t chunk,
+    const core::DecoderConfig& decoder) const {
+  return with_chunk_blob(field, chunk, [&](const sz::CompressedBlob& blob) {
+    return sz::decompress(ctx, blob, decoder);
+  });
 }
 
 sz::DecompressionResult ArchiveReader::decode_chunk_into(
     cudasim::SimContext& ctx, std::size_t field, std::size_t chunk,
     std::span<float> out, const core::DecoderConfig& decoder) const {
-  const ChunkRecord& rec = record(field, chunk);
-  const FrameResidency lease(*this, rec.payload_bytes);
-  const std::vector<std::uint8_t> frame = fetch_frame(rec);
-  reader_metrics().crc_checks.add(1);
-  const sz::CompressedBlob blob =
-      wire::parse_chunk_frame(fields_[field], chunk, frame);
-  return sz::decompress_into(ctx, blob, out, decoder);
+  return with_chunk_blob(field, chunk, [&](const sz::CompressedBlob& blob) {
+    return sz::decompress_into(ctx, blob, out, decoder);
+  });
 }
 
 FieldDecode ArchiveReader::decode_field(
@@ -508,70 +511,25 @@ FieldDecode ArchiveReader::decode_field(
 }
 
 PartialFieldDecode ArchiveReader::decode_field_partial(
-    cudasim::SimContext& ctx, std::size_t field,
-    const core::DecoderConfig& decoder) const {
+    std::size_t field) const {
   if (field >= fields_.size()) {
     throw ContainerError("field index out of range");
   }
-  const FieldEntry& f = fields_[field];
   PartialFieldDecode out;
-  out.values.assign(f.dims.count(), 0.0f);
-  out.report.name = f.name;
-  out.report.elems_total = f.dims.count();
-  std::uint64_t next_elem = 0;
-  std::size_t next_ordinal = 0;
-  for (std::size_t c = 0; c < f.chunks.size(); ++c) {
-    const ChunkRecord& rec = f.chunks[c];
-    const std::size_t ordinal = chunk_ordinal(field, c);
-    if (rec.elem_offset > next_elem) {
-      // Chunks the salvage never recovered: a known element hole whose
-      // as-written ordinals are the gap in the recovered sequence.
-      ChunkReport hole;
-      hole.chunk = next_ordinal;
-      hole.status = ChunkStatus::Missing;
-      hole.elem_offset = next_elem;
-      hole.elem_count = rec.elem_offset - next_elem;
-      hole.detail = "chunks " + std::to_string(next_ordinal) + ".." +
-                    std::to_string(ordinal - 1) + " were not recovered";
-      out.report.chunks.push_back(std::move(hole));
-    }
-    ChunkReport cr;
-    cr.chunk = ordinal;
-    cr.elem_offset = rec.elem_offset;
-    cr.elem_count = rec.dims.count();
-    const std::span<float> dest(out.values.data() + rec.elem_offset,
-                                rec.dims.count());
-    try {
-      decode_chunk_into(ctx, field, c, dest, decoder);
-      cr.status = ChunkStatus::Ok;
-      out.report.elems_ok += cr.elem_count;
-    } catch (const std::invalid_argument& e) {
-      // CRC mismatch, frame parse failure, or an exhausted retry budget:
-      // contain it to this chunk. The slice may hold a partial decode —
-      // never surface bytes that failed verification.
-      cr.status = ChunkStatus::Corrupt;
-      cr.detail = e.what();
-      std::fill(dest.begin(), dest.end(), 0.0f);
-    }
-    out.report.chunks.push_back(std::move(cr));
-    next_elem = rec.elem_offset + rec.dims.count();
-    next_ordinal = ordinal + 1;
-  }
-  if (next_elem < f.dims.count()) {
-    ChunkReport hole;
-    hole.chunk = next_ordinal;
-    hole.status = ChunkStatus::Missing;
-    hole.elem_offset = next_elem;
-    hole.elem_count = f.dims.count() - next_elem;
-    hole.detail = "field tail truncated away";
-    out.report.chunks.push_back(std::move(hole));
-  }
+  out.values.assign(fields_[field].dims.count(), 0.0f);
+  out.report = report_partial_field(
+      *this, field, out.values,
+      [&](std::size_t chunk, std::span<float> dest) {
+        with_chunk_blob(field, chunk, [dest](const sz::CompressedBlob& blob) {
+          sz::host_decompress_into(blob, dest);
+        });
+      });
   return out;
 }
 
-std::vector<float> ArchiveReader::decode_range(
-    cudasim::SimContext& ctx, std::size_t field, std::uint64_t elem_begin,
-    std::uint64_t elem_end, const core::DecoderConfig& decoder) const {
+std::vector<float> ArchiveReader::decode_range(std::size_t field,
+                                               std::uint64_t elem_begin,
+                                               std::uint64_t elem_end) const {
   require_complete(field);
   const FieldEntry& f = fields_[field];
   if (elem_begin > elem_end || elem_end > f.dims.count()) {
@@ -579,16 +537,15 @@ std::vector<float> ArchiveReader::decode_range(
   }
   std::vector<float> out(elem_end - elem_begin);
   for (std::size_t c = 0; c < f.chunks.size(); ++c) {
-    const ChunkRecord& rec = f.chunks[c];
-    const std::uint64_t chunk_begin = rec.elem_offset;
-    const std::uint64_t chunk_end = chunk_begin + rec.dims.count();
+    const std::uint64_t chunk_begin = f.chunks[c].elem_offset;
+    const std::uint64_t chunk_end = chunk_begin + f.chunks[c].dims.count();
     if (chunk_end <= elem_begin || chunk_begin >= elem_end) continue;
-    const sz::DecompressionResult r = decode_chunk(ctx, field, c, decoder);
     const std::uint64_t lo = std::max(chunk_begin, elem_begin);
     const std::uint64_t hi = std::min(chunk_end, elem_end);
-    std::copy(r.data.begin() + static_cast<std::ptrdiff_t>(lo - chunk_begin),
-              r.data.begin() + static_cast<std::ptrdiff_t>(hi - chunk_begin),
-              out.begin() + static_cast<std::ptrdiff_t>(lo - elem_begin));
+    const std::span<float> dest(out.data() + (lo - elem_begin), hi - lo);
+    with_chunk_blob(field, c, [&](const sz::CompressedBlob& blob) {
+      host_decode_window(blob, lo - chunk_begin, dest);
+    });
   }
   return out;
 }

@@ -238,22 +238,21 @@ class ArchiveReader {
   FieldDecode decode_field(cudasim::SimContext& ctx, std::size_t field,
                            const core::DecoderConfig& decoder = {}) const;
 
+  // The value-only reads below return no model seconds, so they decode on
+  // the host (sz::host_decompress_into): same floats, no SimContext.
+
   /// Degraded decode: reconstructs every chunk whose frame is intact,
   /// zero-fills and reports the rest (Missing holes for chunks the salvage
   /// never recovered, Corrupt for frames failing CRC or decode). Works on
   /// strict readers too — there it quarantines payload corruption the index
   /// did not protect against.
-  PartialFieldDecode decode_field_partial(
-      cudasim::SimContext& ctx, std::size_t field,
-      const core::DecoderConfig& decoder = {}) const;
+  PartialFieldDecode decode_field_partial(std::size_t field) const;
 
   /// Decodes only the chunks overlapping [elem_begin, elem_end) and returns
   /// exactly that element range. (BatchScheduler::decode_range is the
   /// prefetching parallel variant.)
-  std::vector<float> decode_range(cudasim::SimContext& ctx, std::size_t field,
-                                  std::uint64_t elem_begin,
-                                  std::uint64_t elem_end,
-                                  const core::DecoderConfig& decoder = {}) const;
+  std::vector<float> decode_range(std::size_t field, std::uint64_t elem_begin,
+                                  std::uint64_t elem_end) const;
 
   /// Streams every frame once and verifies its CRC-32 without decoding;
   /// throws ContainerError naming the first corrupted field/chunk (or the
@@ -272,6 +271,12 @@ class ArchiveReader {
 
   const ChunkRecord& record(std::size_t field, std::size_t chunk) const;
   std::vector<std::uint8_t> fetch_frame(const ChunkRecord& rec) const;
+  /// Fetch + CRC check + frame parse of one chunk, then `decode(blob)`,
+  /// holding a residency lease throughout: the one read step of every
+  /// decode entry point.
+  template <typename Decode>
+  auto with_chunk_blob(std::size_t field, std::size_t chunk,
+                       Decode&& decode) const;
   /// All source traffic funnels through here: retries TransientIoError
   /// within options_.retry, counting attempts into io_retries_.
   void read_at_retried(std::uint64_t offset, std::span<std::uint8_t> out) const;

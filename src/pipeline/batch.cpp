@@ -6,6 +6,7 @@
 
 #include "cudasim/exec.hpp"
 #include "obs/trace.hpp"
+#include "pipeline/value_reads.hpp"
 #include "pipeline/wire_format.hpp"
 #include "sz/serialize.hpp"
 
@@ -45,16 +46,16 @@ BatchMetrics& batch_metrics() {
   return m;
 }
 
-/// Per-field chunk-count counters are registered by field name at fan-out
-/// time; `suffix` distinguishes the write and decode directions. Field names
-/// come from callers, wire clients included, and the registry never forgets
-/// a name, so these count only while telemetry is enabled: a long-running
-/// service with telemetry off must not grow with every new name.
-void count_field_chunks(const std::string& field, const char* suffix,
-                        std::uint64_t chunks) {
-  if (!obs::enabled()) return;
-  obs::registry().counter("batch.field." + field + suffix).add(chunks);
-}
+/// A frame fetched with read_frame_unverified, held under a residency lease
+/// for as long as it stays resident, so the reader's peak_frame_bytes()
+/// observes the batch paths' frames too. Parsing it (parse_chunk_frame)
+/// checks the CRC.
+struct LeasedFrame {
+  LeasedFrame(const ArchiveReader& r, std::vector<std::uint8_t> b)
+      : lease(r, b.size()), bytes(std::move(b)) {}
+  FrameResidency lease;
+  std::vector<std::uint8_t> bytes;
+};
 
 /// Blocks until every still-pending future in `futures` has run (get()
 /// invalidates futures, so only un-collected ones are waited). Exception
@@ -251,7 +252,6 @@ void BatchScheduler::compress_to(ArchiveWriter& writer,
       }
       writer.end_field();
       batch_metrics().chunks_encoded.add(state.frames.size());
-      count_field_chunks(spec.name, ".chunks", state.frames.size());
     }
   } catch (...) {
     for (FieldState& state : states) {
@@ -312,7 +312,6 @@ BatchDecompressResult BatchScheduler::decompress(
       cancel.throw_if_cancelled();
       const FieldEntry& entry = fields[fi];
       batch_metrics().chunks_decoded.add(entry.chunks.size());
-      count_field_chunks(entry.name, ".chunks_decoded", entry.chunks.size());
       futures[fi].reserve(entry.chunks.size());
       for (std::size_t ci = 0; ci < entry.chunks.size(); ++ci) {
         const std::span<float> dest(
@@ -350,95 +349,41 @@ BatchDecompressResult BatchScheduler::decompress(
 }
 
 PartialBatchDecompress BatchScheduler::decompress_partial(
-    const ArchiveReader& reader, const core::DecoderConfig& decoder) const {
-  // Same pre-allocated fan-out shape as decompress, but collection
-  // quarantines per chunk: a future surfacing a CRC/parse/retry-exhaustion
-  // failure marks its chunk Corrupt and re-zeroes its slice instead of
-  // aborting the batch, and salvage holes become Missing entries. The
-  // report is assembled on the collecting thread in (field, chunk) order,
-  // so it — like the floats and timings — is identical for any worker
-  // count.
+    const ArchiveReader& reader) const {
+  // Same pre-allocated per-chunk fan-out as decompress, on the host path,
+  // but collection quarantines per chunk: a future surfacing a
+  // CRC/parse/decode/retry-exhaustion failure marks its chunk Corrupt and
+  // re-zeroes its slice instead of aborting the batch, and salvage holes
+  // become Missing entries. The report is assembled on the collecting
+  // thread in (field, chunk) order, so it — like the floats — is identical
+  // for any worker count.
+  const std::vector<FieldEntry>& fields = reader.fields();
   PartialBatchDecompress out;
-  BatchDecompressResult& res = out.result;
-  std::vector<std::vector<std::future<sz::DecompressionResult>>> futures(
-      reader.fields().size());
-  res.fields.resize(reader.fields().size());
-  for (std::size_t fi = 0; fi < reader.fields().size(); ++fi) {
-    res.fields[fi].name = reader.fields()[fi].name;
-    res.fields[fi].decode.data.assign(reader.fields()[fi].dims.count(), 0.0f);
+  out.values.resize(fields.size());
+  for (std::size_t fi = 0; fi < fields.size(); ++fi) {
+    out.values[fi].assign(fields[fi].dims.count(), 0.0f);
   }
+  std::vector<std::vector<std::future<void>>> futures(fields.size());
   try {
-    for (std::size_t fi = 0; fi < reader.fields().size(); ++fi) {
-      const FieldEntry& entry = reader.fields()[fi];
+    for (std::size_t fi = 0; fi < fields.size(); ++fi) {
+      const FieldEntry& entry = fields[fi];
       futures[fi].reserve(entry.chunks.size());
       for (std::size_t ci = 0; ci < entry.chunks.size(); ++ci) {
         const std::span<float> dest(
-            res.fields[fi].decode.data.data() + entry.chunks[ci].elem_offset,
+            out.values[fi].data() + entry.chunks[ci].elem_offset,
             entry.chunks[ci].dims.count());
-        futures[fi].push_back(pool_.submit([&reader, &decoder, fi, ci, dest] {
+        futures[fi].push_back(pool_.submit([&reader, &entry, fi, ci, dest] {
           const obs::ScopedOp op("batch.decode", &batch_metrics().decode_ns);
-          cudasim::SimContext ctx;
-          return reader.decode_chunk_into(ctx, fi, ci, dest, decoder);
+          const LeasedFrame frame(reader, reader.read_frame_unverified(fi, ci));
+          sz::host_decompress_into(
+              wire::parse_chunk_frame(entry, ci, frame.bytes), dest);
         }));
       }
     }
-    for (std::size_t fi = 0; fi < reader.fields().size(); ++fi) {
-      const FieldEntry& entry = reader.fields()[fi];
-      FieldResult& field = res.fields[fi];
-      FieldReport fr;
-      fr.name = entry.name;
-      fr.elems_total = entry.dims.count();
-      std::uint64_t next_elem = 0;
-      std::size_t next_ordinal = 0;
-      for (std::size_t ci = 0; ci < entry.chunks.size(); ++ci) {
-        const ChunkRecord& rec = entry.chunks[ci];
-        const std::size_t ordinal = reader.chunk_ordinal(fi, ci);
-        if (rec.elem_offset > next_elem) {
-          ChunkReport hole;
-          hole.chunk = next_ordinal;
-          hole.status = ChunkStatus::Missing;
-          hole.elem_offset = next_elem;
-          hole.elem_count = rec.elem_offset - next_elem;
-          hole.detail = "chunks " + std::to_string(next_ordinal) + ".." +
-                        std::to_string(ordinal - 1) + " were not recovered";
-          fr.chunks.push_back(std::move(hole));
-        }
-        ChunkReport cr;
-        cr.chunk = ordinal;
-        cr.elem_offset = rec.elem_offset;
-        cr.elem_count = rec.dims.count();
-        try {
-          field.decode.absorb_timings(futures[fi][ci].get());
-          cr.status = ChunkStatus::Ok;
-          fr.elems_ok += cr.elem_count;
-        } catch (const std::invalid_argument& e) {
-          // The task may have written a partial decode into its slice
-          // before failing; never surface bytes that failed verification.
-          cr.status = ChunkStatus::Corrupt;
-          cr.detail = e.what();
-          const std::span<float> dest(
-              field.decode.data.data() + rec.elem_offset, rec.dims.count());
-          std::fill(dest.begin(), dest.end(), 0.0f);
-        }
-        fr.chunks.push_back(std::move(cr));
-        next_elem = rec.elem_offset + rec.dims.count();
-        next_ordinal = ordinal + 1;
-      }
-      if (next_elem < entry.dims.count()) {
-        ChunkReport hole;
-        hole.chunk = next_ordinal;
-        hole.status = ChunkStatus::Missing;
-        hole.elem_offset = next_elem;
-        hole.elem_count = entry.dims.count() - next_elem;
-        hole.detail = "field tail truncated away";
-        fr.chunks.push_back(std::move(hole));
-      }
-      out.report.fields.push_back(std::move(fr));
-      res.phases += field.decode.huffman_phases;
-      res.simulated_seconds += field.decode.simulated_seconds;
-      res.chunk_seconds.insert(res.chunk_seconds.end(),
-                               field.decode.chunk_seconds.begin(),
-                               field.decode.chunk_seconds.end());
+    for (std::size_t fi = 0; fi < fields.size(); ++fi) {
+      out.report.fields.push_back(report_partial_field(
+          reader, fi, out.values[fi],
+          [&](std::size_t ci, std::span<float>) { futures[fi][ci].get(); }));
     }
   } catch (...) {
     for (auto& field_futures : futures) wait_all(field_futures);
@@ -449,8 +394,7 @@ PartialBatchDecompress BatchScheduler::decompress_partial(
 
 std::vector<float> BatchScheduler::decode_range(
     const ArchiveReader& reader, std::size_t field, std::uint64_t elem_begin,
-    std::uint64_t elem_end, const core::DecoderConfig& decoder,
-    const CancelToken& cancel) const {
+    std::uint64_t elem_end, const CancelToken& cancel) const {
   const std::vector<FieldEntry>& fields = reader.fields();
   if (field >= fields.size()) {
     throw ContainerError("field index out of range");
@@ -462,120 +406,49 @@ std::vector<float> BatchScheduler::decode_range(
   const obs::ScopedOp range_op("batch.decode_range");
   std::vector<float> out(elem_end - elem_begin);
 
-  // One entry per overlapping chunk, in chunk order. Interior chunks decode
-  // straight into their slice of `out` (fused write); boundary chunks decode
-  // to a task-local vector whose window is copied during the ordered merge.
-  struct Window {
-    std::size_t chunk = 0;
-    std::uint64_t lo = 0;  // absolute element range to copy (boundary only)
-    std::uint64_t hi = 0;
-    bool interior = false;
-  };
-  // A prefetched frame keeps a residency lease for its whole in-flight
-  // lifetime, so the reader's peak_frame_bytes() gauge observes this path
-  // exactly like the decompress fan-out. The frame is fetched UNVERIFIED:
-  // the decode task's parse_chunk_frame checks the CRC, so the bytes are
-  // hashed once, on the pool, keeping the calling thread IO-bound.
-  struct Prefetched {
-    Prefetched(const ArchiveReader& r, std::vector<std::uint8_t> b)
-        : lease(r, b.size()), bytes(std::move(b)) {}
-    FrameResidency lease;
-    std::vector<std::uint8_t> bytes;
-  };
   // Backpressure: at most `window` frames in flight — the prefetch runs
   // ahead of decode by a bounded margin, so a range spanning many chunks
   // stays at O(window * frame), never O(range).
   const std::size_t window = std::max<std::size_t>(2, 2 * pool_.size());
-  std::vector<Window> windows;
-  std::vector<std::future<std::vector<float>>> futures;
+  std::vector<std::future<void>> futures;
   // Reserve up front: a push_back reallocation throwing AFTER submit would
-  // orphan an enqueued task that still writes through `dest` into `out`
-  // (the same reason decompress reserves before its fan-out).
-  windows.reserve(f.chunks.size());
+  // orphan an enqueued task that still writes into `out` (the same reason
+  // decompress reserves before its fan-out).
   futures.reserve(f.chunks.size());
   std::size_t collected = 0;
-  const auto collect_one = [&] {
-    const std::vector<float> floats = futures[collected].get();
-    const Window& w = windows[collected];
-    ++collected;
-    if (w.interior) return;
-    const std::uint64_t chunk_begin = f.chunks[w.chunk].elem_offset;
-    std::copy(floats.begin() + static_cast<std::ptrdiff_t>(w.lo - chunk_begin),
-              floats.begin() + static_cast<std::ptrdiff_t>(w.hi - chunk_begin),
-              out.begin() + static_cast<std::ptrdiff_t>(w.lo - elem_begin));
-  };
   try {
     for (std::size_t c = 0; c < f.chunks.size(); ++c) {
-      const ChunkRecord& rec = f.chunks[c];
-      const std::uint64_t chunk_begin = rec.elem_offset;
-      const std::uint64_t chunk_end = chunk_begin + rec.dims.count();
+      const std::uint64_t chunk_begin = f.chunks[c].elem_offset;
+      const std::uint64_t chunk_end = chunk_begin + f.chunks[c].dims.count();
       if (chunk_end <= elem_begin || chunk_begin >= elem_end) continue;
       // Between prefetch steps: stop fetching further frames once cancelled;
       // decode tasks for frames already in flight re-check at entry.
       cancel.throw_if_cancelled();
-      while (futures.size() - collected >= window) collect_one();
+      while (futures.size() - collected >= window) futures[collected++].get();
       // Prefetch: the frame's IO happens here, on the calling thread, while
-      // the decode tasks of previously fetched chunks run on the pool.
-      auto frame = std::make_shared<const Prefetched>(
+      // the decode tasks of previously fetched chunks run on the pool. The
+      // task's parse_chunk_frame checks the CRC, so the bytes are hashed
+      // once, on the pool, keeping the calling thread IO-bound.
+      auto frame = std::make_shared<const LeasedFrame>(
           reader, reader.read_frame_unverified(field, c));
-      Window w;
-      w.chunk = c;
-      w.lo = std::max(chunk_begin, elem_begin);
-      w.hi = std::min(chunk_end, elem_end);
-      w.interior = chunk_begin >= elem_begin && chunk_end <= elem_end;
-      if (w.interior) {
-        const std::span<float> dest(out.data() + (chunk_begin - elem_begin),
-                                    rec.dims.count());
-        futures.push_back(
-            pool_.submit([&f, c, frame, dest, &decoder, &cancel]() mutable {
-              cancel.throw_if_cancelled();
-              cudasim::SimContext ctx;
-              const sz::CompressedBlob blob =
-                  wire::parse_chunk_frame(f, c, frame->bytes);
-              // The blob owns its data: drop the frame (and its residency
-              // lease) before the decode, and before the future can become
-              // ready.
-              frame.reset();
-              sz::decompress_into(ctx, blob, dest, decoder);
-              return std::vector<float>();
-            }));
-      } else {
-        futures.push_back(
-            pool_.submit([&f, c, frame, &decoder, &cancel]() mutable {
-              cancel.throw_if_cancelled();
-              cudasim::SimContext ctx;
-              const sz::CompressedBlob blob =
-                  wire::parse_chunk_frame(f, c, frame->bytes);
-              frame.reset();
-              sz::DecompressionResult r = sz::decompress(ctx, blob, decoder);
-              return std::move(r.data);
-            }));
-      }
-      windows.push_back(w);
+      // Each chunk's window of `out` is disjoint from every other's, so a
+      // task writes its floats in place and the collection only waits.
+      const std::uint64_t lo = std::max(chunk_begin, elem_begin);
+      const std::uint64_t hi = std::min(chunk_end, elem_end);
+      const std::span<float> dest(out.data() + (lo - elem_begin), hi - lo);
+      futures.push_back(pool_.submit(
+          [&f, &cancel, c, frame, first = lo - chunk_begin, dest]() mutable {
+            cancel.throw_if_cancelled();
+            const sz::CompressedBlob blob =
+                wire::parse_chunk_frame(f, c, frame->bytes);
+            // The blob owns its data: drop the frame (and its residency
+            // lease) before the decode, and before the future can become
+            // ready.
+            frame.reset();
+            host_decode_window(blob, first, dest);
+          }));
     }
-    while (collected < windows.size()) collect_one();
-  } catch (...) {
-    wait_all(futures);
-    throw;
-  }
-  return out;
-}
-
-std::vector<core::DecodeResult> BatchScheduler::decode(
-    std::span<const core::EncodedStream> streams,
-    const core::DecoderConfig& decoder) const {
-  std::vector<std::future<core::DecodeResult>> futures;
-  futures.reserve(streams.size());
-  std::vector<core::DecodeResult> out;
-  out.reserve(streams.size());
-  try {
-    for (const core::EncodedStream& stream : streams) {
-      futures.push_back(pool_.submit([&stream, &decoder] {
-        cudasim::SimContext ctx;
-        return core::decode(ctx, stream, decoder);
-      }));
-    }
-    for (auto& fut : futures) out.push_back(fut.get());
+    while (collected < futures.size()) futures[collected++].get();
   } catch (...) {
     wait_all(futures);
     throw;

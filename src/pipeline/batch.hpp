@@ -1,9 +1,10 @@
 // BatchScheduler: runs compress/decompress of many chunks and fields
 // concurrently on a ThreadPool, with every merge ordered by chunk id so a run
 // with N workers is bit-identical — floats, aggregated PhaseTimings, and the
-// merged simulated timeline — to the sequential run. Each chunk task owns a
-// fresh cudasim::SimContext, so simulated timings are a pure function of the
-// chunk, never of scheduling.
+// merged simulated timeline — to the sequential run. Each decompress chunk
+// task owns a fresh cudasim::SimContext, so simulated timings are a pure
+// function of the chunk, never of scheduling; the value-only reads
+// (decompress_partial, decode_range) run no model at all.
 //
 // Both directions are built on the streaming archive sessions
 // (pipeline/archive_io.hpp): compress_to emits frames into an ArchiveWriter
@@ -26,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "core/decode_result.hpp"
 #include "core/huffman_codec.hpp"
 #include "pipeline/archive_io.hpp"
 #include "pipeline/cancel.hpp"
@@ -69,9 +69,12 @@ struct BatchDecompressResult {
 
 /// Result of the degraded (quarantining) batch decompress: the decoded
 /// fields with damaged chunk ranges zero-filled, plus the per-chunk
-/// DecodeReport saying exactly which element ranges are trustworthy.
+/// DecodeReport saying exactly which element ranges are trustworthy. A
+/// value-only read: it carries no model seconds.
 struct PartialBatchDecompress {
-  BatchDecompressResult result;
+  /// One buffer per reader field, in reader.fields() order (report.fields
+  /// names them).
+  std::vector<std::vector<float>> values;
   DecodeReport report;
 };
 
@@ -119,31 +122,27 @@ class BatchScheduler {
                                    const core::DecoderConfig& decoder = {},
                                    const CancelToken& cancel = {}) const;
 
-  /// Degraded (opt-in) decompress: same parallel fan-out, but damage is
-  /// contained per chunk instead of aborting the batch — a chunk whose frame
-  /// is missing (salvaged hole) or fails CRC/decode is zero-filled and
-  /// reported, never surfaced. Timings aggregate over the Ok chunks only,
-  /// merged in chunk-id order (bit-identical for any worker count).
-  PartialBatchDecompress decompress_partial(
-      const ArchiveReader& reader,
-      const core::DecoderConfig& decoder = {}) const;
+  // The value-only reads below return no model seconds, so their chunk
+  // tasks decode on the host (sz::host_decompress_into): same floats, no
+  // SimContext.
+
+  /// Degraded (opt-in) decompress: same per-chunk parallel fan-out, but
+  /// damage is contained per chunk instead of aborting the batch — a chunk
+  /// whose frame is missing (salvaged hole) or fails CRC/decode is
+  /// zero-filled and reported, never surfaced. Identical for any worker
+  /// count.
+  PartialBatchDecompress decompress_partial(const ArchiveReader& reader) const;
 
   /// Prefetching async range decode: the calling thread fetches the frames
   /// of the chunks overlapping [elem_begin, elem_end) in chunk order (IO)
   /// while decode tasks for already-fetched frames run on the pool, so the
-  /// fetch of chunk c+1 overlaps the decode of chunk c. Results merge in
-  /// chunk order — bit-identical to ArchiveReader::decode_range.
+  /// fetch of chunk c+1 overlaps the decode of chunk c. Each task writes its
+  /// chunk's window of the result in place — bit-identical to
+  /// ArchiveReader::decode_range.
   std::vector<float> decode_range(const ArchiveReader& reader,
                                   std::size_t field, std::uint64_t elem_begin,
                                   std::uint64_t elem_end,
-                                  const core::DecoderConfig& decoder = {},
                                   const CancelToken& cancel = {}) const;
-
-  /// Decode-only batch over raw encoded streams (covers the decode-only
-  /// 8-bit gap-array method too); results in stream order.
-  std::vector<core::DecodeResult> decode(
-      std::span<const core::EncodedStream> streams,
-      const core::DecoderConfig& decoder = {}) const;
 
  private:
   ThreadPool& pool_;

@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "cudasim/exec.hpp"
 #include "obs/trace.hpp"
 
 namespace ohd::service {
@@ -413,7 +412,6 @@ CompressResult CompressionService::run_compress(
     cfg.rel_error_bound = opt.rel_error_bound;
     cfg.radius = opt.radius;
     cfg.method = opt.method;
-    cfg.decoder = opt.decoder;
     specs.push_back(pipeline::FieldSpec{
         f.name, std::span<const float>(f.data), f.dims, cfg, opt.chunk_elems,
         opt.plan});
@@ -473,9 +471,7 @@ CompressionService::submit_decompress(ClientId id, ArchiveHandle archive,
         return run_counted(*state, dispatched, [&] {
           throw_verdict(*state);
           try {
-            return scheduler_.decompress(entry->reader,
-                                         state->client->options().decoder,
-                                         state->cancel);
+            return scheduler_.decompress(entry->reader, {}, state->cancel);
           } catch (const pipeline::OperationCancelled&) {
             throw RequestCancelled("request " + std::to_string(state->id) +
                                    " cancelled during execution");
@@ -504,12 +500,19 @@ Submission<std::vector<float>> CompressionService::submit_chunk(
           // IS the unit of work, so bouncing it through the pool would only
           // add queueing latency. (A single chunk has no interior task
           // boundary, so a running chunk request finishes even if
-          // signalled.)
-          cudasim::SimContext ctx;
-          return entry->reader
-              .decode_chunk(ctx, field, chunk,
-                            state->client->options().decoder)
-              .data;
+          // signalled.) A read returns floats only, so it takes the host
+          // path: the reader's range decode over the chunk's extent.
+          const std::vector<pipeline::FieldEntry>& fields =
+              entry->reader.fields();
+          if (field >= fields.size()) {
+            throw pipeline::ContainerError("field index out of range");
+          }
+          if (chunk >= fields[field].chunks.size()) {
+            throw pipeline::ContainerError("chunk index out of range");
+          }
+          const pipeline::ChunkRecord& rec = fields[field].chunks[chunk];
+          return entry->reader.decode_range(
+              field, rec.elem_offset, rec.elem_offset + rec.dims.count());
         });
       });
   Submission<std::vector<float>> out;
@@ -532,9 +535,7 @@ Submission<std::vector<float>> CompressionService::submit_range(
           throw_verdict(*state);
           try {
             return scheduler_.decode_range(entry->reader, field, elem_begin,
-                                           elem_end,
-                                           state->client->options().decoder,
-                                           state->cancel);
+                                           elem_end, state->cancel);
           } catch (const pipeline::OperationCancelled&) {
             throw RequestCancelled("request " + std::to_string(state->id) +
                                    " cancelled during execution");

@@ -148,12 +148,14 @@ class CompressionService {
   Submission<CompressResult> submit_compress(ClientId id, CompressJob job,
                                              RequestOptions opts = {});
 
-  /// Decompresses every field of an open archive (streamed, chunk-parallel).
+  /// Decompresses every field of an open archive (streamed, chunk-parallel)
+  /// on the simulated GPU: the result carries the model seconds.
   Submission<pipeline::BatchDecompressResult> submit_decompress(
       ClientId id, ArchiveHandle archive, RequestOptions opts = {});
 
   /// Random access: decodes exactly one chunk of one field (only that
-  /// chunk's frame is fetched) and returns its floats.
+  /// chunk's frame is fetched) and returns its floats. A value-only read:
+  /// it decodes on the host and runs no GPU model.
   Submission<std::vector<float>> submit_chunk(ClientId id,
                                               ArchiveHandle archive,
                                               std::size_t field,
@@ -161,7 +163,7 @@ class CompressionService {
                                               RequestOptions opts = {});
 
   /// Decodes the element range [elem_begin, elem_end) of a field via the
-  /// prefetching parallel range decode.
+  /// prefetching parallel range decode — a value-only read, on the host.
   Submission<std::vector<float>> submit_range(ClientId id,
                                               ArchiveHandle archive,
                                               std::size_t field,

@@ -19,7 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/config.hpp"
 #include "core/huffman_codec.hpp"
 #include "pipeline/archive_io.hpp"
 #include "pipeline/cancel.hpp"
@@ -189,8 +188,6 @@ struct ClientOptions {
   double rel_error_bound = 1e-3;
   std::uint32_t radius = 512;
   core::Method method = core::Method::GapArrayOptimized;
-  /// Decode-path selection applied to every decompress/chunk/range request.
-  core::DecoderConfig decoder;
   std::size_t chunk_elems = std::size_t{1} << 16;
   /// Adaptive planning (per-chunk method selection / shared codebooks) for
   /// compress requests.
@@ -229,18 +226,6 @@ struct ServiceConfig {
   /// deadline too, so an expired request never starts even if the sweeper
   /// has not run yet).
   std::chrono::microseconds sweep_interval = std::chrono::microseconds(1000);
-
-  // ---- network front end defaults (consumed by net::ServiceServer) ----
-  // The service itself never opens sockets; these live here so one config
-  // sizes a whole deployment. net::ServiceServer(service) reads them;
-  // constructing a server with an explicit net::ServerConfig ignores them.
-
-  /// Listen on TCP loopback (127.0.0.1). Port 0 binds an ephemeral port,
-  /// resolved in the server's endpoints().
-  bool listen_tcp = false;
-  std::uint16_t listen_tcp_port = 0;
-  /// When nonempty, additionally listen on this Unix domain socket path.
-  std::string listen_unix_path;
 };
 
 /// One field of a compress request. The service owns the floats for the

@@ -83,20 +83,29 @@ CompressedBlob encode_quantized(QuantizedField&& q, core::Method method,
 
 namespace {
 
-/// The simulated decompression stages shared by decompress and
-/// decompress_into: H2D (optional), Huffman decode, outlier scatter, reverse
-/// Lorenzo. Returns the timings (data empty) and the decoded quant codes.
-core::DecodeResult run_simulated_stages(cudasim::SimContext& ctx,
-                                        const CompressedBlob& blob,
-                                        const core::DecoderConfig& decoder_config,
-                                        bool simulate_h2d,
-                                        DecompressionResult& result) {
+/// The checks both decode paths make before decoding: `out` holds exactly
+/// the blob's elements, and the codes are multi-byte.
+void require_reconstructible(const CompressedBlob& blob,
+                             std::span<const float> out) {
+  if (out.size() != blob.dims.count()) {
+    throw std::invalid_argument(
+        "destination size does not match blob dimensions");
+  }
   if (blob.encoded.method == core::Method::GapArrayOriginal8Bit) {
     throw std::invalid_argument(
         "the 8-bit gap-array baseline cannot reconstruct multi-byte "
         "quantization codes; it exists for decode benchmarking only");
   }
+}
 
+/// The simulated decompression stages of decompress_into: H2D (optional),
+/// Huffman decode, outlier scatter, reverse Lorenzo. Fills the timings of
+/// `result` and returns the decoded quant codes.
+core::DecodeResult run_simulated_stages(cudasim::SimContext& ctx,
+                                        const CompressedBlob& blob,
+                                        const core::DecoderConfig& decoder_config,
+                                        bool simulate_h2d,
+                                        DecompressionResult& result) {
   if (simulate_h2d) {
     result.h2d_seconds =
         ctx.host_to_device(blob.compressed_bytes(), "h2d_compressed");
@@ -155,12 +164,14 @@ core::DecodeResult run_simulated_stages(cudasim::SimContext& ctx,
   return decoded;
 }
 
-/// The fused write path applies when the blob is 1-D (the streaming sink
-/// carries the whole predictor neighborhood in one register) and the config
-/// has not opted out.
-bool fused_write_applies(const CompressedBlob& blob,
-                         const core::DecoderConfig& decoder_config) {
-  return decoder_config.use_fused_write && blob.dims.rank == 1;
+/// Ranks 2–3 reconstruct from the whole staged code vector: their predictor
+/// reads neighbours along every axis.
+void reconstruct_staged(const CompressedBlob& blob,
+                        std::span<const std::uint16_t> codes,
+                        std::span<float> out) {
+  const std::vector<float> recon = lorenzo_reconstruct(
+      codes, blob.outliers, blob.dims, blob.abs_error_bound, blob.radius);
+  std::copy(recon.begin(), recon.end(), out.begin());
 }
 
 }  // namespace
@@ -169,22 +180,10 @@ DecompressionResult decompress(cudasim::SimContext& ctx,
                                const CompressedBlob& blob,
                                const core::DecoderConfig& decoder_config,
                                bool simulate_h2d) {
-  DecompressionResult result;
-  const core::DecodeResult decoded =
-      run_simulated_stages(ctx, blob, decoder_config, simulate_h2d, result);
-  if (fused_write_applies(blob, decoder_config)) {
-    // Fused write: one pass over the decoded codes, dequantize + 1-D
-    // Lorenzo straight into the result buffer (no int64 lattice vector).
-    result.data.resize(blob.dims.count());
-    Lorenzo1DSink sink(result.data, blob.outliers, blob.abs_error_bound,
-                       blob.radius);
-    for (const std::uint16_t code : decoded.symbols) sink(code);
-    sink.finish();
-  } else {
-    result.data = lorenzo_reconstruct(decoded.symbols, blob.outliers,
-                                      blob.dims, blob.abs_error_bound,
-                                      blob.radius);
-  }
+  std::vector<float> data(blob.dims.count());
+  DecompressionResult result =
+      decompress_into(ctx, blob, data, decoder_config, simulate_h2d);
+  result.data = std::move(data);
   return result;
 }
 
@@ -193,46 +192,33 @@ DecompressionResult decompress_into(cudasim::SimContext& ctx,
                                     std::span<float> out,
                                     const core::DecoderConfig& decoder_config,
                                     bool simulate_h2d) {
-  if (out.size() != blob.dims.count()) {
-    throw std::invalid_argument(
-        "destination size does not match blob dimensions");
-  }
+  require_reconstructible(blob, out);
   DecompressionResult result;
   const core::DecodeResult decoded =
       run_simulated_stages(ctx, blob, decoder_config, simulate_h2d, result);
-  if (fused_write_applies(blob, decoder_config)) {
+  if (blob.dims.rank == 1) {
     Lorenzo1DSink sink(out, blob.outliers, blob.abs_error_bound, blob.radius);
     for (const std::uint16_t code : decoded.symbols) sink(code);
     sink.finish();
   } else {
-    const std::vector<float> recon =
-        lorenzo_reconstruct(decoded.symbols, blob.outliers, blob.dims,
-                            blob.abs_error_bound, blob.radius);
-    std::copy(recon.begin(), recon.end(), out.begin());
+    reconstruct_staged(blob, decoded.symbols, out);
   }
   return result;
 }
 
-void fused_decode_reconstruct(const CompressedBlob& blob,
-                              std::span<float> out) {
-  if (blob.dims.rank != 1) {
-    throw std::invalid_argument(
-        "the fused decode-write sink is 1-D only; rank-2/3 blobs need the "
-        "staged reconstruct");
+void host_decompress_into(const CompressedBlob& blob, std::span<float> out) {
+  require_reconstructible(blob, out);
+  if (blob.dims.rank == 1) {
+    Lorenzo1DSink sink(out, blob.outliers, blob.abs_error_bound, blob.radius);
+    core::host_decode_symbols(blob.encoded, sink);
+    sink.finish();
+  } else {
+    std::vector<std::uint16_t> codes;
+    codes.reserve(blob.dims.count());
+    core::host_decode_symbols(
+        blob.encoded, [&codes](std::uint16_t code) { codes.push_back(code); });
+    reconstruct_staged(blob, codes, out);
   }
-  if (out.size() != blob.dims.count()) {
-    throw std::invalid_argument(
-        "destination size does not match blob dimensions");
-  }
-  if (blob.encoded.method == core::Method::GapArrayOriginal8Bit) {
-    throw std::invalid_argument(
-        "the 8-bit gap-array baseline cannot reconstruct multi-byte "
-        "quantization codes; it exists for decode benchmarking only");
-  }
-  Lorenzo1DSink sink(out, blob.outliers, blob.abs_error_bound, blob.radius);
-  core::host_decode_symbols(blob.encoded,
-                            [&sink](std::uint16_t code) { sink(code); });
-  sink.finish();
 }
 
 }  // namespace ohd::sz

@@ -4,7 +4,8 @@
 //   decompress: Huffman decode (per method) ->  reverse Lorenzo
 //
 // Decompression charges the simulated GPU timeline for every stage, which is
-// what the end-to-end experiments (paper Figures 4 and 5) measure.
+// what the end-to-end experiments (paper Figures 4 and 5) measure. Reads that
+// need only the floats take host_decompress_into, which runs no model.
 #pragma once
 
 #include <cstdint>
@@ -111,13 +112,13 @@ CompressedBlob encode_quantized(QuantizedField&& q, core::Method method,
                                 const CompressorConfig& config,
                                 const huffman::Codebook& codebook);
 
-/// Decompresses on the simulated GPU. When `simulate_h2d` is set, the
-/// compressed payload is first "copied" host-to-device over the PCIe model
-/// (Figure 5's scenario); otherwise data is assumed device-resident
-/// (in-memory compression, Figure 4). Rank-1 blobs take the fused
-/// decode-write path (decoded codes stream through dequantize + 1-D Lorenzo
-/// straight into the result buffer) unless
-/// `decoder_config.use_fused_write` is off; floats are identical either way.
+/// Decompresses on the simulated GPU: the model prices every stage while the
+/// floats come out of host code. When `simulate_h2d` is set, the compressed
+/// payload is first "copied" host-to-device over the PCIe model (Figure 5's
+/// scenario); otherwise data is assumed device-resident (in-memory
+/// compression, Figure 4). Rank-1 codes stream through Lorenzo1DSink into
+/// the result; ranks 2–3 take the staged lorenzo_reconstruct. Equivalent to
+/// decompress_into over a fresh vector.
 DecompressionResult decompress(cudasim::SimContext& ctx,
                                const CompressedBlob& blob,
                                const core::DecoderConfig& decoder_config = {},
@@ -134,11 +135,14 @@ DecompressionResult decompress_into(cudasim::SimContext& ctx,
                                     const core::DecoderConfig& decoder_config = {},
                                     bool simulate_h2d = false);
 
-/// Fully fused HOST decode→dequantize→reconstruct for rank-1 blobs: Huffman-
-/// decodes the quant codes with the multi-symbol LUT and streams each one
-/// through dequantize + 1-D Lorenzo straight into `out` — no simulation, no
-/// intermediate quant-code vector, one pass instead of three. Float-exact
-/// vs decompress(); throws for rank-2/3 blobs and the 8-bit gap baseline.
-void fused_decode_reconstruct(const CompressedBlob& blob, std::span<float> out);
+/// The value path: reconstructs a blob of any rank into `out` on the host,
+/// with no simulation and no model seconds. The quant codes are decoded
+/// sequentially with the multi-symbol LUT (core::host_decode_symbols); rank 1
+/// streams them through Lorenzo1DSink straight into `out` (no intermediate
+/// code vector, one pass), ranks 2–3 stage them for lorenzo_reconstruct.
+/// Floats are bit-identical to decompress(). Throws std::invalid_argument on
+/// a size mismatch, for the 8-bit gap baseline, and for a payload that
+/// decodes to an unassigned prefix.
+void host_decompress_into(const CompressedBlob& blob, std::span<float> out);
 
 }  // namespace ohd::sz

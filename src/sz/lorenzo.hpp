@@ -115,8 +115,6 @@ class Lorenzo1DSink {
     ++i_;
   }
 
-  std::size_t produced() const { return i_; }
-
   void finish() const {
     if (i_ != out_.size()) {
       throw std::invalid_argument("fewer quant codes than output elements");

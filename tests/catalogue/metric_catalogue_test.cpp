@@ -4,8 +4,7 @@
 // snapshot must list exactly the (kind, name) pairs below. A renamed,
 // dropped or accidentally added metric fails here. This suite has its own
 // binary because the registry never forgets a name: any earlier test in the
-// same process could add dynamic names (batch.field.<field>.*,
-// decode.phase.*) to the snapshot.
+// same process could add names (decode.phase.*) to the snapshot.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -156,8 +155,6 @@ TEST(MetricCatalogue, SnapshotListsExactlyTheCatalogue) {
   const std::vector<std::string> expected = {
       "counter batch.chunks_decoded",
       "counter batch.chunks_encoded",
-      "counter batch.field.catalogue.chunks",
-      "counter batch.field.catalogue.chunks_decoded",
       "counter decode.phase.decode_write_ns",
       "counter decode.phase.output_index_ns",
       "counter decode.phase.tune_ns",

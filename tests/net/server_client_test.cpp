@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -25,8 +26,10 @@
 #include "net/frame.hpp"
 #include "net/server.hpp"
 #include "net/socket.hpp"
+#include "pipeline/batch.hpp"
 #include "pipeline/byte_stream.hpp"
 #include "service/compression_service.hpp"
+#include "sz/serialize.hpp"
 #include "util/rng.hpp"
 
 namespace ohd::net {
@@ -151,17 +154,6 @@ TEST(ServiceWire, UnixSocketRoundTrip) {
   EXPECT_EQ(wire, svc.submit_compress(local, two_field_job(3)).get().archive);
 }
 
-TEST(ServiceWire, ServiceConfigDrivenListeners) {
-  service::ServiceConfig cfg = small_service_config();
-  cfg.listen_tcp = true;
-  cfg.listen_tcp_port = 0;
-  service::CompressionService svc(cfg);
-  ServiceServer server(svc);  // reads the listen options off the service
-  ASSERT_EQ(server.endpoints().size(), 1u);
-  ServiceClient client(client_config(server.endpoints()[0]));
-  client.ping();
-}
-
 // ---- error taxonomy over the wire -----------------------------------------
 
 TEST(ServiceWire, DeadlineCancelBusyAndStoppedRoundTrip) {
@@ -228,6 +220,82 @@ TEST(ServiceWire, CorruptArchiveUploadMapsToArchiveCode) {
   }
   // The connection survives an Archive-level reject.
   client.ping();
+}
+
+/// Three 4096-element chunks, the middle one constant: the encoder gives its
+/// lone symbol a 1-bit code and leaves the other 1-bit prefix unassigned.
+/// Its payload is complemented into that prefix before ArchiveWriter seals
+/// the frame and index CRCs, so only the decode can tell the data is bad.
+std::vector<std::uint8_t> unassigned_prefix_archive() {
+  std::vector<float> data = wavy_field(3 * 4096, 5);
+  std::fill(data.begin() + 4096, data.begin() + 8192, 0.0f);
+  const sz::CompressorConfig cfg;  // gap-array optimized
+  pipeline::ArchiveFieldSpec spec;
+  spec.name = "f";
+  spec.dims = sz::Dims::d1(data.size());
+  spec.abs_error_bound = sz::resolve_error_bound(data, cfg.rel_error_bound);
+  pipeline::MemorySink sink;
+  pipeline::ArchiveWriter writer(sink);
+  writer.begin_field(spec);
+  for (const pipeline::ChunkExtent& e : pipeline::chunk_layout(spec.dims, 4096)) {
+    sz::CompressedBlob blob = sz::compress_with_abs_bound(
+        std::span<const float>(data).subspan(e.elem_offset, 4096), e.dims,
+        spec.abs_error_bound, cfg);
+    if (e.elem_offset == 4096) {
+      for (std::uint32_t& unit :
+           std::get<huffman::GapEncoding>(blob.encoded.payload).stream.units) {
+        unit = ~unit;
+      }
+    }
+    writer.write_chunk(e, sz::serialize_blob(blob));
+  }
+  writer.end_field();
+  writer.finish();
+  return sink.take();
+}
+
+TEST(ServiceWire, UnassignedPrefixFrameIsAnArchiveError) {
+  const std::vector<std::uint8_t> archive = unassigned_prefix_archive();
+  const pipeline::MemorySource source(archive);
+  const pipeline::ArchiveReader reader(source);
+  // Bad data on both decode paths, not a library fault.
+  cudasim::SimContext ctx;
+  EXPECT_THROW(reader.decode_chunk(ctx, 0, 1), std::invalid_argument);
+  EXPECT_THROW(reader.decode_range(0, 4096, 8192), std::invalid_argument);
+
+  // Salvage quarantines exactly that chunk and decodes the rest.
+  pipeline::ThreadPool pool(2);
+  const pipeline::PartialBatchDecompress partial =
+      pipeline::BatchScheduler(pool).decompress_partial(reader);
+  std::vector<float> expect = reader.decode_range(0, 0, 4096);
+  expect.resize(8192, 0.0f);
+  const std::vector<float> tail = reader.decode_range(0, 8192, 3 * 4096);
+  expect.insert(expect.end(), tail.begin(), tail.end());
+  EXPECT_EQ(partial.values.at(0), expect);
+  const auto& chunks = partial.report.fields.at(0).chunks;
+  ASSERT_EQ(chunks.size(), 3u);
+  EXPECT_EQ(chunks[0].status, pipeline::ChunkStatus::Ok);
+  EXPECT_EQ(chunks[1].status, pipeline::ChunkStatus::Corrupt);
+  EXPECT_EQ(chunks[2].status, pipeline::ChunkStatus::Ok);
+
+  // Over the wire: a chunk read and a whole decompress fail with the
+  // Archive code, and the connection lives on.
+  service::CompressionService svc(small_service_config());
+  ServiceServer server(svc);
+  ServiceClient client(client_config(server.endpoints()[0]));
+  const service::ArchiveHandle handle = client.open_archive(archive);
+  const auto expect_archive_error = [](auto&& future) {
+    try {
+      future.get();
+      ADD_FAILURE() << "the hostile chunk decoded";
+    } catch (const RemoteError& e) {
+      EXPECT_EQ(e.code(), static_cast<std::uint16_t>(WireErrorCode::Archive))
+          << e.what();
+    }
+  };
+  expect_archive_error(client.submit_chunk(handle, 0, 1).future);
+  expect_archive_error(client.submit_decompress(handle).future);
+  EXPECT_EQ(client.submit_chunk(handle, 0, 2).future.get(), tail);
 }
 
 // ---- raw-socket protocol behaviour ----------------------------------------

@@ -104,22 +104,13 @@ TEST(TelemetryIntegration, RoundTripSnapshotCoversEveryLayer) {
   EXPECT_GT(wait->count, 0u);
   EXPECT_EQ(wait->count, run->count);
 
-  // Batch: encode and decode chunk totals line up across directions, with
-  // per-field chunk counters registered under the field names.
+  // Batch: encode and decode chunk totals line up across directions.
   const obs::CounterSnap* encoded = snap.counter("batch.chunks_encoded");
   const obs::CounterSnap* decoded = snap.counter("batch.chunks_decoded");
   ASSERT_NE(encoded, nullptr);
   ASSERT_NE(decoded, nullptr);
   EXPECT_GT(encoded->value, 0u);
   EXPECT_EQ(encoded->value, decoded->value);
-  std::uint64_t per_field = 0;
-  for (const FieldSpec& spec : corpus.specs) {
-    const obs::CounterSnap* c =
-        snap.counter("batch.field." + spec.name + ".chunks");
-    ASSERT_NE(c, nullptr) << spec.name;
-    per_field += c->value;
-  }
-  EXPECT_EQ(per_field, encoded->value);
   EXPECT_GT(snap.histogram("batch.encode_ns")->count, 0u);
   EXPECT_EQ(snap.histogram("batch.decode_ns")->count, decoded->value);
 
@@ -201,21 +192,13 @@ TEST(TelemetryIntegration, DisabledRunCountsTheSameButSamplesNothing) {
   }
   std::remove(path.c_str());
 
-  // The caller-named per-field counters count only while enabled; every
-  // other counter counts the same either way.
-  const auto counts = [](const obs::Snapshot& snap, bool per_field) {
+  // Every counter counts the same either way.
+  const auto counts = [](const obs::Snapshot& snap) {
     std::map<std::string, std::uint64_t> out;
-    for (const obs::CounterSnap& c : snap.counters) {
-      if (c.name.starts_with("batch.field.") == per_field) {
-        out[c.name] = c.value;
-      }
-    }
+    for (const obs::CounterSnap& c : snap.counters) out[c.name] = c.value;
     return out;
   };
-  EXPECT_EQ(counts(disabled, false), counts(enabled, false));
-  for (const auto& [name, value] : counts(disabled, true)) {
-    EXPECT_EQ(value, 0u) << name;
-  }
+  EXPECT_EQ(counts(disabled), counts(enabled));
   // Gauge peaks depend on how worker threads interleave, so only whether
   // a peak was reached is compared.
   ASSERT_EQ(disabled.gauges.size(), enabled.gauges.size());

@@ -207,9 +207,8 @@ TEST(ArchiveIO, ReaderDecodesBitIdenticalToContainerRoundTrip) {
   // edges.
   const std::size_t field = 0;
   const std::uint64_t lo = 3000, hi = 9500;
-  cudasim::SimContext c5, c6;
-  const auto expect = in_memory.decode_range(c5, field, lo, hi);
-  EXPECT_EQ(reader.decode_range(c6, field, lo, hi), expect);
+  const auto expect = in_memory.decode_range(field, lo, hi);
+  EXPECT_EQ(reader.decode_range(field, lo, hi), expect);
   EXPECT_EQ(sched.decode_range(reader, field, lo, hi), expect);
   EXPECT_TRUE(sched.decode_range(reader, field, 500, 500).empty());
   EXPECT_THROW(sched.decode_range(reader, field, 10, 1u << 30),
@@ -368,21 +367,19 @@ TEST(Container, RangeDecodeMatchesFullDecode) {
   const MemorySource source(image);
   const ArchiveReader reader(source);
   const std::size_t field = reader.field_index("field0");
-  cudasim::SimContext c1, c2;
-  const FieldDecode full = reader.decode_field(c1, field);
+  cudasim::SimContext ctx;
+  const FieldDecode full = reader.decode_field(ctx, field);
 
   // A range crossing two chunk boundaries (chunks are 4096 elements).
   const std::uint64_t lo = 3000, hi = 9500;
-  const auto range = reader.decode_range(c2, field, lo, hi);
+  const auto range = reader.decode_range(field, lo, hi);
   ASSERT_EQ(range.size(), hi - lo);
   for (std::uint64_t i = 0; i < hi - lo; ++i) {
     ASSERT_EQ(range[i], full.data[lo + i]) << "elem " << lo + i;
   }
 
-  cudasim::SimContext c3;
-  EXPECT_TRUE(reader.decode_range(c3, field, 500, 500).empty());
-  cudasim::SimContext c4;
-  EXPECT_THROW(reader.decode_range(c4, field, 10, 30000), ContainerError);
+  EXPECT_TRUE(reader.decode_range(field, 500, 500).empty());
+  EXPECT_THROW(reader.decode_range(field, 10, 30000), ContainerError);
 }
 
 TEST(Container, CorruptedFrameRejectedWithClearError) {
@@ -1235,8 +1232,7 @@ TEST(SalvageFuzz, TruncationAtEveryByteRecoversExactlyTheChunksBeforeTheCut) {
 
     if (cut % 97 != 0 && cut != a.bytes.size()) continue;
     for (std::size_t fi = 0; fi < expect.size(); ++fi) {
-      cudasim::SimContext ctx;
-      const PartialFieldDecode pd = reader.decode_field_partial(ctx, fi);
+      const PartialFieldDecode pd = reader.decode_field_partial(fi);
       std::uint64_t expect_ok = 0;
       for (std::size_t ci : expect[fi]) {
         expect_ok += a.fields[fi].chunks[ci].dims.count();
@@ -1284,8 +1280,7 @@ TEST(SalvageFuzz, RandomBitFlipsNeverSurfaceUnverifiedBytes) {
       }
       if (ref == nullptr) continue;  // the flip landed in a header name
       if (reader.fields()[fi].dims.count() != ref->size()) continue;
-      cudasim::SimContext ctx;
-      const PartialFieldDecode pd = reader.decode_field_partial(ctx, fi);
+      const PartialFieldDecode pd = reader.decode_field_partial(fi);
       for (const ChunkReport& cr : pd.report.chunks) {
         const std::uint64_t count = cr.elem_count > 0
                                         ? cr.elem_count
@@ -1326,7 +1321,7 @@ TEST(Salvage, StrictEntryPointsRejectIncompleteSalvagedFields) {
   cudasim::SimContext ctx;
   EXPECT_EQ(reader.decode_field(ctx, 0).data, a.reference[0]);
   EXPECT_THROW(reader.decode_field(ctx, 1), ContainerError);
-  EXPECT_THROW(reader.decode_range(ctx, 1, 0, 10), ContainerError);
+  EXPECT_THROW(reader.decode_range(1, 0, 10), ContainerError);
   EXPECT_THROW(reader.verify(), ContainerError);
 
   ThreadPool pool(2);
@@ -1339,7 +1334,7 @@ TEST(Salvage, StrictEntryPointsRejectIncompleteSalvagedFields) {
   const FieldReport& fb = partial.report.fields[1];
   EXPECT_EQ(fb.ok_count(), a.fields[1].chunks.size() - 1);
   EXPECT_EQ(fb.chunks.back().status, ChunkStatus::Missing);
-  const std::vector<float>& vb = partial.result.fields[1].decode.data;
+  const std::vector<float>& vb = partial.values[1];
   const std::uint64_t covered = last.elem_offset;
   for (std::uint64_t i = 0; i < vb.size(); ++i) {
     if (i < covered) {
@@ -1445,7 +1440,7 @@ TEST(Salvage, PayloadCorruptionKeepsTheStrictIndexAndQuarantinesAtDecode) {
   EXPECT_EQ(corrupt, 1u);
   cudasim::SimContext ctx;
   const std::vector<float> ref = parsed.decode_field(ctx, 1).data;
-  const std::vector<float>& got = partial.result.fields[1].decode.data;
+  const std::vector<float>& got = partial.values[1];
   ASSERT_EQ(got.size(), ref.size());
   for (std::uint64_t i = 0; i < got.size(); ++i) {
     const bool in_flipped = i >= rec.elem_offset &&

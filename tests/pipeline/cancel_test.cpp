@@ -75,7 +75,7 @@ TEST_F(BatchCancelTest, PreCancelledDecompressThrowsBeforeDecoding) {
   cancel.request_cancel();
   EXPECT_THROW(scheduler.decompress(reader, {}, cancel), OperationCancelled);
   EXPECT_THROW(
-      scheduler.decode_range(reader, 0, 100, 5000, {}, cancel),
+      scheduler.decode_range(reader, 0, 100, 5000, cancel),
       OperationCancelled);
 }
 
@@ -114,7 +114,7 @@ TEST_F(BatchCancelTest, UncancelledTokenIsBitIdenticalToNoToken) {
 
   const auto range_plain = scheduler.decode_range(reader, 0, 500, 9000);
   const auto range_tokened =
-      scheduler.decode_range(reader, 0, 500, 9000, {}, live);
+      scheduler.decode_range(reader, 0, 500, 9000, live);
   EXPECT_EQ(range_plain, range_tokened);
 }
 

@@ -105,29 +105,6 @@ TEST(BatchDeterminism, DecompressIsBitIdenticalAcrossWorkerCounts) {
   }
 }
 
-TEST(BatchDeterminism, DecodeCoversAllFiveMethods) {
-  const core::Method methods[] = {
-      core::Method::CuszNaive, core::Method::SelfSyncOriginal,
-      core::Method::SelfSyncOptimized, core::Method::GapArrayOriginal8Bit,
-      core::Method::GapArrayOptimized};
-  std::vector<core::EncodedStream> streams;
-  std::uint64_t seed = 11;
-  for (core::Method m : methods) {
-    const auto codes = data::quant_code_stream(12000, 1024, 30.0, seed++);
-    streams.push_back(core::encode_for_method(m, codes, 1024));
-  }
-
-  ThreadPool p1(1), p4(4);
-  const auto seq = BatchScheduler(p1).decode(streams);
-  const auto par = BatchScheduler(p4).decode(streams);
-  ASSERT_EQ(seq.size(), streams.size());
-  ASSERT_EQ(par.size(), streams.size());
-  for (std::size_t i = 0; i < streams.size(); ++i) {
-    EXPECT_EQ(par[i].symbols, seq[i].symbols) << method_name(methods[i]);
-    expect_phases_identical(par[i].phases, seq[i].phases);
-  }
-}
-
 /// The planned (two-fan-out) compress path: adaptive method selection plus
 /// shared codebooks must stay worker-count invariant AND byte-identical to
 /// the sequential ArchiveWriter::add_field build.

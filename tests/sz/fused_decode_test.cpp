@@ -1,12 +1,14 @@
-// Fused decode→dequantize→reconstruct write path: float-for-float identical
-// to the staged pipeline (decode to a quant-code vector, then
-// lorenzo_reconstruct), across methods, ranks, outlier densities, and both
-// decompress entry points.
+// Fused decode→dequantize→reconstruct write path: the rank-1 streaming
+// sink is float-for-float identical to the staged lorenzo_reconstruct, and
+// the host value path (host_decompress_into) matches the simulated
+// decompress across methods, ranks, outlier densities, and both decompress
+// entry points.
 #include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/decode_write.hpp"
 #include "sz/compressor.hpp"
 #include "util/rng.hpp"
 
@@ -37,20 +39,19 @@ TEST(FusedDecodeWrite, MatchesStagedReconstructBitForBit) {
   const auto blob = compress(data, Dims::d1(data.size()), cfg);
   ASSERT_FALSE(blob.outliers.empty());  // the corpus must exercise outliers
 
-  core::DecoderConfig fused;
-  ASSERT_TRUE(fused.use_fused_write);  // documented default
-  core::DecoderConfig staged;
-  staged.use_fused_write = false;
-
-  cudasim::SimContext ctx_a, ctx_b;
-  const auto a = decompress(ctx_a, blob, fused);
-  const auto b = decompress(ctx_b, blob, staged);
-  ASSERT_EQ(a.data.size(), b.data.size());
-  for (std::size_t i = 0; i < a.data.size(); ++i) {
-    ASSERT_EQ(a.data[i], b.data[i]) << i;  // exact, not approximate
-  }
-  // The write path must not change the simulated timings.
-  EXPECT_DOUBLE_EQ(a.total_seconds(), b.total_seconds());
+  std::vector<std::uint16_t> codes;
+  core::host_decode_symbols(
+      blob.encoded, [&codes](std::uint16_t code) { codes.push_back(code); });
+  const std::vector<float> staged = lorenzo_reconstruct(
+      codes, blob.outliers, blob.dims, blob.abs_error_bound, blob.radius);
+  std::vector<float> fused(data.size());
+  Lorenzo1DSink sink(fused, blob.outliers, blob.abs_error_bound, blob.radius);
+  for (const std::uint16_t code : codes) sink(code);
+  sink.finish();
+  EXPECT_EQ(fused, staged);  // exact, not approximate
+  // decompress streams rank-1 codes through the same sink.
+  cudasim::SimContext ctx;
+  EXPECT_EQ(decompress(ctx, blob).data, fused);
 }
 
 TEST(FusedDecodeWrite, DecompressIntoMatchesDecompress) {
@@ -84,7 +85,7 @@ TEST(FusedDecodeWrite, HostFusedPathMatchesSimulatedDecode) {
     cudasim::SimContext ctx;
     const auto simulated = decompress(ctx, blob);
     std::vector<float> host(data.size());
-    fused_decode_reconstruct(blob, host);
+    host_decompress_into(blob, host);
     EXPECT_EQ(host, simulated.data)
         << core::method_name(method) << " fused host decode diverged";
   }
@@ -92,25 +93,24 @@ TEST(FusedDecodeWrite, HostFusedPathMatchesSimulatedDecode) {
 
 TEST(FusedDecodeWrite, HigherRankBlobsUseTheStagedPathIdentically) {
   const auto data = spiky_field(128 * 96, 11);
-  CompressorConfig cfg;
-  const auto blob = compress(data, Dims::d2(128, 96), cfg);
+  for (const Dims& dims : {Dims::d2(128, 96), Dims::d3(32, 24, 16)}) {
+    CompressorConfig cfg;
+    const auto blob = compress(data, dims, cfg);
+    std::vector<std::uint16_t> codes;
+    core::host_decode_symbols(
+        blob.encoded, [&codes](std::uint16_t code) { codes.push_back(code); });
+    const std::vector<float> staged = lorenzo_reconstruct(
+        codes, blob.outliers, blob.dims, blob.abs_error_bound, blob.radius);
 
-  core::DecoderConfig fused;          // fused flag on, but rank 2 => staged
-  core::DecoderConfig staged;
-  staged.use_fused_write = false;
-  cudasim::SimContext ctx_a, ctx_b;
-  const auto a = decompress(ctx_a, blob, fused);
-  const auto b = decompress(ctx_b, blob, staged);
-  EXPECT_EQ(a.data, b.data);
-
-  // decompress_into works for rank 2 too (via the staged copy)...
-  std::vector<float> dest(data.size());
-  cudasim::SimContext ctx_c;
-  decompress_into(ctx_c, blob, dest);
-  EXPECT_EQ(dest, a.data);
-  // ...but the host-only fused sink is 1-D by contract.
-  std::vector<float> host(data.size());
-  EXPECT_THROW(fused_decode_reconstruct(blob, host), std::invalid_argument);
+    cudasim::SimContext ctx_a, ctx_b;
+    EXPECT_EQ(decompress(ctx_a, blob).data, staged) << "rank " << dims.rank;
+    std::vector<float> dest(data.size());
+    decompress_into(ctx_b, blob, dest);
+    EXPECT_EQ(dest, staged) << "rank " << dims.rank;
+    std::vector<float> host(data.size());
+    host_decompress_into(blob, host);
+    EXPECT_EQ(host, staged) << "rank " << dims.rank;
+  }
 }
 
 TEST(FusedDecodeWrite, AllOutlierChunkReconstructs) {
@@ -126,7 +126,7 @@ TEST(FusedDecodeWrite, AllOutlierChunkReconstructs) {
   cudasim::SimContext ctx;
   const auto fused = decompress(ctx, blob);
   std::vector<float> host(data.size());
-  fused_decode_reconstruct(blob, host);
+  host_decompress_into(blob, host);
   EXPECT_EQ(host, fused.data);
   for (std::size_t i = 0; i < data.size(); ++i) {
     ASSERT_LE(std::abs(data[i] - fused.data[i]),
