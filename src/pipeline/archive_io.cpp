@@ -474,7 +474,6 @@ auto ArchiveReader::with_chunk_blob(std::size_t field, std::size_t chunk,
   const ChunkRecord& rec = record(field, chunk);
   const FrameResidency lease(*this, rec.payload_bytes);
   const std::vector<std::uint8_t> frame = fetch_frame(rec);
-  reader_metrics().crc_checks.add(1);
   return decode(wire::parse_chunk_frame(fields_[field], chunk, frame));
 }
 

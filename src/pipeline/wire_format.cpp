@@ -4,6 +4,7 @@
 #include <string>
 #include <unordered_set>
 
+#include "obs/metrics.hpp"
 #include "sz/serialize.hpp"
 #include "util/checksum.hpp"
 
@@ -223,6 +224,8 @@ FieldEntry read_field_entry(util::ByteReader& r) {
 
 sz::CompressedBlob parse_chunk_frame(const FieldEntry& field, std::size_t chunk,
                                      std::span<const std::uint8_t> frame) {
+  static obs::Counter& crc_checks = obs::registry().counter("reader.crc_checks");
+  crc_checks.add(1);
   const ChunkRecord& rec = field.chunks[chunk];
   if (util::crc32(frame) != rec.crc32) {
     throw ContainerError("field '" + field.name + "' chunk " +

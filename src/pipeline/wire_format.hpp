@@ -184,7 +184,7 @@ bool try_parse_field_preamble(std::span<const std::uint8_t> bytes,
 
 /// Checksum + parse + geometry validation of one chunk's frame bytes — the
 /// single decode gate of ArchiveReader and the batch scheduler's prefetching
-/// range decode.
+/// paths, so it is where "reader.crc_checks" counts their CRC checks.
 sz::CompressedBlob parse_chunk_frame(const FieldEntry& field, std::size_t chunk,
                                      std::span<const std::uint8_t> frame);
 

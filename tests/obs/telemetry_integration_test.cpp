@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -213,6 +214,33 @@ TEST(TelemetryIntegration, DisabledRunCountsTheSameButSamplesNothing) {
   ASSERT_NE(frames, nullptr);
   EXPECT_GT(frames->peak, 0);
   obs::registry().reset();
+}
+
+TEST(TelemetryIntegration, EveryChunkDecodeCountsItsCrcCheck) {
+  const Corpus corpus = small_corpus();
+  ThreadPool pool(2);
+  const BatchScheduler scheduler(pool);
+  const OwningMemorySource source(scheduler.compress(corpus.specs));
+  const ArchiveReader reader(source);
+  const std::uint64_t chunks = reader.fields()[0].chunks.size();
+  const std::uint64_t n = reader.fields()[0].dims.count();
+  const obs::ScopedTelemetry scope;
+  const auto crc_checks = [] {
+    return obs::registry().snapshot().counter("reader.crc_checks")->value;
+  };
+  std::uint64_t before = crc_checks();
+  for (const auto& decode : std::vector<std::function<void()>>{
+           [&] { reader.decode_range(0, 0, n); },
+           [&] { scheduler.decode_range(reader, 0, 0, n); },
+           [&] { reader.decode_field_partial(0); },
+           [&] { cudasim::SimContext ctx; reader.decode_field(ctx, 0); }}) {
+    decode();
+    EXPECT_EQ(crc_checks() - before, chunks);
+    before = crc_checks();
+  }
+  scheduler.decompress_partial(reader);
+  EXPECT_EQ(crc_checks() - before,
+            chunks + reader.fields()[1].chunks.size());
 }
 
 TEST(TelemetryIntegration, FaultCountersAggregateIntoRegistry) {
