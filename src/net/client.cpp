@@ -4,6 +4,7 @@
 #include <thread>
 #include <tuple>
 #include <utility>
+#include <variant>
 
 #include "obs/metrics.hpp"
 
@@ -36,7 +37,6 @@ ServiceClient::~ServiceClient() {
     teardown_locked(lock, "client destroyed");
   }
   if (reader_.joinable()) reader_.join();
-  if (dead_reader_.joinable()) dead_reader_.join();
 }
 
 bool ServiceClient::connected() const {
@@ -79,7 +79,6 @@ void ServiceClient::connect_locked(std::unique_lock<std::mutex>& lock) {
     reader_.join();
     lock.lock();
   }
-  if (dead_reader_.joinable()) dead_reader_.join();
 
   const std::size_t attempts = std::max<std::size_t>(1, config_.retry.max_attempts);
   for (std::size_t attempt = 1;; ++attempt) {
@@ -246,7 +245,32 @@ void ServiceClient::reader_loop(std::uint64_t generation, int fd) {
   teardown_locked(lock, reason);
 }
 
-std::uint64_t ServiceClient::send_request(RequestOp op,
+template <typename T, typename Parse>
+service::Submission<T> ServiceClient::submit(
+    FrameType type, RequestOp op, const service::RequestOptions& opts,
+    std::span<const std::uint8_t> payload, Parse parse) {
+  auto promise = std::make_shared<std::promise<T>>();
+  PendingRequest p;
+  p.settle_value = [promise, parse](std::span<const std::uint8_t> body) {
+    try {
+      util::ByteReader r(body);
+      T value = parse(r);
+      expect_exhausted(r);
+      promise->set_value(std::move(value));
+    } catch (...) {
+      promise->set_exception(std::current_exception());
+    }
+  };
+  p.settle_error = [promise](std::exception_ptr e) {
+    promise->set_exception(e);
+  };
+  service::Submission<T> out;
+  out.future = promise->get_future();
+  out.id = send_request(type, op, opts, payload, std::move(p));
+  return out;
+}
+
+std::uint64_t ServiceClient::send_request(FrameType type, RequestOp op,
                                           const service::RequestOptions& opts,
                                           std::span<const std::uint8_t> payload,
                                           PendingRequest pending) {
@@ -259,7 +283,7 @@ std::uint64_t ServiceClient::send_request(RequestOp op,
     ++requests_sent_;
   }
   FrameHeader h;
-  h.type = FrameType::Request;
+  h.type = type;
   h.op = op;
   h.priority = opts.priority;
   h.request_id = id;
@@ -278,127 +302,49 @@ std::uint64_t ServiceClient::send_request(RequestOp op,
   return id;
 }
 
-std::vector<std::uint8_t> ServiceClient::call(
-    RequestOp op, std::span<const std::uint8_t> payload) {
-  auto promise =
-      std::make_shared<std::promise<std::vector<std::uint8_t>>>();
-  PendingRequest p;
-  p.op = op;
-  p.settle_value = [promise](std::span<const std::uint8_t> body) {
-    promise->set_value(std::vector<std::uint8_t>(body.begin(), body.end()));
-  };
-  p.settle_error = [promise](std::exception_ptr e) {
-    promise->set_exception(e);
-  };
-  auto future = promise->get_future();
-  send_request(op, {}, payload, std::move(p));
-  return future.get();
-}
-
 service::ArchiveHandle ServiceClient::open_archive(
     std::span<const std::uint8_t> image) {
   util::ByteWriter w;
   w.bytes(image);
-  const std::vector<std::uint8_t> body = call(RequestOp::OpenArchive, w.bytes());
-  util::ByteReader r(body);
-  const std::uint64_t handle = r.u64();
-  expect_exhausted(r);
-  return handle;
+  return submit<service::ArchiveHandle>(
+             FrameType::Request, RequestOp::OpenArchive, {}, w.bytes(),
+             [](util::ByteReader& r) { return r.u64(); })
+      .get();
 }
 
 void ServiceClient::close_archive(service::ArchiveHandle handle) {
   util::ByteWriter w;
   w.u64(handle);
-  call(RequestOp::CloseArchive, w.bytes());
+  submit<std::monostate>(FrameType::Request, RequestOp::CloseArchive, {},
+                         w.bytes(),
+                         [](util::ByteReader&) { return std::monostate{}; })
+      .get();
 }
 
 void ServiceClient::ping() {
-  auto promise = std::make_shared<std::promise<void>>();
-  PendingRequest p;
-  p.op = RequestOp::OpenClient;  // unused for pings
-  p.settle_value = [promise](std::span<const std::uint8_t>) {
-    promise->set_value();
-  };
-  p.settle_error = [promise](std::exception_ptr e) {
-    promise->set_exception(e);
-  };
-  auto future = promise->get_future();
-  std::uint64_t id = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!connected_) throw ConnectionLost("not connected");
-    id = next_id_++;
-    pending_.emplace(id, std::move(p));
-    ++requests_sent_;
-  }
-  FrameHeader h;
-  h.type = FrameType::Ping;
-  h.request_id = id;
-  const std::vector<std::uint8_t> frame = encode_frame(h, {});
-  try {
-    std::lock_guard<std::mutex> wlock(write_mutex_);
-    if (!sink_) throw ConnectionLost("not connected");
-    sink_->write(frame);
-  } catch (const std::exception& e) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    pending_.erase(id);
-    teardown_locked(lock, e.what());
-    throw ConnectionLost(std::string("send failed: ") + e.what());
-  }
-  future.get();
+  // A Ping frame carries no op; encode_frame zeroes it.
+  submit<std::monostate>(FrameType::Ping, RequestOp::OpenClient, {}, {},
+                         [](util::ByteReader&) { return std::monostate{}; })
+      .get();
 }
 
 service::Submission<service::CompressResult> ServiceClient::submit_compress(
     service::CompressJob job, service::RequestOptions opts) {
   util::ByteWriter w;
   write_compress_job(w, job);
-  auto promise = std::make_shared<std::promise<service::CompressResult>>();
-  PendingRequest p;
-  p.op = RequestOp::Compress;
-  p.settle_value = [promise](std::span<const std::uint8_t> body) {
-    try {
-      util::ByteReader r(body);
-      service::CompressResult res;
-      res.archive = r.array<std::uint8_t>();
-      expect_exhausted(r);
-      promise->set_value(std::move(res));
-    } catch (...) {
-      promise->set_exception(std::current_exception());
-    }
-  };
-  p.settle_error = [promise](std::exception_ptr e) {
-    promise->set_exception(e);
-  };
-  auto future = promise->get_future();
-  const std::uint64_t id =
-      send_request(RequestOp::Compress, opts, w.bytes(), std::move(p));
-  return {id, std::move(future)};
+  return submit<service::CompressResult>(
+      FrameType::Request, RequestOp::Compress, opts, w.bytes(),
+      [](util::ByteReader& r) {
+        return service::CompressResult{r.array<std::uint8_t>()};
+      });
 }
 
 service::Submission<DecompressBody> ServiceClient::submit_decompress(
     service::ArchiveHandle archive, service::RequestOptions opts) {
   util::ByteWriter w;
   w.u64(archive);
-  auto promise = std::make_shared<std::promise<DecompressBody>>();
-  PendingRequest p;
-  p.op = RequestOp::Decompress;
-  p.settle_value = [promise](std::span<const std::uint8_t> body) {
-    try {
-      util::ByteReader r(body);
-      DecompressBody res = read_decompress_result(r);
-      expect_exhausted(r);
-      promise->set_value(std::move(res));
-    } catch (...) {
-      promise->set_exception(std::current_exception());
-    }
-  };
-  p.settle_error = [promise](std::exception_ptr e) {
-    promise->set_exception(e);
-  };
-  auto future = promise->get_future();
-  const std::uint64_t id =
-      send_request(RequestOp::Decompress, opts, w.bytes(), std::move(p));
-  return {id, std::move(future)};
+  return submit<DecompressBody>(FrameType::Request, RequestOp::Decompress,
+                                opts, w.bytes(), read_decompress_result);
 }
 
 service::Submission<std::vector<float>> ServiceClient::submit_chunk(
@@ -408,26 +354,8 @@ service::Submission<std::vector<float>> ServiceClient::submit_chunk(
   w.u64(archive);
   w.u64(field);
   w.u64(chunk);
-  auto promise = std::make_shared<std::promise<std::vector<float>>>();
-  PendingRequest p;
-  p.op = RequestOp::Chunk;
-  p.settle_value = [promise](std::span<const std::uint8_t> body) {
-    try {
-      util::ByteReader r(body);
-      std::vector<float> res = read_floats(r);
-      expect_exhausted(r);
-      promise->set_value(std::move(res));
-    } catch (...) {
-      promise->set_exception(std::current_exception());
-    }
-  };
-  p.settle_error = [promise](std::exception_ptr e) {
-    promise->set_exception(e);
-  };
-  auto future = promise->get_future();
-  const std::uint64_t id =
-      send_request(RequestOp::Chunk, opts, w.bytes(), std::move(p));
-  return {id, std::move(future)};
+  return submit<std::vector<float>>(FrameType::Request, RequestOp::Chunk, opts,
+                                    w.bytes(), read_floats);
 }
 
 service::Submission<std::vector<float>> ServiceClient::submit_range(
@@ -439,26 +367,8 @@ service::Submission<std::vector<float>> ServiceClient::submit_range(
   w.u64(field);
   w.u64(elem_begin);
   w.u64(elem_end);
-  auto promise = std::make_shared<std::promise<std::vector<float>>>();
-  PendingRequest p;
-  p.op = RequestOp::Range;
-  p.settle_value = [promise](std::span<const std::uint8_t> body) {
-    try {
-      util::ByteReader r(body);
-      std::vector<float> res = read_floats(r);
-      expect_exhausted(r);
-      promise->set_value(std::move(res));
-    } catch (...) {
-      promise->set_exception(std::current_exception());
-    }
-  };
-  p.settle_error = [promise](std::exception_ptr e) {
-    promise->set_exception(e);
-  };
-  auto future = promise->get_future();
-  const std::uint64_t id =
-      send_request(RequestOp::Range, opts, w.bytes(), std::move(p));
-  return {id, std::move(future)};
+  return submit<std::vector<float>>(FrameType::Request, RequestOp::Range, opts,
+                                    w.bytes(), read_floats);
 }
 
 void ServiceClient::cancel(std::uint64_t wire_id) {
@@ -504,34 +414,6 @@ service::CompressResult ServiceClient::compress_retrying(
       }
       sleep_backoff(config_.retry.delay_before(attempt));
     } catch (const ConnectionLost&) {
-      if (attempt >= attempts) throw;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++retries_;
-      }
-      sleep_backoff(config_.retry.delay_before(attempt));
-    }
-  }
-}
-
-DecompressBody ServiceClient::decompress_retrying(
-    service::ArchiveHandle archive, service::RequestOptions opts) {
-  const std::size_t attempts = std::max<std::size_t>(1, config_.retry.max_attempts);
-  for (std::size_t attempt = 1;; ++attempt) {
-    try {
-      return submit_decompress(archive, opts).get();
-    } catch (const service::ServiceOverloaded& e) {
-      if (attempt >= attempts) throw;
-      const auto floor_delay = std::chrono::nanoseconds(
-          config_.retry.delay_before(attempt));
-      const auto hint = std::chrono::nanoseconds(e.retry_after_ns());
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++retries_;
-        if (hint.count() > 0) ++retry_after_waits_;
-      }
-      sleep_backoff(std::max(hint, floor_delay));
-    } catch (const service::ServiceBusy&) {
       if (attempt >= attempts) throw;
       {
         std::lock_guard<std::mutex> lock(mutex_);

@@ -14,15 +14,15 @@
 // pinned code. Losing the connection settles every in-flight future with
 // ConnectionLost.
 //
-// Reconnect + retry: the *_retrying blocking helpers wrap submit+wait in the
-// reusable backoff loop — reconnect on ConnectionLost, resubmit on
+// Reconnect + retry: the compress_retrying blocking helper wraps submit+wait
+// in the backoff loop — reconnect on ConnectionLost, resubmit on
 // ServiceBusy, and for ServiceOverloaded wait at least the server's
 // retry_after_ns hint (never less; the seeded-jitter RetryPolicy schedule is
 // the floor). The sleep is injectable (ClientConfig::sleep_fn), which is how
 // the retry-after test pins the waited interval deterministically. Archive
 // handles are CONNECTION-SCOPED: a reconnect starts a fresh session and old
-// handles are gone, so the helpers only auto-reconnect for handle-free
-// compress work; handle-holding callers observe ConnectionLost and re-open.
+// handles are gone, so only handle-free compress work auto-reconnects;
+// handle-holding callers observe ConnectionLost and re-open.
 #pragma once
 
 #include <chrono>
@@ -55,7 +55,7 @@ struct ClientConfig {
   std::uint64_t chunk_elems = std::uint64_t{1} << 16;
   /// Per-frame payload ceiling applied to INCOMING frames.
   std::uint64_t max_frame_payload = kDefaultMaxPayload;
-  /// Reconnect/retry schedule of the *_retrying helpers and connect():
+  /// Reconnect/retry schedule of compress_retrying and connect():
   /// seeded-jitter exponential backoff, deterministic per (seed, attempt).
   pipeline::RetryPolicy retry{.max_attempts = 5,
                               .base_delay = std::chrono::microseconds(2000),
@@ -72,7 +72,7 @@ struct ClientStats {
   std::uint64_t responses_received = 0;
   std::uint64_t errors_received = 0;   // typed error frames demuxed
   std::uint64_t reconnects = 0;        // successful connects after the first
-  std::uint64_t retries = 0;           // *_retrying re-attempts
+  std::uint64_t retries = 0;           // compress_retrying re-attempts
   std::uint64_t retry_after_waits = 0; // backoffs that honored a server hint
 };
 
@@ -122,23 +122,18 @@ class ServiceClient {
   /// RequestCancelled when the cancel won, the result when it lost the race).
   void cancel(std::uint64_t wire_id);
 
-  // ---- blocking helpers with the reconnect/backoff loop ----------------
+  // ---- blocking helper with the reconnect/backoff loop -----------------
 
   /// submit_compress + get, retrying on ServiceBusy/ServiceOverloaded (the
   /// latter waits >= the server's retry_after_ns hint) and reconnecting on
   /// ConnectionLost, within config.retry.max_attempts.
   service::CompressResult compress_retrying(const service::CompressJob& job,
                                             service::RequestOptions opts = {});
-  /// submit_decompress + get with the same backoff loop; no auto-reconnect
-  /// (the handle would be dead) — ConnectionLost propagates.
-  DecompressBody decompress_retrying(service::ArchiveHandle archive,
-                                     service::RequestOptions opts = {});
 
   ClientStats stats() const;
 
  private:
   struct PendingRequest {
-    RequestOp op = RequestOp::OpenClient;
     /// Parses the response payload and settles the promise (or captures the
     /// parse failure into it). Runs on the demux reader thread.
     std::function<void(std::span<const std::uint8_t>)> settle_value;
@@ -150,12 +145,19 @@ class ServiceClient {
                        const std::string& reason);
   void reader_loop(std::uint64_t generation, int fd);
 
-  std::uint64_t send_request(RequestOp op, const service::RequestOptions& opts,
+  /// Sends one frame of `type` (Request or Ping) under a fresh wire id and
+  /// returns a Submission whose future the demux reader settles: with
+  /// `parse` applied to the response payload (which must be consumed
+  /// exactly), or with the error the server or the connection reported.
+  template <typename T, typename Parse>
+  service::Submission<T> submit(FrameType type, RequestOp op,
+                                const service::RequestOptions& opts,
+                                std::span<const std::uint8_t> payload,
+                                Parse parse);
+  std::uint64_t send_request(FrameType type, RequestOp op,
+                             const service::RequestOptions& opts,
                              std::span<const std::uint8_t> payload,
                              PendingRequest pending);
-  /// Round trip for the sync ops: send_request + wait on an internal future.
-  std::vector<std::uint8_t> call(RequestOp op,
-                                 std::span<const std::uint8_t> payload);
   void sleep_backoff(std::chrono::nanoseconds d);
 
   ClientConfig config_;
@@ -169,7 +171,6 @@ class ServiceClient {
   std::unique_ptr<pipeline::FdSink> sink_;  // under write_mutex_
   std::mutex write_mutex_;
   std::thread reader_;
-  std::thread dead_reader_;  // previous generation, joined on next transition
   bool connected_ = false;
   bool ever_connected_ = false;
   bool closing_ = false;

@@ -5,19 +5,15 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <future>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 
 #include "pipeline/byte_stream.hpp"
 
 namespace ohd::net {
 
 namespace {
-
-/// Completer poll slice: the bound on how long a settled response can wait
-/// while the completer is blocked on a different future.
-constexpr std::chrono::microseconds kCompletionPoll{200};
 
 /// Rethrows body-parse failures as FrameError so the single catch-all in
 /// handle_request maps them onto BadRequest (wire_error_from_exception puts
@@ -49,11 +45,12 @@ service::RequestOptions options_from_header(const FrameHeader& header) {
 
 }  // namespace
 
-/// One accepted connection: the socket, its two threads, and the in-flight
-/// request ledger shared between them. The reader produces Pending entries,
-/// the completer consumes them; `mutex`/`cv` guard the ledger, `write_mutex`
-/// serializes frames onto the socket (reader error frames interleave with
-/// completer responses).
+/// One accepted connection: the socket, its reader and writer threads, and
+/// the request ledger they share. The reader submits requests; each one's
+/// settle callback moves it from `live_wire` to `settled`, on whichever
+/// thread settled it, and the writer sends what settled in that order.
+/// `mutex`/`cv` guard the ledger; `write_mutex` serializes frames onto the
+/// socket (reader error frames interleave with the writer's responses).
 struct ServiceServer::Connection {
   explicit Connection(Socket s)
       : sock(std::move(s)), sink(sock.fd(), /*owns=*/false) {}
@@ -62,28 +59,33 @@ struct ServiceServer::Connection {
   pipeline::FdSink sink;   // the socket-backed ByteSink; under write_mutex
   std::mutex write_mutex;
 
-  /// One admitted submission awaiting its response.
-  struct Pending {
+  /// One settled request awaiting its frame: a response whose payload
+  /// `serialize` builds from the value it owns, or (when `serialize` is
+  /// empty) the error the request settled with.
+  struct Response {
     std::uint64_t wire_id = 0;
-    std::function<std::future_status(std::chrono::microseconds)> wait;
-    std::function<void()> complete;  // get() + serialize + send, or error frame
+    RequestOp op = RequestOp::OpenClient;
+    std::function<std::vector<std::uint8_t>()> serialize;
+    ErrorBody error;
   };
 
   std::mutex mutex;
   std::condition_variable cv;
-  std::deque<Pending> pending;
-  /// wire id -> service id for every in-flight request: cancel-frame routing
-  /// and disconnect cleanup.
+  /// wire id -> service id for every request submitted and not yet settled
+  /// (0 while its submit_* runs): cancel-frame routing and disconnect
+  /// cleanup.
   std::unordered_map<std::uint64_t, service::RequestId> live_wire;
+  std::deque<Response> settled;  // in settle order
   service::ClientId client = 0;
   bool client_open = false;
-  bool draining = false;  // reader done; completer exits once pending empties
+  /// The reader is done; the writer exits once nothing is live or settled.
+  bool reader_done = false;
 
-  std::atomic<bool> done{false};  // completer finished (threads joinable)
+  std::atomic<bool> done{false};  // writer finished (threads joinable)
   bool claimed = false;           // under conn_mutex_: a reaper owns the join
 
   std::thread reader;
-  std::thread completer;
+  std::thread writer;
 };
 
 ServiceServer::ServiceServer(service::CompressionService& service,
@@ -119,8 +121,8 @@ void ServiceServer::shutdown() {
   }
   for (auto& listener : listeners_) listener->close();
   // Half-close every connection for reading: the reader sees EOF and stops
-  // taking frames, the completer drains what is in flight and flushes its
-  // responses, and only then does the connection close.
+  // taking frames, the writer flushes the responses of what is in flight as
+  // it settles, and only then does the connection close.
   std::vector<std::shared_ptr<Connection>> conns;
   {
     std::lock_guard<std::mutex> lock(conn_mutex_);
@@ -163,7 +165,7 @@ void ServiceServer::acceptor_loop(Listener& listener) {
     connections_accepted_.add(1);
     open_connections_.add(1);
     conn->reader = std::thread([this, conn] { reader_loop(conn); });
-    conn->completer = std::thread([this, conn] { completer_loop(conn); });
+    conn->writer = std::thread([this, conn] { writer_loop(conn); });
     reap_connections(/*join_all=*/false);
   }
 }
@@ -231,7 +233,7 @@ void ServiceServer::reader_loop(const std::shared_ptr<Connection>& conn) {
           break;
         }
         case FrameType::Request:
-          handle_request(c, header, payload);
+          handle_request(conn, header, payload);
           break;
         default: {
           // Response/Error/Pong arriving AT the server is a protocol
@@ -266,7 +268,7 @@ void ServiceServer::reader_loop(const std::shared_ptr<Connection>& conn) {
   std::vector<service::RequestId> to_cancel;
   {
     std::lock_guard<std::mutex> lock(c.mutex);
-    c.draining = true;
+    c.reader_done = true;
     if (!graceful) {
       for (const auto& [wire_id, service_id] : c.live_wire) {
         to_cancel.push_back(service_id);
@@ -277,8 +279,10 @@ void ServiceServer::reader_loop(const std::shared_ptr<Connection>& conn) {
   c.cv.notify_all();
 }
 
-void ServiceServer::handle_request(Connection& c, const FrameHeader& header,
+void ServiceServer::handle_request(const std::shared_ptr<Connection>& conn,
+                                   const FrameHeader& header,
                                    std::span<const std::uint8_t> payload) {
+  Connection& c = *conn;
   util::ByteReader r(payload);
   try {
     // Every op below OpenClient requires a negotiated session.
@@ -289,14 +293,6 @@ void ServiceServer::handle_request(Connection& c, const FrameHeader& header,
             "connection has no client session (send OpenClient first)");
       }
       return c.client;
-    };
-    // Async ops: the wire id must be fresh while its predecessor is in
-    // flight (the demux key would be ambiguous otherwise).
-    const auto require_fresh_id = [&] {
-      std::lock_guard<std::mutex> lock(c.mutex);
-      if (c.live_wire.count(header.request_id) != 0) {
-        throw FrameError("frame: request id already in flight");
-      }
     };
 
     switch (header.op) {
@@ -376,15 +372,18 @@ void ServiceServer::handle_request(Connection& c, const FrameHeader& header,
           return j;
         });
         const service::ClientId id = session_client();
-        require_fresh_id();
-        track(c, header,
-              service_.submit_compress(id, std::move(job),
-                                       options_from_header(header)),
-              [](service::CompressResult& v) {
-                util::ByteWriter w;
-                w.bytes(v.archive);
-                return w.take();
-              });
+        track<service::CompressResult>(
+            conn, header,
+            [&](auto settle) {
+              return service_.submit_compress(id, std::move(job),
+                                              options_from_header(header),
+                                              std::move(settle));
+            },
+            [](service::CompressResult& v) {
+              util::ByteWriter w;
+              w.bytes(v.archive);
+              return w.take();
+            });
         return;
       }
       case RequestOp::Decompress: {
@@ -394,22 +393,24 @@ void ServiceServer::handle_request(Connection& c, const FrameHeader& header,
           return h;
         });
         const service::ClientId id = session_client();
-        require_fresh_id();
-        track(c, header,
-              service_.submit_decompress(
+        track<pipeline::BatchDecompressResult>(
+            conn, header,
+            [&](auto settle) {
+              return service_.submit_decompress(
                   id, static_cast<service::ArchiveHandle>(handle),
-                  options_from_header(header)),
-              [](pipeline::BatchDecompressResult& v) {
-                DecompressBody body;
-                body.fields.reserve(v.fields.size());
-                for (auto& f : v.fields) {
-                  body.fields.push_back({std::move(f.name),
-                                         std::move(f.decode.data)});
-                }
-                util::ByteWriter w;
-                write_decompress_result(w, body);
-                return w.take();
-              });
+                  options_from_header(header), std::move(settle));
+            },
+            [](pipeline::BatchDecompressResult& v) {
+              DecompressBody body;
+              body.fields.reserve(v.fields.size());
+              for (auto& f : v.fields) {
+                body.fields.push_back({std::move(f.name),
+                                       std::move(f.decode.data)});
+              }
+              util::ByteWriter w;
+              write_decompress_result(w, body);
+              return w.take();
+            });
         return;
       }
       case RequestOp::Chunk: {
@@ -421,18 +422,20 @@ void ServiceServer::handle_request(Connection& c, const FrameHeader& header,
           return std::tuple(h, f, k);
         });
         const service::ClientId id = session_client();
-        require_fresh_id();
-        track(c, header,
-              service_.submit_chunk(id,
-                                    static_cast<service::ArchiveHandle>(handle),
-                                    static_cast<std::size_t>(field),
-                                    static_cast<std::size_t>(chunk),
-                                    options_from_header(header)),
-              [](std::vector<float>& v) {
-                util::ByteWriter w;
-                write_floats(w, v);
-                return w.take();
-              });
+        track<std::vector<float>>(
+            conn, header,
+            [&](auto settle) {
+              return service_.submit_chunk(
+                  id, static_cast<service::ArchiveHandle>(handle),
+                  static_cast<std::size_t>(field),
+                  static_cast<std::size_t>(chunk),
+                  options_from_header(header), std::move(settle));
+            },
+            [](std::vector<float>& v) {
+              util::ByteWriter w;
+              write_floats(w, v);
+              return w.take();
+            });
         return;
       }
       case RequestOp::Range: {
@@ -445,17 +448,19 @@ void ServiceServer::handle_request(Connection& c, const FrameHeader& header,
           return std::tuple(h, f, b, e);
         });
         const service::ClientId id = session_client();
-        require_fresh_id();
-        track(c, header,
-              service_.submit_range(id,
-                                    static_cast<service::ArchiveHandle>(handle),
-                                    static_cast<std::size_t>(field), begin, end,
-                                    options_from_header(header)),
-              [](std::vector<float>& v) {
-                util::ByteWriter w;
-                write_floats(w, v);
-                return w.take();
-              });
+        track<std::vector<float>>(
+            conn, header,
+            [&](auto settle) {
+              return service_.submit_range(
+                  id, static_cast<service::ArchiveHandle>(handle),
+                  static_cast<std::size_t>(field), begin, end,
+                  options_from_header(header), std::move(settle));
+            },
+            [](std::vector<float>& v) {
+              util::ByteWriter w;
+              write_floats(w, v);
+              return w.take();
+            });
         return;
       }
     }
@@ -471,74 +476,89 @@ void ServiceServer::handle_request(Connection& c, const FrameHeader& header,
   }
 }
 
-template <typename T, typename SerializeFn>
-void ServiceServer::track(Connection& c, const FrameHeader& header,
-                          service::Submission<T> submission,
+template <typename T, typename SubmitFn, typename SerializeFn>
+void ServiceServer::track(const std::shared_ptr<Connection>& conn,
+                          const FrameHeader& header, SubmitFn submit,
                           SerializeFn serialize) {
-  auto future = std::make_shared<std::future<T>>(std::move(submission.future));
-  Connection::Pending p;
-  p.wire_id = header.request_id;
-  p.wait = [future](std::chrono::microseconds timeout) {
-    return future->wait_for(timeout);
-  };
-  p.complete = [this, &c, future, serialize, op = header.op,
-                wire_id = header.request_id]() mutable {
-    try {
-      T value = future->get();
-      const std::vector<std::uint8_t> payload = serialize(value);
-      send_response(c, op, wire_id, payload);
-    } catch (const ConnectionLost&) {
-      // Peer already gone; the reader teardown owns cleanup.
-    } catch (...) {
-      const ErrorBody body =
-          wire_error_from_exception(std::current_exception());
-      try {
-        send_error(c, wire_id, body);
-      } catch (const ConnectionLost&) {
-      }
+  Connection& c = *conn;
+  const std::uint64_t wire_id = header.request_id;
+  {
+    // The wire id must be fresh while its predecessor is in flight (the
+    // demux key would be ambiguous otherwise). It is registered before the
+    // submit, because the request can settle before submit_* returns.
+    std::lock_guard<std::mutex> lock(c.mutex);
+    if (!c.live_wire.emplace(wire_id, 0).second) {
+      throw FrameError("frame: request id already in flight");
     }
+  }
+  // Runs on the settling thread: a dispatcher, or whichever thread
+  // cancelled, shed or expired the request — possibly this reader, inside a
+  // submit_* or cancel(), so the reader never holds c.mutex across those.
+  // It holds the connection, never the server, which may be gone once the
+  // writer exits; the error becomes an ErrorBody here, so no exception
+  // leaves the thread that settled it.
+  auto on_settle = [conn, wire_id, op = header.op,
+                    serialize](service::Settled<T> outcome) {
+    Connection::Response response{wire_id, op, {}, {}};
+    if (T* value = std::get_if<T>(&outcome)) {
+      response.serialize = [serialize, v = std::move(*value)]() mutable {
+        return serialize(v);
+      };
+    } else {
+      response.error =
+          wire_error_from_exception(std::get<std::exception_ptr>(outcome));
+    }
+    {
+      std::lock_guard<std::mutex> lock(conn->mutex);
+      conn->live_wire.erase(wire_id);
+      conn->settled.push_back(std::move(response));
+    }
+    conn->cv.notify_all();
   };
+  service::RequestId id = 0;
+  try {
+    id = submit(std::move(on_settle));
+  } catch (...) {
+    std::lock_guard<std::mutex> lock(c.mutex);
+    c.live_wire.erase(wire_id);
+    throw;
+  }
   {
     std::lock_guard<std::mutex> lock(c.mutex);
-    c.live_wire.emplace(header.request_id, submission.id);
-    c.pending.push_back(std::move(p));
+    const auto it = c.live_wire.find(wire_id);
+    if (it != c.live_wire.end()) it->second = id;  // else already settled
   }
   requests_submitted_.add(1);
-  c.cv.notify_all();
 }
 
-void ServiceServer::completer_loop(const std::shared_ptr<Connection>& conn) {
+void ServiceServer::writer_loop(const std::shared_ptr<Connection>& conn) {
   Connection& c = *conn;
-  {
-    std::unique_lock<std::mutex> lock(c.mutex);
-    for (;;) {
-      if (!c.pending.empty()) {
-        bool completed_one = false;
-        for (auto it = c.pending.begin(); it != c.pending.end(); ++it) {
-          if (it->wait(std::chrono::microseconds(0)) ==
-              std::future_status::ready) {
-            Connection::Pending p = std::move(*it);
-            c.pending.erase(it);
-            c.live_wire.erase(p.wire_id);
-            lock.unlock();
-            p.complete();
-            lock.lock();
-            completed_one = true;
-            break;
-          }
-        }
-        if (completed_one) continue;
-        // Nothing settled: bounded wait on the OLDEST submission, so a
-        // response that lands on any other future waits at most
-        // kCompletionPoll before the next scan picks it up.
-        auto wait = c.pending.front().wait;
-        lock.unlock();
-        wait(kCompletionPoll);
-        lock.lock();
+  for (;;) {
+    Connection::Response response;
+    {
+      std::unique_lock<std::mutex> lock(c.mutex);
+      c.cv.wait(lock, [&c] {
+        return !c.settled.empty() || (c.reader_done && c.live_wire.empty());
+      });
+      if (c.settled.empty()) break;  // reader done, nothing left in flight
+      response = std::move(c.settled.front());
+      c.settled.pop_front();
+    }
+    // Serialization and the socket write stay on this thread, so a slow
+    // peer never holds up the thread that settled the request.
+    try {
+      if (response.serialize) {
+        send_response(c, response.op, response.wire_id, response.serialize());
         continue;
       }
-      if (c.draining) break;
-      c.cv.wait(lock, [&c] { return c.draining || !c.pending.empty(); });
+    } catch (const ConnectionLost&) {
+      continue;  // peer already gone; the reader teardown owns cleanup
+    } catch (...) {
+      response.error = wire_error_from_exception(std::current_exception());
+    }
+    try {
+      send_error(c, response.wire_id, response.error);
+    } catch (const ConnectionLost&) {
     }
   }
   // Session teardown, exactly once, after the last response flushed: close
@@ -613,7 +633,7 @@ void ServiceServer::reap_connections(bool join_all) {
   }
   for (auto& c : doomed) {
     if (c->reader.joinable()) c->reader.join();
-    if (c->completer.joinable()) c->completer.join();
+    if (c->writer.joinable()) c->writer.join();
   }
   if (!doomed.empty()) {
     std::lock_guard<std::mutex> lock(conn_mutex_);

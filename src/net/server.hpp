@@ -10,11 +10,12 @@
 //                                  CompressionService with the frame
 //                                  header's priority/deadline; cancel
 //                                  frames routed to service.cancel()
-//                 completer thread: polls the pending submissions' futures
-//                                  and streams each response back the
-//                                  moment it settles — COMPLETION order,
-//                                  tagged by the request id the client
-//                                  chose, never submission order
+//                 writer thread:   sleeps until a request settles (its
+//                                  settle callback queues the response on
+//                                  the thread that settled it), then
+//                                  serializes and sends it — COMPLETION
+//                                  order, tagged by the request id the
+//                                  client chose, never submission order
 //
 // Every failure a request can produce maps onto a typed error frame with a
 // pinned wire code (net/frame.hpp WireErrorCode; docs/wire_protocol.md owns
@@ -105,20 +106,23 @@ class ServiceServer {
 
   void acceptor_loop(Listener& listener);
   void reader_loop(const std::shared_ptr<Connection>& conn);
-  void completer_loop(const std::shared_ptr<Connection>& conn);
+  void writer_loop(const std::shared_ptr<Connection>& conn);
 
   /// Handles one well-framed request frame on the reader thread; any
   /// invalid_argument from body parsing becomes a BadRequest error frame on
   /// the request's id (connection survives).
-  void handle_request(Connection& conn, const FrameHeader& header,
+  void handle_request(const std::shared_ptr<Connection>& conn,
+                      const FrameHeader& header,
                       std::span<const std::uint8_t> payload);
 
-  /// Registers an admitted submission with the connection's completer:
-  /// `serialize` turns the settled value into the response payload on the
-  /// completer thread; failures become typed error frames on the wire id.
-  template <typename T, typename SerializeFn>
-  void track(Connection& conn, const FrameHeader& header,
-             service::Submission<T> submission, SerializeFn serialize);
+  /// Submits one request through `submit(on_settle)` (a callback-form
+  /// service submit_*) under the header's wire id. The settle callback
+  /// queues the outcome for the connection's writer, which turns a value
+  /// into the response payload with `serialize`; failures become typed
+  /// error frames on the wire id.
+  template <typename T, typename SubmitFn, typename SerializeFn>
+  void track(const std::shared_ptr<Connection>& conn, const FrameHeader& header,
+             SubmitFn submit, SerializeFn serialize);
 
   void send_frame(Connection& conn, const FrameHeader& header,
                   std::span<const std::uint8_t> payload);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <future>
 #include <optional>
 #include <string>
 #include <utility>
@@ -78,7 +79,7 @@ std::string format_ms(std::uint64_t ns) {
 // ---- request byte costs (the quota currency: output floats for reads,
 // payload floats for compress). Invalid indices cost 0 instead of throwing:
 // admission must never fail a malformed request synchronously — the body
-// throws through the future, where existing callers expect it.
+// throws and the request settles with it, where existing callers expect it.
 
 std::size_t compress_cost(const CompressJob& job) {
   std::size_t total = 0;
@@ -109,6 +110,23 @@ std::size_t chunk_cost(const pipeline::ArchiveReader& reader,
 std::size_t range_cost(std::uint64_t elem_begin, std::uint64_t elem_end) {
   if (elem_end <= elem_begin) return 0;
   return static_cast<std::size_t>(elem_end - elem_begin) * sizeof(float);
+}
+
+/// The future form of a submit: runs the callback form `submit` with a
+/// callback that fulfils a std::promise, and returns its future.
+template <typename T, typename SubmitFn>
+Submission<T> with_future(SubmitFn submit) {
+  auto promise = std::make_shared<std::promise<T>>();
+  Submission<T> out;
+  out.future = promise->get_future();
+  out.id = submit([promise](Settled<T> outcome) {
+    if (auto* value = std::get_if<T>(&outcome)) {
+      promise->set_value(std::move(*value));
+    } else {
+      promise->set_exception(std::get<std::exception_ptr>(outcome));
+    }
+  });
+  return out;
 }
 
 }  // namespace
@@ -235,7 +253,7 @@ RequestId CompressionService::admit(RequestClass cls,
                 "; retry-after ~" + format_ms(hint) + " ms)",
             hint);
       }
-      // A lower-priority victim makes room: its future settles with
+      // A lower-priority victim makes room: it settles with
       // ServiceOverloaded on this thread, after the lock drops. The verdict
       // is written before the release-store on the flag the body acquires.
       const auto vit = live_.find(victim->id);
@@ -269,8 +287,8 @@ RequestId CompressionService::admit(RequestClass cls,
                               obs::enabled() ? obs::now_ns() : 0,
                               state->deadline_ns, std::move(run)});
   }
-  // The shed victim's packaged task runs OUTSIDE the lock: its body throws
-  // the ServiceOverloaded verdict and run_counted settles its accounting.
+  // The shed victim runs OUTSIDE the lock: its body throws the
+  // ServiceOverloaded verdict and run_counted settles its accounting.
   if (shed_run) shed_run(false);
   wake_.notify_one();
   return id;
@@ -303,7 +321,7 @@ void CompressionService::dispatcher_loop() {
     if (req.enqueue_ns != 0) {
       service_metrics().queue_wait[ci]->record(obs::now_ns() - req.enqueue_ns);
     }
-    req.run(true);  // packaged_task: request exceptions land in the future
+    req.run(true);  // request exceptions settle the request, never escape
   }
 }
 
@@ -330,7 +348,7 @@ void CompressionService::sweeper_loop() {
           oldest == 0 ? 0 : static_cast<std::int64_t>(now - oldest));
     }
     if (expired.empty()) continue;
-    // Settle the expired futures OUTSIDE the lock: each body re-checks its
+    // Settle the expired requests OUTSIDE the lock: each body re-checks its
     // deadline and throws DeadlineExceeded through run_counted.
     lock.unlock();
     for (QueuedRequest& req : expired) req.run(false);
@@ -352,53 +370,68 @@ void CompressionService::throw_verdict(const RequestState& state) const {
   }
 }
 
-// Settlement accounting runs INSIDE the packaged task, before it fulfills
-// the future — so by the time a caller's .get() returns (or throws), the
-// slot and bytes are released, the live_ entry is gone, and the outcome
-// counter has settled (stats() observed right after a get() is exact, not
-// racing the dispatcher's cleanup). Every admitted future lands in exactly
-// one of the five outcome buckets. A dispatched request's span and latency
-// sample close here too, so a registry snapshot taken after .get() holds
-// them; requests settled by cancel, shed or expiry never ran and record
-// neither.
-template <typename Fn>
-auto CompressionService::run_counted(RequestState& state, bool dispatched,
-                                     Fn&& fn) -> decltype(fn()) {
+// Settlement accounting runs before the request settles — so by the time
+// its callback runs (or a caller's .get() returns or throws), the slot and
+// bytes are released, the live_ entry is gone, and the outcome counter has
+// settled (stats() read there is exact, not racing the dispatcher's
+// cleanup). Every admitted request lands in exactly one of the five outcome
+// buckets. A dispatched request's span and latency sample close here too, so
+// a registry snapshot taken after it settles holds them; requests settled by
+// cancel, shed or expiry never ran and record neither.
+template <typename T, typename Fn>
+Settled<T> CompressionService::run_counted(RequestState& state,
+                                           bool dispatched, Fn&& fn) {
   std::optional<obs::ScopedOp> op;
   if (dispatched) {
     op.emplace(span_name(state.cls),
                service_metrics().latency[static_cast<std::size_t>(state.cls)]);
   }
-  const auto finish = [this, &state] {
-    state.client->release_slot();
-    state.client->release_bytes(state.bytes);
-    inflight_gauge_.sub(1);
-    inflight_bytes_gauge_.sub(static_cast<std::int64_t>(state.bytes));
+  Settled<T> outcome;
+  obs::Counter* bucket = &completed_;
+  try {
+    outcome = fn();
+  } catch (const ServiceOverloaded&) {
+    bucket = &shed_;
+    outcome = std::current_exception();
+  } catch (const RequestCancelled&) {
+    bucket = &cancelled_;
+    outcome = std::current_exception();
+  } catch (const DeadlineExceeded&) {
+    bucket = &expired_;
+    outcome = std::current_exception();
+  } catch (...) {
+    bucket = &failed_;
+    outcome = std::current_exception();
+  }
+  bucket->add(1);
+  state.client->release_slot();
+  state.client->release_bytes(state.bytes);
+  inflight_gauge_.sub(1);
+  inflight_bytes_gauge_.sub(static_cast<std::int64_t>(state.bytes));
+  {
     std::lock_guard<std::mutex> lock(mutex_);
     live_.erase(state.id);
-  };
-  try {
-    auto result = fn();
-    completed_.add(1);
-    finish();
-    return result;
-  } catch (const ServiceOverloaded&) {
-    shed_.add(1);
-    finish();
-    throw;
-  } catch (const RequestCancelled&) {
-    cancelled_.add(1);
-    finish();
-    throw;
-  } catch (const DeadlineExceeded&) {
-    expired_.add(1);
-    finish();
-    throw;
-  } catch (...) {
-    failed_.add(1);
-    finish();
-    throw;
   }
+  return outcome;  // `op` closes before the caller settles the request
+}
+
+template <typename T, typename Body>
+RequestId CompressionService::submit(RequestClass cls,
+                                     std::shared_ptr<RequestState> state,
+                                     Body body, OnSettle<T> on_settle) {
+  auto run = [this, state, body = std::move(body),
+              on_settle = std::move(on_settle)](bool dispatched) {
+    on_settle(run_counted<T>(*state, dispatched, [&]() -> T {
+      throw_verdict(*state);
+      try {
+        return body(*state);
+      } catch (const pipeline::OperationCancelled&) {
+        throw RequestCancelled("request " + std::to_string(state->id) +
+                               " cancelled during execution");
+      }
+    }));
+  };
+  return admit(cls, std::move(state), std::move(run));
 }
 
 CompressResult CompressionService::run_compress(
@@ -434,119 +467,113 @@ CompressionService::make_state(std::shared_ptr<ClientContext> client,
   return state;
 }
 
-Submission<CompressResult> CompressionService::submit_compress(
-    ClientId id, CompressJob job, RequestOptions opts) {
+RequestId CompressionService::submit_compress(
+    ClientId id, CompressJob job, RequestOptions opts,
+    OnSettle<CompressResult> on_settle) {
   auto state = make_state(clients_.find(id), opts, compress_cost(job));
-  auto task = std::make_shared<std::packaged_task<CompressResult(bool)>>(
-      [this, state, job = std::move(job)](bool dispatched) {
-        return run_counted(*state, dispatched, [&] {
-          throw_verdict(*state);
-          try {
-            return run_compress(*state->client, job, state->cancel);
-          } catch (const pipeline::OperationCancelled&) {
-            throw RequestCancelled("request " + std::to_string(state->id) +
-                                   " cancelled during execution");
-          }
-        });
-      });
-  Submission<CompressResult> out;
-  out.future = task->get_future();
-  out.id = admit(RequestClass::Compress, std::move(state),
-                 [task](bool dispatched) { (*task)(dispatched); });
-  return out;
+  return submit<CompressResult>(
+      RequestClass::Compress, std::move(state),
+      [this, job = std::move(job)](const RequestState& s) {
+        return run_compress(*s.client, job, s.cancel);
+      },
+      std::move(on_settle));
 }
 
-Submission<pipeline::BatchDecompressResult>
-CompressionService::submit_decompress(ClientId id, ArchiveHandle archive,
-                                      RequestOptions opts) {
+RequestId CompressionService::submit_decompress(
+    ClientId id, ArchiveHandle archive, RequestOptions opts,
+    OnSettle<pipeline::BatchDecompressResult> on_settle) {
   auto client = clients_.find(id);
   // Resolve the handle NOW: a later LRU eviction must not fail an admitted
   // request, and an unknown handle must throw on the caller's thread.
   auto entry = client->reader(archive);
   auto state =
       make_state(std::move(client), opts, decompress_cost(entry->reader));
-  auto task = std::make_shared<
-      std::packaged_task<pipeline::BatchDecompressResult(bool)>>(
-      [this, state, entry](bool dispatched) {
-        return run_counted(*state, dispatched, [&] {
-          throw_verdict(*state);
-          try {
-            return scheduler_.decompress(entry->reader, {}, state->cancel);
-          } catch (const pipeline::OperationCancelled&) {
-            throw RequestCancelled("request " + std::to_string(state->id) +
-                                   " cancelled during execution");
-          }
-        });
-      });
-  Submission<pipeline::BatchDecompressResult> out;
-  out.future = task->get_future();
-  out.id = admit(RequestClass::BatchDecompress, std::move(state),
-                 [task](bool dispatched) { (*task)(dispatched); });
-  return out;
+  return submit<pipeline::BatchDecompressResult>(
+      RequestClass::BatchDecompress, std::move(state),
+      [this, entry](const RequestState& s) {
+        return scheduler_.decompress(entry->reader, {}, s.cancel);
+      },
+      std::move(on_settle));
+}
+
+RequestId CompressionService::submit_chunk(
+    ClientId id, ArchiveHandle archive, std::size_t field, std::size_t chunk,
+    RequestOptions opts, OnSettle<std::vector<float>> on_settle) {
+  auto client = clients_.find(id);
+  auto entry = client->reader(archive);
+  auto state = make_state(std::move(client), opts,
+                          chunk_cost(entry->reader, field, chunk));
+  return submit<std::vector<float>>(
+      RequestClass::RandomAccessChunk, std::move(state),
+      [entry, field, chunk](const RequestState&) {
+        // One chunk decodes on the dispatcher thread itself — the request
+        // IS the unit of work, so bouncing it through the pool would only
+        // add queueing latency. (A single chunk has no interior task
+        // boundary, so a running chunk request finishes even if signalled.)
+        // A read returns floats only, so it takes the host path: the
+        // reader's range decode over the chunk's extent.
+        const std::vector<pipeline::FieldEntry>& fields =
+            entry->reader.fields();
+        if (field >= fields.size()) {
+          throw pipeline::ContainerError("field index out of range");
+        }
+        if (chunk >= fields[field].chunks.size()) {
+          throw pipeline::ContainerError("chunk index out of range");
+        }
+        const pipeline::ChunkRecord& rec = fields[field].chunks[chunk];
+        return entry->reader.decode_range(
+            field, rec.elem_offset, rec.elem_offset + rec.dims.count());
+      },
+      std::move(on_settle));
+}
+
+RequestId CompressionService::submit_range(
+    ClientId id, ArchiveHandle archive, std::size_t field,
+    std::uint64_t elem_begin, std::uint64_t elem_end, RequestOptions opts,
+    OnSettle<std::vector<float>> on_settle) {
+  auto client = clients_.find(id);
+  auto entry = client->reader(archive);
+  auto state =
+      make_state(std::move(client), opts, range_cost(elem_begin, elem_end));
+  return submit<std::vector<float>>(
+      RequestClass::RangeDecode, std::move(state),
+      [this, entry, field, elem_begin, elem_end](const RequestState& s) {
+        return scheduler_.decode_range(entry->reader, field, elem_begin,
+                                       elem_end, s.cancel);
+      },
+      std::move(on_settle));
+}
+
+Submission<CompressResult> CompressionService::submit_compress(
+    ClientId id, CompressJob job, RequestOptions opts) {
+  return with_future<CompressResult>([&](auto settle) {
+    return submit_compress(id, std::move(job), opts, std::move(settle));
+  });
+}
+
+Submission<pipeline::BatchDecompressResult>
+CompressionService::submit_decompress(ClientId id, ArchiveHandle archive,
+                                      RequestOptions opts) {
+  return with_future<pipeline::BatchDecompressResult>([&](auto settle) {
+    return submit_decompress(id, archive, opts, std::move(settle));
+  });
 }
 
 Submission<std::vector<float>> CompressionService::submit_chunk(
     ClientId id, ArchiveHandle archive, std::size_t field, std::size_t chunk,
     RequestOptions opts) {
-  auto client = clients_.find(id);
-  auto entry = client->reader(archive);
-  auto state = make_state(std::move(client), opts,
-                          chunk_cost(entry->reader, field, chunk));
-  auto task = std::make_shared<std::packaged_task<std::vector<float>(bool)>>(
-      [this, state, entry, field, chunk](bool dispatched) {
-        return run_counted(*state, dispatched, [&] {
-          throw_verdict(*state);
-          // One chunk decodes on the dispatcher thread itself — the request
-          // IS the unit of work, so bouncing it through the pool would only
-          // add queueing latency. (A single chunk has no interior task
-          // boundary, so a running chunk request finishes even if
-          // signalled.) A read returns floats only, so it takes the host
-          // path: the reader's range decode over the chunk's extent.
-          const std::vector<pipeline::FieldEntry>& fields =
-              entry->reader.fields();
-          if (field >= fields.size()) {
-            throw pipeline::ContainerError("field index out of range");
-          }
-          if (chunk >= fields[field].chunks.size()) {
-            throw pipeline::ContainerError("chunk index out of range");
-          }
-          const pipeline::ChunkRecord& rec = fields[field].chunks[chunk];
-          return entry->reader.decode_range(
-              field, rec.elem_offset, rec.elem_offset + rec.dims.count());
-        });
-      });
-  Submission<std::vector<float>> out;
-  out.future = task->get_future();
-  out.id = admit(RequestClass::RandomAccessChunk, std::move(state),
-                 [task](bool dispatched) { (*task)(dispatched); });
-  return out;
+  return with_future<std::vector<float>>([&](auto settle) {
+    return submit_chunk(id, archive, field, chunk, opts, std::move(settle));
+  });
 }
 
 Submission<std::vector<float>> CompressionService::submit_range(
     ClientId id, ArchiveHandle archive, std::size_t field,
     std::uint64_t elem_begin, std::uint64_t elem_end, RequestOptions opts) {
-  auto client = clients_.find(id);
-  auto entry = client->reader(archive);
-  auto state =
-      make_state(std::move(client), opts, range_cost(elem_begin, elem_end));
-  auto task = std::make_shared<std::packaged_task<std::vector<float>(bool)>>(
-      [this, state, entry, field, elem_begin, elem_end](bool dispatched) {
-        return run_counted(*state, dispatched, [&] {
-          throw_verdict(*state);
-          try {
-            return scheduler_.decode_range(entry->reader, field, elem_begin,
-                                           elem_end, state->cancel);
-          } catch (const pipeline::OperationCancelled&) {
-            throw RequestCancelled("request " + std::to_string(state->id) +
-                                   " cancelled during execution");
-          }
-        });
-      });
-  Submission<std::vector<float>> out;
-  out.future = task->get_future();
-  out.id = admit(RequestClass::RangeDecode, std::move(state),
-                 [task](bool dispatched) { (*task)(dispatched); });
-  return out;
+  return with_future<std::vector<float>>([&](auto settle) {
+    return submit_range(id, archive, field, elem_begin, elem_end, opts,
+                        std::move(settle));
+  });
 }
 
 CancelResult CompressionService::cancel(RequestId id) {
@@ -569,7 +596,7 @@ CancelResult CompressionService::cancel(RequestId id) {
     cancel_queued_.add(1);
     queued_run = std::move(removed->run);
   }
-  // Settle the removed request's future on this thread, outside the lock:
+  // Settle the removed request on this thread, outside the lock:
   // the body's verdict gate sees the cancelled token and throws
   // RequestCancelled through run_counted.
   queued_run(false);

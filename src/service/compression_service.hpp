@@ -3,8 +3,8 @@
 // clients over it through a bounded, priority-classed request queue:
 //
 //   client threads ──submit_*()──▶ [priority queue: Interactive/Batch/
-//   (Submission back: id+future)    Background, weighted pop] ──▶ dispatcher
-//                                   admission control            threads ──▶
+//   (RequestId back; settles by     Background, weighted pop] ──▶ dispatcher
+//    callback or future)            admission control            threads ──▶
 //                                   deadline sweeper             BatchScheduler
 //                                                                on the shared
 //                                                                ThreadPool
@@ -27,13 +27,13 @@
 //                        max_inflight_bytes_per_client ⇒ ServiceBusy;
 //  * queue high-water  — pending == max_queue_depth ⇒ shed the newest queued
 //                        request of a class BELOW the incoming priority
-//                        (its future gets ServiceOverloaded) or, when
+//                        (it settles with ServiceOverloaded) or, when
 //                        nothing lower is queued, reject the submit with
 //                        ServiceOverloaded carrying a retry-after hint.
 // A rejected submit has NO effect: nothing enqueued, no slot or bytes held,
 // the caller retries later (ServiceOverloaded says how long). shutdown()
-// drains gracefully — everything admitted settles its future — then joins
-// dispatchers and sweeper.
+// drains gracefully — everything admitted settles — then joins dispatchers
+// and sweeper.
 //
 // Request lifecycle: every admitted request carries a RequestId, a Priority,
 // an optional Deadline, and a live CancellationToken. cancel(id) settles a
@@ -41,15 +41,21 @@
 // cooperatively (the token is threaded into the BatchScheduler fan-out, so
 // it stops between chunks). The sweeper expires queued requests whose
 // deadline passed (DeadlineExceeded) even while paused; dispatch re-checks
-// the deadline so a late request never starts. EVERY admitted future is
-// fulfilled exactly once — completed, failed, cancelled, expired, or shed —
-// and its slot and bytes are released before the future becomes ready.
+// the deadline so a late request never starts. EVERY admitted request
+// settles exactly once — completed, failed, cancelled, expired, or shed —
+// and its slot and bytes are released before it settles.
+//
+// Settlement: a request settles through one callback (OnSettle), called
+// once on the thread that settled it — a dispatcher, or the thread whose
+// cancel(), shedding submit_* or sweep removed it from the queue. The
+// future-returning submit_* are that form with a callback that fulfils a
+// std::promise.
 //
 // Determinism: request RESULTS are bit-identical for any workers/dispatchers
 // count (the scheduler merges in chunk-id order), and an uncancelled request
 // is bit-identical to one submitted without a token. Request COMPLETION
 // ORDER is not deterministic with >1 dispatcher — responses are matched to
-// requests by future, never by order.
+// requests by id, never by order.
 //
 // Telemetry: the service owns its counters and gauges (accepted/rejected/
 // completed/cancelled/expired/shed, queue depth, in flight, in-flight
@@ -89,11 +95,11 @@ namespace ohd::service {
 
 /// What cancel(RequestId) observed and did.
 enum class CancelResult : std::uint8_t {
-  /// The request was still queued: removed, its future now holds
-  /// RequestCancelled, its slot and bytes are released.
+  /// The request was still queued: removed, its slot and bytes released, and
+  /// settled with RequestCancelled before cancel() returned.
   Cancelled = 0,
   /// The request is executing: its token is signalled and the body stops at
-  /// the next chunk boundary (future gets RequestCancelled shortly).
+  /// the next chunk boundary (it settles with RequestCancelled shortly).
   Signalled = 1,
   /// Unknown id, or the request already settled — a harmless no-op.
   NotFound = 2,
@@ -134,28 +140,47 @@ class CompressionService {
   /// not open (never opened, closed, or LRU-evicted).
   void close_archive(ClientId id, ArchiveHandle handle);
 
-  // ---- typed requests (Submission = RequestId + future) ---------------
+  // ---- typed requests ----------------------------------------------------
   //
   // All submit_* methods: resolve the client (and handle) synchronously —
   // ClientError surfaces on the calling thread — then run admission and
   // enqueue. ServiceBusy/ServiceOverloaded/ServiceStopped also throw
-  // synchronously; every ADMITTED request's future becomes ready exactly
-  // once (value, the request's own exception, or a lifecycle verdict:
-  // RequestCancelled / DeadlineExceeded / ServiceOverloaded when shed).
+  // synchronously, and a rejected submit never calls `on_settle`. Every
+  // ADMITTED request settles exactly once: with its value, its own
+  // exception, or a lifecycle verdict (RequestCancelled / DeadlineExceeded /
+  // ServiceOverloaded when shed).
+  //
+  // The callback form returns the RequestId and calls `on_settle` once the
+  // request's slot, bytes and id are released, its outcome is counted in
+  // stats() and its latency sample is recorded. It runs on the settling
+  // thread, never under a service lock: a dispatcher, or the caller of the
+  // cancel(), shedding submit_* or sweep that settled it — so it can run
+  // before submit_* returns, or inside another submit_*. `on_settle` must
+  // neither throw nor block. The future form (Submission = RequestId +
+  // future) is the callback form with a callback that fulfils the future.
 
   /// Compresses `job` under the client's negotiated options into a complete
   /// v3 archive image (byte-identical for any worker count).
+  RequestId submit_compress(ClientId id, CompressJob job, RequestOptions opts,
+                            OnSettle<CompressResult> on_settle);
   Submission<CompressResult> submit_compress(ClientId id, CompressJob job,
                                              RequestOptions opts = {});
 
   /// Decompresses every field of an open archive (streamed, chunk-parallel)
   /// on the simulated GPU: the result carries the model seconds.
+  RequestId submit_decompress(
+      ClientId id, ArchiveHandle archive, RequestOptions opts,
+      OnSettle<pipeline::BatchDecompressResult> on_settle);
   Submission<pipeline::BatchDecompressResult> submit_decompress(
       ClientId id, ArchiveHandle archive, RequestOptions opts = {});
 
   /// Random access: decodes exactly one chunk of one field (only that
   /// chunk's frame is fetched) and returns its floats. A value-only read:
   /// it decodes on the host and runs no GPU model.
+  RequestId submit_chunk(ClientId id, ArchiveHandle archive,
+                         std::size_t field, std::size_t chunk,
+                         RequestOptions opts,
+                         OnSettle<std::vector<float>> on_settle);
   Submission<std::vector<float>> submit_chunk(ClientId id,
                                               ArchiveHandle archive,
                                               std::size_t field,
@@ -164,6 +189,10 @@ class CompressionService {
 
   /// Decodes the element range [elem_begin, elem_end) of a field via the
   /// prefetching parallel range decode — a value-only read, on the host.
+  RequestId submit_range(ClientId id, ArchiveHandle archive,
+                         std::size_t field, std::uint64_t elem_begin,
+                         std::uint64_t elem_end, RequestOptions opts,
+                         OnSettle<std::vector<float>> on_settle);
   Submission<std::vector<float>> submit_range(ClientId id,
                                               ArchiveHandle archive,
                                               std::size_t field,
@@ -206,7 +235,7 @@ class CompressionService {
 
  private:
   /// Service-side envelope of one admitted request, shared between the
-  /// packaged task body, the live_ map, and cancel(). The shed verdict is
+  /// queued body, the live_ map, and cancel(). The shed verdict is
   /// written under mutex_ before its flag is released; the body reads the
   /// flag with acquire so message/hint are visible without the lock.
   struct RequestState {
@@ -231,8 +260,8 @@ class CompressionService {
   /// Admission control + enqueue (throws ServiceStopped/ServiceBusy/
   /// ServiceOverloaded; on throw nothing is enqueued and nothing is held).
   /// Assigns state->id, registers it in live_, and — when admission had to
-  /// shed a lower-priority victim — settles the victim's future on this
-  /// thread after dropping the lock. Returns the new request's id.
+  /// shed a lower-priority victim — settles the victim on this thread after
+  /// dropping the lock. Returns the new request's id.
   RequestId admit(RequestClass cls, std::shared_ptr<RequestState> state,
                   std::function<void(bool)> run);
   void dispatcher_loop();
@@ -240,19 +269,26 @@ class CompressionService {
   /// refreshes the per-class queue-age gauges; runs while paused.
   void sweeper_loop();
 
+  /// The one settle path behind every submit_*: admits a request whose run
+  /// passes the verdict gate, then runs `body(state)` (a pipeline
+  /// OperationCancelled becomes RequestCancelled), and hands run_counted's
+  /// outcome to `on_settle`.
+  template <typename T, typename Body>
+  RequestId submit(RequestClass cls, std::shared_ptr<RequestState> state,
+                   Body body, OnSettle<T> on_settle);
+
   /// The verdict gate at the top of every request body: throws
   /// ServiceOverloaded (shed), RequestCancelled, or DeadlineExceeded.
   void throw_verdict(const RequestState& state) const;
 
   /// Runs a request body, classifying the outcome into exactly one of
   /// completed/failed/cancelled/expired/shed and releasing the client's
-  /// slot + bytes and the live_ entry before the surrounding packaged_task
-  /// fulfills the future (so stats() observed after a .get() is exact).
-  /// When `dispatched`, it also records the class's span and latency
-  /// sample before the future settles.
-  template <typename Fn>
-  auto run_counted(RequestState& state, bool dispatched, Fn&& fn)
-      -> decltype(fn());
+  /// slot + bytes and the live_ entry before returning it (so stats() read
+  /// in the settle callback, or after a .get(), is exact). When
+  /// `dispatched`, it also records the class's span and latency sample
+  /// before returning.
+  template <typename T, typename Fn>
+  Settled<T> run_counted(RequestState& state, bool dispatched, Fn&& fn);
 
   CompressResult run_compress(const ClientContext& client,
                               const CompressJob& job,

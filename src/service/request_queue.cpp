@@ -88,15 +88,6 @@ std::vector<QueuedRequest> PriorityRequestQueue::expire(std::uint64_t now_ns) {
   return expired;
 }
 
-std::vector<QueuedRequest> PriorityRequestQueue::drain() {
-  std::vector<QueuedRequest> out;
-  for (auto& q : lanes_) {
-    for (auto& req : q) out.push_back(std::move(req));
-    q.clear();
-  }
-  return out;
-}
-
 std::uint64_t PriorityRequestQueue::oldest_enqueue_ns(Priority priority) const {
   const auto& q = lane(priority);
   return q.empty() ? 0 : q.front().enqueue_ns;
@@ -106,10 +97,6 @@ std::size_t PriorityRequestQueue::size() const {
   std::size_t n = 0;
   for (const auto& q : lanes_) n += q.size();
   return n;
-}
-
-std::size_t PriorityRequestQueue::size(Priority priority) const {
-  return lane(priority).size();
 }
 
 }  // namespace ohd::service

@@ -12,8 +12,8 @@
 // admission/dispatch critical sections, and a second lock here would only
 // add ordering hazards). Removal paths — cancel, shed, expire — hand the
 // removed requests BACK to the caller instead of dropping them, because
-// every admitted future must still be fulfilled: the service runs the
-// removed task inline (outside its lock) so the request body can throw its
+// every admitted request must still settle: the service runs the removed
+// request inline (outside its lock) so the request body can throw its
 // verdict error.
 #pragma once
 
@@ -38,9 +38,9 @@ struct QueuedRequest {
   std::uint64_t enqueue_ns = 0;
   /// Absolute deadline on the obs::now_ns() clock, 0 = none.
   std::uint64_t deadline_ns = 0;
-  /// The packaged request body; fulfills the future exactly once when run.
-  /// The argument is true when a dispatcher executes the request and false
-  /// when a removal path (cancel, shed, expiry) settles it with its verdict.
+  /// The request body; settles the request exactly once when run. The
+  /// argument is true when a dispatcher executes the request and false when
+  /// a removal path (cancel, shed, expiry) settles it with its verdict.
   std::function<void(bool dispatched)> run;
 };
 
@@ -53,8 +53,8 @@ class PriorityRequestQueue {
   std::optional<QueuedRequest> pop();
 
   /// Removes a queued request by id (cancel path). Returns it so the caller
-  /// can settle its future; nullopt if the id is not queued (already
-  /// dispatched or never existed).
+  /// can settle it; nullopt if the id is not queued (already dispatched or
+  /// never existed).
   std::optional<QueuedRequest> remove(RequestId id);
 
   /// Overload shedding: removes the NEWEST queued request of the lowest
@@ -68,15 +68,11 @@ class PriorityRequestQueue {
   /// `now_ns`, in (priority, FIFO) order.
   std::vector<QueuedRequest> expire(std::uint64_t now_ns);
 
-  /// Everything still queued, in (priority, FIFO) order (shutdown drain).
-  std::vector<QueuedRequest> drain();
-
   /// Admission enqueue-time of the OLDEST queued request of a class, 0 when
   /// that class is empty (feeds the per-class queue-age gauges).
   std::uint64_t oldest_enqueue_ns(Priority priority) const;
 
   std::size_t size() const;
-  std::size_t size(Priority priority) const;
   bool empty() const { return size() == 0; }
 
  private:

@@ -6,17 +6,20 @@
 // Errors derive std::runtime_error (not std::invalid_argument like the
 // pipeline's format errors) because they describe SERVICE state — a full
 // queue, a stopped service, a closed client — not malformed input. Pipeline
-// errors (ContainerError, ArchiveError) still surface unchanged through a
-// request's future when the request itself touches bad data.
+// errors (ContainerError, ArchiveError) still settle a request unchanged
+// when the request itself touches bad data.
 #pragma once
 
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <future>
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/huffman_codec.hpp"
@@ -45,8 +48,8 @@ class ServiceBusy : public ServiceError {
 
 /// Overload rejection/shed verdict: the queue was full of work the request's
 /// priority could not displace (thrown at submit), or the request WAS queued
-/// and later shed to make room for higher-priority work (surfaced through
-/// its future). Derives ServiceBusy — every retry loop written against
+/// and later shed to make room for higher-priority work (the request settles
+/// with it). Derives ServiceBusy — every retry loop written against
 /// ServiceBusy keeps working — and adds a retry-after hint derived from the
 /// observed queue drain rate (0 until the service has drained anything).
 class ServiceOverloaded : public ServiceBusy {
@@ -69,17 +72,16 @@ class ServiceStopped : public ServiceError {
 };
 
 /// The request was cancelled — via CompressionService::cancel(RequestId) or
-/// the caller's CancellationToken — before or during execution. Surfaced
-/// through the request's future; the request's admitted slot and bytes are
-/// released when it lands.
+/// the caller's CancellationToken — before or during execution. The request
+/// settles with it; its admitted slot and bytes are released first.
 class RequestCancelled : public ServiceError {
  public:
   using ServiceError::ServiceError;
 };
 
 /// The request's deadline passed before it finished: the sweeper expired it
-/// in the queue, or the dispatcher refused to start it late. Surfaced
-/// through the request's future.
+/// in the queue, or the dispatcher refused to start it late. The request
+/// settles with it.
 class DeadlineExceeded : public ServiceError {
  public:
   using ServiceError::ServiceError;
@@ -151,7 +153,18 @@ struct RequestOptions {
   CancellationToken cancel;
 };
 
-/// What an accepted submit returns: the future plus the RequestId that
+/// How an admitted request settled: its value, or the exception it failed
+/// with (its own error, or a lifecycle verdict such as RequestCancelled).
+template <typename T>
+using Settled = std::variant<T, std::exception_ptr>;
+
+/// The settle callback of a callback-form submit_*. The service calls it
+/// exactly once per admitted request, on the thread that settled it, never
+/// under a service lock. It must neither throw nor block.
+template <typename T>
+using OnSettle = std::function<void(Settled<T>)>;
+
+/// What a future-form submit returns: the future plus the RequestId that
 /// cancel() takes. get()/wait() forward to the future so result-only call
 /// sites read exactly as before (`submit_...(...).get()`).
 template <typename T>
@@ -161,7 +174,6 @@ struct Submission {
 
   T get() { return future.get(); }
   void wait() const { future.wait(); }
-  bool valid() const { return future.valid(); }
 };
 
 /// The four request classes the service multiplexes. Each class gets its own
@@ -211,7 +223,7 @@ struct ServiceConfig {
   std::size_t max_inflight_per_client = 8;
   /// Per-client cap on in-flight BYTES (payload floats of a compress, output
   /// floats of a decompress/chunk/range), admitted at submit and released
-  /// when the request's future lands — completion, failure, cancel, shed, or
+  /// when the request settles — completion, failure, cancel, shed, or
   /// expiry alike. Submits over the quota are rejected with ServiceBusy.
   std::size_t max_inflight_bytes_per_client = std::size_t{1} << 30;
   /// Per-client LRU cap on open ArchiveReader handles: opening one more
@@ -256,10 +268,10 @@ struct ServiceStats {
   std::uint64_t rejected_busy = 0;        // queue high-water rejections
   std::uint64_t rejected_client_cap = 0;  // per-client in-flight rejections
   std::uint64_t rejected_quota = 0;       // per-client byte-quota rejections
-  std::uint64_t completed = 0;            // futures fulfilled with a value
-  std::uint64_t failed = 0;               // futures fulfilled with an error
-  std::uint64_t cancelled = 0;            // futures holding RequestCancelled
-  std::uint64_t expired = 0;              // futures holding DeadlineExceeded
+  std::uint64_t completed = 0;            // settled with a value
+  std::uint64_t failed = 0;               // settled with the request's error
+  std::uint64_t cancelled = 0;            // settled with RequestCancelled
+  std::uint64_t expired = 0;              // settled with DeadlineExceeded
   std::uint64_t shed = 0;                 // queued, then shed under overload
   std::uint64_t readers_evicted = 0;      // LRU evictions across all clients
   std::int64_t queue_depth = 0;           // pending requests right now
@@ -274,7 +286,7 @@ struct ServiceStats {
   std::uint64_t rejected() const {
     return rejected_busy + rejected_client_cap + rejected_quota;
   }
-  /// Every admitted future lands in exactly one of these five buckets, so
+  /// Every admitted request settles in exactly one of these five buckets, so
   /// after a drain accepted == settled().
   std::uint64_t settled() const {
     return completed + failed + cancelled + expired + shed;

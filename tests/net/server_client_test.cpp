@@ -1,8 +1,8 @@
 // Loopback wire-protocol coverage: ServiceServer + ServiceClient against a
 // real CompressionService over TCP loopback and Unix domain sockets —
 // bit-identity of every submit_* entry point against the in-process path,
-// the full error-taxonomy round trip (Busy, DeadlineExceeded, Cancelled,
-// ClientError, Stopped), connection-survives-malformed-body vs
+// the full error-taxonomy round trip (Busy, Overloaded, DeadlineExceeded,
+// Cancelled, ClientError, Stopped), connection-survives-malformed-body vs
 // closes-on-malformed-header, the deterministic retry-after loop against a
 // scripted server, reconnect after a server restart, and the server's
 // error-frame count across a closed connection.
@@ -180,6 +180,34 @@ TEST(ServiceWire, DeadlineCancelBusyAndStoppedRoundTrip) {
     auto sub = client.submit_compress(two_field_job(2));
     client.cancel(sub.id);
     EXPECT_THROW(sub.future.get(), service::RequestCancelled);
+  }
+
+  // ServiceOverloaded from a shed: an Interactive submit displaces the
+  // queued Background request of its own connection. The victim settles on
+  // this connection's reader thread, inside that submit — a reader holding
+  // the connection's lock across the submit would hang here.
+  {
+    service::RequestOptions background;
+    background.priority = service::Priority::Background;
+    auto victim = client.submit_compress(two_field_job(3), background);
+    service::RequestOptions interactive;
+    interactive.priority = service::Priority::Interactive;
+    auto urgent = client.submit_compress(two_field_job(3), interactive);
+    try {
+      victim.future.get();
+      ADD_FAILURE() << "expected ServiceOverloaded";
+    } catch (const service::ServiceOverloaded& e) {
+      // The shed emptied the depth-1 queue, so the hint is exactly zero.
+      EXPECT_EQ(e.retry_after_ns(), 0u);
+      EXPECT_NE(std::string(e.what()).find(
+                    " shed under overload by interactive-priority submit "
+                    "(queue depth 1/1; retry-after ~0.0 ms)"),
+                std::string::npos)
+          << e.what();
+    }
+    svc.resume();  // the busy block below needs an empty, paused queue
+    EXPECT_FALSE(urgent.get().archive.empty());
+    svc.pause();
   }
 
   // ServiceBusy: depth-1 queue, one occupant — the second submit's

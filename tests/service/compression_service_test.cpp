@@ -3,7 +3,8 @@
 // submit after close/shutdown, unknown handles), deterministic queue-full
 // and per-client-cap rejections via the pause() valve, LRU eviction with a
 // decode in flight, graceful drain, the multi-client worker-count-invariance
-// property, stats accounting, and the "service.*" registry catalogue.
+// property, stats accounting, the settle callback's contract, and the
+// "service.*" registry catalogue.
 #include "service/compression_service.hpp"
 
 #include <gtest/gtest.h>
@@ -817,6 +818,176 @@ TEST(CompressionService, OverloadShedsNewestBackgroundFirst) {
   EXPECT_EQ(stats.settled(), 6u);
   EXPECT_EQ(stats.inflight, 0);
   EXPECT_EQ(stats.inflight_bytes, 0);
+}
+
+// ---- Settle callback ------------------------------------------------------
+
+/// Records one settle callback: how often it ran, how the request settled,
+/// and what stats() read from inside it. The outcome is named on the
+/// settling thread, so no exception object crosses to the test thread.
+struct SettleProbe {
+  explicit SettleProbe(CompressionService& s) : svc(s) {}
+
+  OnSettle<std::vector<float>> callback() {
+    return [this](Settled<std::vector<float>> result) {
+      const ServiceStats s = svc.stats();
+      settled = s.settled();
+      inflight = s.inflight;
+      outcome = "value";
+      if (result.index() == 1) {
+        try {
+          std::rethrow_exception(std::get<1>(result));
+        } catch (const ServiceOverloaded&) {
+          outcome = "shed";
+        } catch (const RequestCancelled&) {
+          outcome = "cancelled";
+        } catch (const DeadlineExceeded&) {
+          outcome = "expired";
+        } catch (const std::exception& e) {
+          outcome = std::string("failed: ") + e.what();
+        }
+      }
+      if (calls.fetch_add(1) == 0) ran.set_value();
+    };
+  }
+  /// Bounded, so a request that never settles fails instead of hanging.
+  bool wait() {
+    return ran_future.wait_for(std::chrono::seconds(30)) ==
+           std::future_status::ready;
+  }
+
+  CompressionService& svc;
+  std::atomic<int> calls{0};
+  std::uint64_t settled = 0;
+  std::int64_t inflight = -1;
+  std::string outcome;
+  std::promise<void> ran;
+  std::future<void> ran_future = ran.get_future();
+};
+
+TEST(CompressionService, SettleCallbackRunsOnceAfterAccounting) {
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.dispatchers = 1;
+  cfg.max_queue_depth = 1;
+  cfg.max_inflight_per_client = 1;
+  cfg.sweep_interval = std::chrono::microseconds(200);
+  CompressionService svc(cfg);
+  ClientOptions opts;
+  opts.chunk_elems = 1024;  // 3000 elems => 3 chunks
+  const ClientId a = svc.open_client(opts);
+  const ClientId b = svc.open_client(opts);
+  CompressJob job;
+  const std::vector<float> data = wavy_field(3000, 41);
+  job.fields.push_back({"f", data, sz::Dims::d1(data.size())});
+  auto bytes = svc.submit_compress(a, std::move(job)).get().archive;
+  const ArchiveHandle ha = svc.open_archive(
+      a, std::make_shared<pipeline::OwningMemorySource>(bytes));
+  const ArchiveHandle hb = svc.open_archive(
+      b, std::make_shared<pipeline::OwningMemorySource>(std::move(bytes)));
+
+  std::atomic<int> rejected_calls{0};
+  const OnSettle<std::vector<float>> never =
+      [&rejected_calls](Settled<std::vector<float>>) { ++rejected_calls; };
+  // Inside the callback the request already counts as settled, and only
+  // `inflight` other requests are still in flight.
+  const auto expect_accounted = [](const SettleProbe& p, std::uint64_t before,
+                                   std::int64_t inflight) {
+    EXPECT_EQ(p.settled, before + 1) << p.outcome;
+    EXPECT_EQ(p.inflight, inflight) << p.outcome;
+  };
+
+  // A completed read and a failed one settle on the dispatcher.
+  SettleProbe completed(svc);
+  std::uint64_t before = svc.stats().settled();
+  svc.submit_chunk(a, ha, 0, 1, {}, completed.callback());
+  ASSERT_TRUE(completed.wait());
+  EXPECT_EQ(completed.outcome, "value");
+  expect_accounted(completed, before, 0);
+
+  SettleProbe failed(svc);
+  before = svc.stats().settled();
+  svc.submit_chunk(a, ha, 0, 99, {}, failed.callback());
+  ASSERT_TRUE(failed.wait());
+  EXPECT_EQ(failed.outcome, "failed: chunk index out of range");
+  expect_accounted(failed, before, 0);
+
+  // A queued cancel settles on the cancelling thread, before cancel returns.
+  svc.pause();
+  SettleProbe queued_cancel(svc);
+  before = svc.stats().settled();
+  const RequestId queued =
+      svc.submit_chunk(a, ha, 0, 0, {}, queued_cancel.callback());
+  EXPECT_EQ(svc.cancel(queued), CancelResult::Cancelled);
+  EXPECT_EQ(queued_cancel.calls.load(), 1);
+  EXPECT_EQ(queued_cancel.outcome, "cancelled");
+  expect_accounted(queued_cancel, before, 0);
+
+  // A shed victim settles inside the shedding submit, which is admitted and
+  // in flight by then.
+  SettleProbe shed(svc);
+  before = svc.stats().settled();
+  RequestOptions background;
+  background.priority = Priority::Background;
+  svc.submit_chunk(a, ha, 0, 0, background, shed.callback());
+  RequestOptions interactive;
+  interactive.priority = Priority::Interactive;
+  auto urgent = svc.submit_chunk(b, hb, 0, 2, interactive);
+  EXPECT_EQ(shed.calls.load(), 1);
+  EXPECT_EQ(shed.outcome, "shed");
+  expect_accounted(shed, before, 1);
+
+  // Rejected submits throw and never call their callback.
+  EXPECT_THROW(svc.submit_chunk(b, hb, 0, 0, {}, never), ServiceBusy);
+  EXPECT_EQ(svc.stats().rejected_client_cap, 1u);
+  EXPECT_THROW(svc.submit_chunk(a, ha, 0, 0, {}, never), ServiceOverloaded);
+  EXPECT_THROW(svc.submit_chunk(a, 42, 0, 0, {}, never), ClientError);
+  svc.resume();
+  EXPECT_EQ(urgent.get().size(), 3000u - 2048u);
+
+  // A running cancel: the pool's one worker is held, so the range read is
+  // still waiting on its first chunk when the cancel signals it.
+  std::promise<void> release;
+  auto blocker = svc.pool().submit(
+      [gate = release.get_future().share()] { gate.wait(); });
+  SettleProbe running_cancel(svc);
+  before = svc.stats().settled();
+  const RequestId running =
+      svc.submit_range(a, ha, 0, 0, 3000, {}, running_cancel.callback());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (svc.queue_depth() > 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(svc.cancel(running), CancelResult::Signalled);
+  release.set_value();
+  blocker.get();
+  ASSERT_TRUE(running_cancel.wait());
+  EXPECT_EQ(running_cancel.outcome, "cancelled");
+  expect_accounted(running_cancel, before, 0);
+
+  // The sweeper expires a queued request on its own thread.
+  svc.pause();
+  SettleProbe expired(svc);
+  before = svc.stats().settled();
+  RequestOptions late;
+  late.deadline = Deadline::after(std::chrono::milliseconds(2));
+  svc.submit_chunk(a, ha, 0, 0, late, expired.callback());
+  ASSERT_TRUE(expired.wait());
+  EXPECT_EQ(expired.outcome, "expired");
+  expect_accounted(expired, before, 0);
+  svc.resume();
+
+  svc.shutdown();
+  EXPECT_THROW(svc.submit_chunk(a, ha, 0, 0, {}, never), ServiceStopped);
+  for (const SettleProbe* p : {&completed, &failed, &queued_cancel, &shed,
+                               &running_cancel, &expired}) {
+    EXPECT_EQ(p->calls.load(), 1) << p->outcome;
+  }
+  EXPECT_EQ(rejected_calls.load(), 0);
+  const ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.settled(), stats.accepted);
+  EXPECT_EQ(stats.inflight, 0);
 }
 
 // ---- Reader retry totals --------------------------------------------------
