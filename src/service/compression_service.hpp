@@ -45,11 +45,8 @@
 // settles exactly once — completed, failed, cancelled, expired, or shed —
 // and its slot and bytes are released before it settles.
 //
-// Settlement: a request settles through one callback (OnSettle), called
-// once on the thread that settled it — a dispatcher, or the thread whose
-// cancel(), shedding submit_* or sweep removed it from the queue. The
-// future-returning submit_* are that form with a callback that fulfils a
-// std::promise.
+// Settlement: a request settles through one callback (OnSettle; see the
+// typed requests below), and the future-returning submit_* are built on it.
 //
 // Determinism: request RESULTS are bit-identical for any workers/dispatchers
 // count (the scheduler merges in chunk-id order), and an uncancelled request

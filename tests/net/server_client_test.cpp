@@ -197,7 +197,7 @@ TEST(ServiceWire, DeadlineCancelBusyAndStoppedRoundTrip) {
       victim.future.get();
       ADD_FAILURE() << "expected ServiceOverloaded";
     } catch (const service::ServiceOverloaded& e) {
-      // The shed emptied the depth-1 queue, so the hint is exactly zero.
+      // Nothing has been dispatched yet, so the drain-rate hint is zero.
       EXPECT_EQ(e.retry_after_ns(), 0u);
       EXPECT_NE(std::string(e.what()).find(
                     " shed under overload by interactive-priority submit "
