@@ -1,6 +1,7 @@
 #include "net/client.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -100,18 +101,14 @@ void ServiceClient::connect_locked(std::unique_lock<std::mutex>& lock) {
       h.priority = service::Priority::Interactive;
       h.request_id = next_id_++;
       send_all(fd, encode_frame(h, w.bytes()));
-      std::uint8_t head[kFrameHeaderBytes];
-      if (!recv_exact(fd, head)) {
+      const std::optional<Frame> reply =
+          recv_frame(fd, config_.max_frame_payload);
+      if (!reply) {
         throw ConnectionLost("server closed during session handshake");
       }
-      const FrameHeader rh = parse_frame_header(head, config_.max_frame_payload);
-      std::vector<std::uint8_t> payload(rh.payload_len);
-      if (rh.payload_len != 0 && !recv_exact(fd, payload)) {
-        throw ConnectionLost("server closed during session handshake");
-      }
-      verify_payload(rh, payload);
+      const FrameHeader& rh = reply->header;
       if (rh.type == FrameType::Error) {
-        util::ByteReader r(payload);
+        util::ByteReader r(reply->payload);
         const ErrorBody err = read_error(r);
         expect_exhausted(r);
         throw_wire_error(err);
@@ -121,10 +118,12 @@ void ServiceClient::connect_locked(std::unique_lock<std::mutex>& lock) {
         throw FrameError("frame: unexpected frame during session handshake");
       }
       // Session established: install the connection and start the demux
-      // reader for this generation.
+      // reader for this generation. Writers move to the new descriptor
+      // before the old Socket closes, so no write reaches a closed or
+      // reused fd.
       {
         std::lock_guard<std::mutex> wlock(write_mutex_);
-        sink_ = std::make_unique<pipeline::FdSink>(fd, /*owns=*/false);
+        write_fd_ = fd;
       }
       sock_ = std::make_unique<Socket>(std::move(sock));
       connected_ = true;
@@ -157,8 +156,8 @@ void ServiceClient::teardown_locked(std::unique_lock<std::mutex>& lock,
   lock.unlock();
   const auto error =
       std::make_exception_ptr(ConnectionLost("connection lost: " + reason));
-  for (auto& [id, p] : orphans) {
-    p.settle_error(error);
+  for (auto& [id, settle] : orphans) {
+    settle(error);
   }
   lock.lock();
 }
@@ -167,34 +166,28 @@ void ServiceClient::reader_loop(std::uint64_t generation, int fd) {
   std::string reason = "server closed the connection";
   try {
     for (;;) {
-      std::uint8_t head[kFrameHeaderBytes];
-      if (!recv_exact(fd, head)) break;
-      const FrameHeader h = parse_frame_header(head, config_.max_frame_payload);
-      std::vector<std::uint8_t> payload(h.payload_len);
-      if (h.payload_len != 0 && !recv_exact(fd, payload)) {
-        reason = "connection torn mid-frame";
-        break;
-      }
-      verify_payload(h, payload);
+      const std::optional<Frame> frame =
+          recv_frame(fd, config_.max_frame_payload);
+      if (!frame) break;
+      const FrameHeader& h = frame->header;
+      const std::vector<std::uint8_t>& payload = frame->payload;
       switch (h.type) {
         case FrameType::Response:
         case FrameType::Pong: {
-          PendingRequest p;
-          bool found = false;
+          PendingRequest settle;
           {
             std::lock_guard<std::mutex> lock(mutex_);
             if (generation_ != generation) return;
             auto it = pending_.find(h.request_id);
             if (it != pending_.end()) {
-              p = std::move(it->second);
+              settle = std::move(it->second);
               pending_.erase(it);
-              found = true;
               ++responses_received_;
             }
           }
           // An id we no longer track is a response that raced a teardown or
           // a duplicate — drop it; the frame boundary was sound.
-          if (found) p.settle_value(payload);
+          if (settle) settle(std::span<const std::uint8_t>(payload));
           break;
         }
         case FrameType::Error: {
@@ -215,20 +208,18 @@ void ServiceClient::reader_loop(std::uint64_t generation, int fd) {
             teardown_locked(lock, body.message);
             return;
           }
-          PendingRequest p;
-          bool found = false;
+          PendingRequest settle;
           {
             std::lock_guard<std::mutex> lock(mutex_);
             if (generation_ != generation) return;
             auto it = pending_.find(h.request_id);
             if (it != pending_.end()) {
-              p = std::move(it->second);
+              settle = std::move(it->second);
               pending_.erase(it);
-              found = true;
               ++errors_received_;
             }
           }
-          if (found) p.settle_error(error);
+          if (settle) settle(error);
           break;
         }
         default:
@@ -246,28 +237,29 @@ void ServiceClient::reader_loop(std::uint64_t generation, int fd) {
 }
 
 template <typename T, typename Parse>
-service::Submission<T> ServiceClient::submit(
-    FrameType type, RequestOp op, const service::RequestOptions& opts,
-    std::span<const std::uint8_t> payload, Parse parse) {
-  auto promise = std::make_shared<std::promise<T>>();
-  PendingRequest p;
-  p.settle_value = [promise, parse](std::span<const std::uint8_t> body) {
-    try {
-      util::ByteReader r(body);
-      T value = parse(r);
-      expect_exhausted(r);
-      promise->set_value(std::move(value));
-    } catch (...) {
-      promise->set_exception(std::current_exception());
-    }
+std::uint64_t ServiceClient::submit(FrameType type, RequestOp op,
+                                    const service::RequestOptions& opts,
+                                    std::span<const std::uint8_t> payload,
+                                    Parse parse,
+                                    service::OnSettle<T> on_settle) {
+  auto settle = [parse, on_settle = std::move(on_settle)](
+                    service::Settled<std::span<const std::uint8_t>> outcome) {
+    const auto parsed = [&]() -> service::Settled<T> {
+      if (auto* error = std::get_if<std::exception_ptr>(&outcome)) {
+        return *error;
+      }
+      try {
+        util::ByteReader r(std::get<std::span<const std::uint8_t>>(outcome));
+        T value = parse(r);
+        expect_exhausted(r);
+        return value;
+      } catch (...) {
+        return std::current_exception();
+      }
+    };
+    on_settle(parsed());
   };
-  p.settle_error = [promise](std::exception_ptr e) {
-    promise->set_exception(e);
-  };
-  service::Submission<T> out;
-  out.future = promise->get_future();
-  out.id = send_request(type, op, opts, payload, std::move(p));
-  return out;
+  return send_request(type, op, opts, payload, std::move(settle));
 }
 
 std::uint64_t ServiceClient::send_request(FrameType type, RequestOp op,
@@ -291,11 +283,12 @@ std::uint64_t ServiceClient::send_request(FrameType type, RequestOp op,
   const std::vector<std::uint8_t> frame = encode_frame(h, payload);
   try {
     std::lock_guard<std::mutex> wlock(write_mutex_);
-    if (!sink_) throw ConnectionLost("not connected");
-    sink_->write(frame);
-  } catch (const std::exception& e) {
+    send_all(write_fd_, frame);
+  } catch (const ConnectionLost& e) {
     std::unique_lock<std::mutex> lock(mutex_);
-    pending_.erase(id);  // settle nothing for the caller; we throw instead
+    // A teardown on another thread that already took the entry settles it
+    // with ConnectionLost, so the caller must not also see a throw.
+    if (pending_.erase(id) == 0) return id;
     teardown_locked(lock, e.what());
     throw ConnectionLost(std::string("send failed: ") + e.what());
   }
@@ -306,69 +299,114 @@ service::ArchiveHandle ServiceClient::open_archive(
     std::span<const std::uint8_t> image) {
   util::ByteWriter w;
   w.bytes(image);
-  return submit<service::ArchiveHandle>(
-             FrameType::Request, RequestOp::OpenArchive, {}, w.bytes(),
-             [](util::ByteReader& r) { return r.u64(); })
+  return service::with_future<service::ArchiveHandle>([&](auto settle) {
+           return submit<service::ArchiveHandle>(
+               FrameType::Request, RequestOp::OpenArchive, {}, w.bytes(),
+               [](util::ByteReader& r) { return r.u64(); }, std::move(settle));
+         })
       .get();
 }
 
 void ServiceClient::close_archive(service::ArchiveHandle handle) {
   util::ByteWriter w;
   w.u64(handle);
-  submit<std::monostate>(FrameType::Request, RequestOp::CloseArchive, {},
-                         w.bytes(),
-                         [](util::ByteReader&) { return std::monostate{}; })
-      .get();
+  service::with_future<std::monostate>([&](auto settle) {
+    return submit<std::monostate>(
+        FrameType::Request, RequestOp::CloseArchive, {}, w.bytes(),
+        [](util::ByteReader&) { return std::monostate{}; }, std::move(settle));
+  }).get();
 }
 
 void ServiceClient::ping() {
   // A Ping frame carries no op; encode_frame zeroes it.
-  submit<std::monostate>(FrameType::Ping, RequestOp::OpenClient, {}, {},
-                         [](util::ByteReader&) { return std::monostate{}; })
-      .get();
+  service::with_future<std::monostate>([&](auto settle) {
+    return submit<std::monostate>(
+        FrameType::Ping, RequestOp::OpenClient, {}, {},
+        [](util::ByteReader&) { return std::monostate{}; }, std::move(settle));
+  }).get();
 }
 
-service::Submission<service::CompressResult> ServiceClient::submit_compress(
-    service::CompressJob job, service::RequestOptions opts) {
+std::uint64_t ServiceClient::submit_compress(
+    service::CompressJob job, service::RequestOptions opts,
+    service::OnSettle<service::CompressResult> on_settle) {
   util::ByteWriter w;
   write_compress_job(w, job);
   return submit<service::CompressResult>(
       FrameType::Request, RequestOp::Compress, opts, w.bytes(),
       [](util::ByteReader& r) {
         return service::CompressResult{r.array<std::uint8_t>()};
-      });
+      },
+      std::move(on_settle));
+}
+
+service::Submission<service::CompressResult> ServiceClient::submit_compress(
+    service::CompressJob job, service::RequestOptions opts) {
+  return service::with_future<service::CompressResult>([&](auto settle) {
+    return submit_compress(std::move(job), opts, std::move(settle));
+  });
+}
+
+std::uint64_t ServiceClient::submit_decompress(
+    service::ArchiveHandle archive, service::RequestOptions opts,
+    service::OnSettle<DecompressBody> on_settle) {
+  util::ByteWriter w;
+  w.u64(archive);
+  return submit<DecompressBody>(FrameType::Request, RequestOp::Decompress,
+                                opts, w.bytes(), read_decompress_result,
+                                std::move(on_settle));
 }
 
 service::Submission<DecompressBody> ServiceClient::submit_decompress(
     service::ArchiveHandle archive, service::RequestOptions opts) {
-  util::ByteWriter w;
-  w.u64(archive);
-  return submit<DecompressBody>(FrameType::Request, RequestOp::Decompress,
-                                opts, w.bytes(), read_decompress_result);
+  return service::with_future<DecompressBody>([&](auto settle) {
+    return submit_decompress(archive, opts, std::move(settle));
+  });
 }
 
-service::Submission<std::vector<float>> ServiceClient::submit_chunk(
+std::uint64_t ServiceClient::submit_chunk(
     service::ArchiveHandle archive, std::size_t field, std::size_t chunk,
-    service::RequestOptions opts) {
+    service::RequestOptions opts,
+    service::OnSettle<std::vector<float>> on_settle) {
   util::ByteWriter w;
   w.u64(archive);
   w.u64(field);
   w.u64(chunk);
   return submit<std::vector<float>>(FrameType::Request, RequestOp::Chunk, opts,
-                                    w.bytes(), read_floats);
+                                    w.bytes(), read_floats,
+                                    std::move(on_settle));
 }
 
-service::Submission<std::vector<float>> ServiceClient::submit_range(
+service::Submission<std::vector<float>> ServiceClient::submit_chunk(
+    service::ArchiveHandle archive, std::size_t field, std::size_t chunk,
+    service::RequestOptions opts) {
+  return service::with_future<std::vector<float>>([&](auto settle) {
+    return submit_chunk(archive, field, chunk, opts, std::move(settle));
+  });
+}
+
+std::uint64_t ServiceClient::submit_range(
     service::ArchiveHandle archive, std::size_t field,
     std::uint64_t elem_begin, std::uint64_t elem_end,
-    service::RequestOptions opts) {
+    service::RequestOptions opts,
+    service::OnSettle<std::vector<float>> on_settle) {
   util::ByteWriter w;
   w.u64(archive);
   w.u64(field);
   w.u64(elem_begin);
   w.u64(elem_end);
   return submit<std::vector<float>>(FrameType::Request, RequestOp::Range, opts,
-                                    w.bytes(), read_floats);
+                                    w.bytes(), read_floats,
+                                    std::move(on_settle));
+}
+
+service::Submission<std::vector<float>> ServiceClient::submit_range(
+    service::ArchiveHandle archive, std::size_t field,
+    std::uint64_t elem_begin, std::uint64_t elem_end,
+    service::RequestOptions opts) {
+  return service::with_future<std::vector<float>>([&](auto settle) {
+    return submit_range(archive, field, elem_begin, elem_end, opts,
+                        std::move(settle));
+  });
 }
 
 void ServiceClient::cancel(std::uint64_t wire_id) {
@@ -378,9 +416,8 @@ void ServiceClient::cancel(std::uint64_t wire_id) {
   const std::vector<std::uint8_t> frame = encode_frame(h, {});
   try {
     std::lock_guard<std::mutex> wlock(write_mutex_);
-    if (!sink_) return;  // nothing in flight to cancel either
-    sink_->write(frame);
-  } catch (const std::exception&) {
+    send_all(write_fd_, frame);
+  } catch (const ConnectionLost&) {
     // Best effort: a dead connection settles the request with
     // ConnectionLost anyway.
   }

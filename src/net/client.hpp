@@ -2,16 +2,17 @@
 // client owns one connection to a ServiceServer endpoint, negotiates its
 // session (OpenClient) at connect time, and multiplexes any number of
 // in-flight requests over it: each submit_* assigns a wire request id,
-// registers a promise, sends one Request frame, and returns a Submission
-// whose future is settled by the DEMUX READER thread when the matching
-// Response/Error frame arrives — responses stream back in completion order,
-// so a fast chunk read overtakes a slow batch decompress exactly as it does
-// in-process.
+// registers one settle callback, and sends one Request frame. The DEMUX
+// READER thread runs the callback when the matching Response/Error frame
+// arrives; the future forms are the callback forms with a callback that
+// fulfils a promise (service::with_future). Responses stream back in
+// completion order, so a fast chunk read overtakes a slow batch decompress
+// exactly as it does in-process.
 //
 // Failure mapping: typed error frames are reconstructed into the local
 // service:: exception types (ServiceOverloaded keeps its retry_after_ns
 // hint); wire conditions with no local type surface as RemoteError with the
-// pinned code. Losing the connection settles every in-flight future with
+// pinned code. Losing the connection settles every in-flight request with
 // ConnectionLost.
 //
 // Reconnect + retry: the compress_retrying blocking helper wraps submit+wait
@@ -104,14 +105,33 @@ class ServiceClient {
   void ping();
 
   // ---- submit mirror (Submission.id is the WIRE id; cancel() takes it) --
+  //
+  // Each op comes in two forms. The callback form returns the wire id, and
+  // its `on_settle` runs exactly once, on the demux reader or on the thread
+  // that tears the connection down; it must neither throw nor block. A
+  // submit whose send fails throws and never calls it. The future form is
+  // the callback form behind service::with_future.
 
+  std::uint64_t submit_compress(
+      service::CompressJob job, service::RequestOptions opts,
+      service::OnSettle<service::CompressResult> on_settle);
   service::Submission<service::CompressResult> submit_compress(
       service::CompressJob job, service::RequestOptions opts = {});
+  std::uint64_t submit_decompress(service::ArchiveHandle archive,
+                                  service::RequestOptions opts,
+                                  service::OnSettle<DecompressBody> on_settle);
   service::Submission<DecompressBody> submit_decompress(
       service::ArchiveHandle archive, service::RequestOptions opts = {});
+  std::uint64_t submit_chunk(service::ArchiveHandle archive, std::size_t field,
+                             std::size_t chunk, service::RequestOptions opts,
+                             service::OnSettle<std::vector<float>> on_settle);
   service::Submission<std::vector<float>> submit_chunk(
       service::ArchiveHandle archive, std::size_t field, std::size_t chunk,
       service::RequestOptions opts = {});
+  std::uint64_t submit_range(service::ArchiveHandle archive, std::size_t field,
+                             std::uint64_t elem_begin, std::uint64_t elem_end,
+                             service::RequestOptions opts,
+                             service::OnSettle<std::vector<float>> on_settle);
   service::Submission<std::vector<float>> submit_range(
       service::ArchiveHandle archive, std::size_t field,
       std::uint64_t elem_begin, std::uint64_t elem_end,
@@ -133,12 +153,10 @@ class ServiceClient {
   ClientStats stats() const;
 
  private:
-  struct PendingRequest {
-    /// Parses the response payload and settles the promise (or captures the
-    /// parse failure into it). Runs on the demux reader thread.
-    std::function<void(std::span<const std::uint8_t>)> settle_value;
-    std::function<void(std::exception_ptr)> settle_error;
-  };
+  /// Settles one request with its response payload, or with the error the
+  /// server or the connection reported. Runs exactly once, on the demux
+  /// reader or on the thread that tears the connection down.
+  using PendingRequest = service::OnSettle<std::span<const std::uint8_t>>;
 
   void connect_locked(std::unique_lock<std::mutex>& lock);
   void teardown_locked(std::unique_lock<std::mutex>& lock,
@@ -146,14 +164,14 @@ class ServiceClient {
   void reader_loop(std::uint64_t generation, int fd);
 
   /// Sends one frame of `type` (Request or Ping) under a fresh wire id and
-  /// returns a Submission whose future the demux reader settles: with
-  /// `parse` applied to the response payload (which must be consumed
-  /// exactly), or with the error the server or the connection reported.
+  /// returns that id. `on_settle` gets `parse` applied to the response
+  /// payload (which must be consumed exactly), or the error the server or
+  /// the connection reported.
   template <typename T, typename Parse>
-  service::Submission<T> submit(FrameType type, RequestOp op,
-                                const service::RequestOptions& opts,
-                                std::span<const std::uint8_t> payload,
-                                Parse parse);
+  std::uint64_t submit(FrameType type, RequestOp op,
+                       const service::RequestOptions& opts,
+                       std::span<const std::uint8_t> payload, Parse parse,
+                       service::OnSettle<T> on_settle);
   std::uint64_t send_request(FrameType type, RequestOp op,
                              const service::RequestOptions& opts,
                              std::span<const std::uint8_t> payload,
@@ -168,8 +186,8 @@ class ServiceClient {
   std::mutex connect_mutex_;
   mutable std::mutex mutex_;  // connection state + pending map + counters
   std::unique_ptr<Socket> sock_;
-  std::unique_ptr<pipeline::FdSink> sink_;  // under write_mutex_
   std::mutex write_mutex_;
+  int write_fd_ = -1;  // sock_'s descriptor; under write_mutex_
   std::thread reader_;
   bool connected_ = false;
   bool ever_connected_ = false;

@@ -121,12 +121,13 @@ FrameHeader parse_frame_header(std::span<const std::uint8_t> bytes,
 void verify_payload(const FrameHeader& header,
                     std::span<const std::uint8_t> payload) {
   if (payload.size() != header.payload_len) {
-    reject("payload size " + std::to_string(payload.size()) +
-           " does not match header length " +
-           std::to_string(header.payload_len));
+    throw PayloadError(header, "frame: payload size " +
+                                   std::to_string(payload.size()) +
+                                   " does not match header length " +
+                                   std::to_string(header.payload_len));
   }
   if (util::crc32(payload) != header.payload_crc) {
-    reject("payload CRC mismatch");
+    throw PayloadError(header, "frame: payload CRC mismatch");
   }
 }
 

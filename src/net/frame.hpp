@@ -3,19 +3,21 @@
 // fixed 40-byte header — magic, version, frame type, request op, priority,
 // request id, relative deadline, payload length, payload CRC-32, header
 // CRC-32 — followed by `payload_len` opaque payload bytes. Frames are
-// length-prefixed precisely so a reader can consume the header, validate it,
-// and size the payload read BEFORE allocating anything payload-shaped: a
-// malformed, truncated, or oversized frame is rejected from the 40 header
-// bytes alone.
+// length-prefixed so a reader can consume the header and validate it before
+// it reads any payload byte: a malformed, truncated, or oversized frame is
+// rejected from the 40 header bytes alone. A header that passes does not
+// commit memory for the length it declares: net::recv_frame grows the
+// payload buffer with the bytes received, so a peer that declares a large
+// payload and stalls pins at most the first 1 MiB step.
 //
 // Corruption posture: the header CRC covers bytes [0, 36) (everything before
 // itself), the payload CRC covers the payload bytes, and CRC-32 detects all
 // single-bit errors — so any single-bit flip anywhere in a captured frame is
 // rejected, which the frame fuzz suite pins. A header that fails validation
 // desynchronizes the byte stream (the reader no longer knows where the next
-// frame starts) and MUST close the connection; a payload that fails its
-// body-level parse does not (the frame boundary was sound), so the peer gets
-// a typed error frame and the connection lives on.
+// frame starts) and MUST close the connection; a payload that fails its CRC
+// (PayloadError) or its body-level parse does not (the frame boundary was
+// sound), so the peer gets a typed error frame and the connection lives on.
 //
 // Serialization rides the existing util::ByteWriter/ByteReader contracts:
 // body readers are bounds-checked and throw std::invalid_argument on any
@@ -67,7 +69,7 @@ inline constexpr char kFrameMagic[4] = {'O', 'H', 'D', 'N'};
 inline constexpr std::uint8_t kWireVersion = 1;
 inline constexpr std::size_t kFrameHeaderBytes = 40;
 /// Default per-frame payload ceiling (1 GiB); both ends reject frames whose
-/// header declares more BEFORE allocating.
+/// header declares more before reading any payload byte.
 inline constexpr std::uint64_t kDefaultMaxPayload = std::uint64_t{1} << 30;
 
 /// What a frame is. Request carries an op + body, Response echoes the
@@ -129,6 +131,19 @@ struct FrameHeader {
   std::uint32_t payload_crc = 0;
 };
 
+/// A payload that fails its length or CRC check behind a sound header. The
+/// frame boundary held, so the stream is still in sync: a server answers on
+/// the header's request id and keeps the connection.
+class PayloadError : public FrameError {
+ public:
+  PayloadError(const FrameHeader& header, const std::string& what)
+      : FrameError(what), header_(header) {}
+  const FrameHeader& header() const { return header_; }
+
+ private:
+  FrameHeader header_;
+};
+
 /// Serializes header + payload into one contiguous frame image. Computes
 /// both CRCs; `header.payload_len`/`payload_crc` inputs are ignored.
 std::vector<std::uint8_t> encode_frame(const FrameHeader& header,
@@ -142,7 +157,7 @@ FrameHeader parse_frame_header(std::span<const std::uint8_t> bytes,
                                std::uint64_t max_payload = kDefaultMaxPayload);
 
 /// Payload gate: length must equal the header's payload_len and the CRC must
-/// match. Throws FrameError.
+/// match. Throws PayloadError.
 void verify_payload(const FrameHeader& header,
                     std::span<const std::uint8_t> payload);
 

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <variant>
@@ -52,11 +53,9 @@ service::RequestOptions options_from_header(const FrameHeader& header) {
 /// `mutex`/`cv` guard the ledger; `write_mutex` serializes frames onto the
 /// socket (reader error frames interleave with the writer's responses).
 struct ServiceServer::Connection {
-  explicit Connection(Socket s)
-      : sock(std::move(s)), sink(sock.fd(), /*owns=*/false) {}
+  explicit Connection(Socket s) : sock(std::move(s)) {}
 
   Socket sock;
-  pipeline::FdSink sink;   // the socket-backed ByteSink; under write_mutex
   std::mutex write_mutex;
 
   /// One settled request awaiting its frame: a response whose payload
@@ -172,43 +171,35 @@ void ServiceServer::acceptor_loop(Listener& listener) {
 
 void ServiceServer::reader_loop(const std::shared_ptr<Connection>& conn) {
   Connection& c = *conn;
+  const auto reject = [this, &c](std::uint64_t request_id, const char* what) {
+    decode_rejects_.add(1);
+    send_error(c, request_id, {WireErrorCode::BadRequest, 0, what});
+  };
+  const auto count_in = [this](const FrameHeader& header) {
+    frames_in_.add(1);
+    bytes_in_.add(kFrameHeaderBytes + header.payload_len);
+  };
+  // A reject whose send fails ends the loop through the ConnectionLost catch
+  // below, which is where an id-0 reject ends it anyway.
   try {
     for (;;) {
-      std::uint8_t head[kFrameHeaderBytes];
-      if (!recv_exact(c.sock.fd(), head)) break;  // clean frame-boundary EOF
-      FrameHeader header;
+      std::optional<Frame> frame;
       try {
-        header = parse_frame_header(head, config_.max_frame_payload);
-      } catch (const std::invalid_argument& e) {
-        // A bad HEADER desynchronizes the stream: one id-0 reject, then close.
-        decode_rejects_.add(1);
-        ErrorBody body;
-        body.code = WireErrorCode::BadRequest;
-        body.message = e.what();
-        try {
-          send_error(c, 0, body);
-        } catch (const ConnectionLost&) {
-        }
-        break;
-      }
-      std::vector<std::uint8_t> payload(header.payload_len);
-      if (header.payload_len != 0 && !recv_exact(c.sock.fd(), payload)) {
-        break;  // EOF where a payload was promised: torn frame, close
-      }
-      frames_in_.add(1);
-      bytes_in_.add(kFrameHeaderBytes + payload.size());
-      try {
-        verify_payload(header, payload);
-      } catch (const FrameError& e) {
+        frame = recv_frame(c.sock.fd(), config_.max_frame_payload);
+      } catch (const PayloadError& e) {
         // The header (and so the frame boundary) was sound — the stream is
         // still synchronized. Reject just this request.
-        decode_rejects_.add(1);
-        ErrorBody body;
-        body.code = WireErrorCode::BadRequest;
-        body.message = e.what();
-        send_error(c, header.request_id, body);
+        count_in(e.header());
+        reject(e.header().request_id, e.what());
         continue;
+      } catch (const FrameError& e) {
+        // A bad HEADER desynchronizes the stream: one id-0 reject, then close.
+        reject(0, e.what());
+        break;
       }
+      if (!frame) break;  // clean frame-boundary EOF
+      const FrameHeader& header = frame->header;
+      count_in(header);
       switch (header.type) {
         case FrameType::Ping: {
           FrameHeader pong;
@@ -233,20 +224,12 @@ void ServiceServer::reader_loop(const std::shared_ptr<Connection>& conn) {
           break;
         }
         case FrameType::Request:
-          handle_request(conn, header, payload);
+          handle_request(conn, header, frame->payload);
           break;
-        default: {
+        default:
           // Response/Error/Pong arriving AT the server is a protocol
           // violation; treat it like a desync.
-          decode_rejects_.add(1);
-          ErrorBody body;
-          body.code = WireErrorCode::BadRequest;
-          body.message = "frame: unexpected frame type from client";
-          try {
-            send_error(c, 0, body);
-          } catch (const ConnectionLost&) {
-          }
-        }
+          reject(0, "frame: unexpected frame type from client");
       }
       if (header.type != FrameType::Request &&
           header.type != FrameType::Cancel && header.type != FrameType::Ping) {
@@ -254,7 +237,8 @@ void ServiceServer::reader_loop(const std::shared_ptr<Connection>& conn) {
       }
     }
   } catch (const ConnectionLost&) {
-    // Peer went away mid-frame; fall through to teardown.
+    // Peer went away mid-frame or stopped taking bytes; fall through to
+    // teardown.
   } catch (const NetError&) {
   }
   // Teardown: when the CLIENT went away, nobody can read the pending
@@ -588,11 +572,7 @@ void ServiceServer::send_frame(Connection& c, const FrameHeader& header,
   const std::vector<std::uint8_t> frame = encode_frame(header, payload);
   {
     std::lock_guard<std::mutex> lock(c.write_mutex);
-    try {
-      c.sink.write(frame);
-    } catch (const pipeline::ArchiveError& e) {
-      throw ConnectionLost(e.what());
-    }
+    send_all(c.sock.fd(), frame);
   }
   frames_out_.add(1);
   bytes_out_.add(frame.size());

@@ -7,6 +7,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -36,6 +37,11 @@ sockaddr_in loopback_addr(std::uint16_t port) {
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   return addr;
 }
+
+/// First payload buffer of recv_frame. A chunk or range response (64 Ki
+/// floats at the default chunk size) fits in it, so only archive uploads and
+/// large decompress bodies grow.
+constexpr std::uint64_t kFirstPayloadStep = std::uint64_t{1} << 20;
 
 void set_nodelay(int fd) {
   const int one = 1;
@@ -178,10 +184,7 @@ void send_all(int fd, std::span<const std::uint8_t> bytes) {
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EPIPE || errno == ECONNRESET)) {
-      throw ConnectionLost("send: peer closed the connection");
-    }
-    throw NetError(std::string("send: ") + std::strerror(errno));
+    throw ConnectionLost(std::string("send: ") + std::strerror(errno));
   }
 }
 
@@ -206,6 +209,26 @@ bool recv_exact(int fd, std::span<std::uint8_t> out) {
     throw NetError(std::string("recv: ") + std::strerror(errno));
   }
   return true;
+}
+
+std::optional<Frame> recv_frame(int fd, std::uint64_t max_payload) {
+  std::uint8_t head[kFrameHeaderBytes];
+  if (!recv_exact(fd, head)) return std::nullopt;
+  Frame frame{parse_frame_header(head, max_payload), {}};
+  const std::uint64_t len = frame.header.payload_len;
+  for (std::size_t got = 0; got < len; got = frame.payload.size()) {
+    const std::size_t step =
+        std::min(len, got == 0 ? kFirstPayloadStep : 2 * got);
+    frame.payload.reserve(step);  // exactly: resize alone may round up
+    frame.payload.resize(step);
+    if (!recv_exact(fd, std::span(frame.payload).subspan(got))) {
+      throw ConnectionLost("recv: connection closed mid-frame (" +
+                           std::to_string(got) + " of " + std::to_string(len) +
+                           " payload bytes)");
+    }
+  }
+  verify_payload(frame.header, frame.payload);
+  return frame;
 }
 
 }  // namespace ohd::net

@@ -1,17 +1,18 @@
 // POSIX socket primitives of the network subsystem: RAII descriptors, the
 // two listener shapes the server binds (TCP loopback and Unix domain), the
-// matching client connector, and the exact-length send/recv helpers the
-// frame reader/writer loops are built on.
+// matching client connector, the one frame reader both ends of the wire use
+// (recv_frame), and the one socket writer (send_all).
 //
 // Failure vocabulary: NetError for setup failures (bind/listen/connect, with
 // errno detail), ConnectionLost (net/frame.hpp) for an established peer
-// going away mid-stream. recv_exact distinguishes a CLEAN close (EOF on a
-// frame boundary, returned as false) from a torn one (EOF mid-read, thrown)
-// because only the former is a graceful shutdown.
+// going away mid-stream. recv_exact and recv_frame distinguish a CLEAN close
+// (EOF on a frame boundary, returned as false / no frame) from a torn one
+// (EOF mid-read, thrown) because only the former is a graceful shutdown.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -118,13 +119,24 @@ class Listener {
 /// get TCP_NODELAY (frames are small and latency-bound).
 Socket connect_to(const Endpoint& endpoint);
 
-/// Sends all of `bytes` (MSG_NOSIGNAL, EINTR retried). Throws ConnectionLost
-/// when the peer is gone, NetError on other failures.
+/// Sends all of `bytes` (MSG_NOSIGNAL, EINTR retried). Every failure throws
+/// ConnectionLost: on an established connection a send that cannot complete
+/// leaves nothing more to say to the peer.
 void send_all(int fd, std::span<const std::uint8_t> bytes);
 
 /// Fills `out` completely. Returns false on a clean EOF before the FIRST
 /// byte (a frame-boundary close); throws ConnectionLost on EOF mid-buffer or
-/// any read error. EINTR is retried.
+/// a connection reset, NetError on any other read error. EINTR is retried.
 bool recv_exact(int fd, std::span<std::uint8_t> out);
+
+/// Reads one frame: the 40-byte header, then the payload, then both CRC
+/// checks. Returns no frame on a clean EOF before the first header byte.
+/// Throws FrameError when the header fails parse_frame_header (before any
+/// payload byte is read), ConnectionLost on EOF mid-frame, and PayloadError
+/// when the payload fails its CRC. The payload buffer starts at
+/// min(payload_len, 1 MiB) and at most doubles as bytes arrive, so a peer
+/// that declares a large payload and stalls pins one step, not payload_len.
+std::optional<Frame> recv_frame(int fd,
+                                std::uint64_t max_payload = kDefaultMaxPayload);
 
 }  // namespace ohd::net

@@ -1,7 +1,6 @@
 #include "pipeline/byte_stream.hpp"
 
 #include <fcntl.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -158,30 +157,20 @@ void AtomicFileSink::commit() {
 }
 
 FileSource::FileSource(const std::string& path) : path_(path) {
-  errno = 0;
-  file_ = std::fopen(path.c_str(), "rb");
-  if (file_ == nullptr) {
+  fd_ = ::open(path.c_str(), O_RDONLY);
+  if (fd_ < 0) {
     throw ArchiveError(errno_detail("open for reading of", path, errno));
   }
-  if (std::fseek(file_, 0, SEEK_END) != 0) {
-    int err = errno;
-    std::fclose(file_);
-    file_ = nullptr;
-    throw ArchiveError(errno_detail("seek to end of", path, err));
-  }
-  long end = std::ftell(file_);
+  const off_t end = ::lseek(fd_, 0, SEEK_END);
   if (end < 0) {
-    int err = errno;
-    std::fclose(file_);
-    file_ = nullptr;
-    throw ArchiveError(errno_detail("size query of", path, err));
+    const int err = errno;
+    ::close(fd_);
+    throw ArchiveError(errno_detail("seek to end of", path, err));
   }
   size_ = static_cast<std::uint64_t>(end);
 }
 
-FileSource::~FileSource() {
-  if (file_ != nullptr) std::fclose(file_);
-}
+FileSource::~FileSource() { ::close(fd_); }
 
 void FileSource::read_at(std::uint64_t offset,
                          std::span<std::uint8_t> out) const {
@@ -189,20 +178,20 @@ void FileSource::read_at(std::uint64_t offset,
   if (offset > size_ || out.size() > size_ - offset) {
     throw ArchiveError("read past the end of '" + path_ + "'");
   }
-  std::lock_guard<std::mutex> lock(mutex_);
-  errno = 0;
-  if (std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0) {
-    throw ArchiveError(errno_detail("seek in", path_, errno));
-  }
-  errno = 0;
-  std::size_t got = std::fread(out.data(), 1, out.size(), file_);
-  if (got != out.size()) {
-    int err = errno;
-    std::clearerr(file_);  // keep the stream usable for later reads
+  std::size_t got = 0;
+  while (got < out.size()) {
+    const ssize_t n = ::pread(fd_, out.data() + got, out.size() - got,
+                              static_cast<off_t>(offset + got));
+    if (n > 0) {
+      got += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
     // A short read inside the known file size is an external interference
     // (concurrent truncation, transient media error): nothing was delivered
     // to the caller's contract, so a retry is legitimate.
-    throw TransientIoError(errno_detail("short read from", path_, err));
+    throw TransientIoError(
+        errno_detail("short read from", path_, n < 0 ? errno : 0));
   }
 }
 
@@ -248,86 +237,6 @@ void TrackingSource::read_at(std::uint64_t offset,
   ++reads_;
   bytes_read_ += out.size();
   max_read_ = std::max<std::uint64_t>(max_read_, out.size());
-}
-
-FdSink::FdSink(int fd, bool owns) : fd_(fd), owns_(owns) {
-  if (fd_ < 0) {
-    throw ArchiveError("FdSink: invalid file descriptor");
-  }
-  int type = 0;
-  socklen_t len = sizeof(type);
-  socket_ = ::getsockopt(fd_, SOL_SOCKET, SO_TYPE, &type, &len) == 0;
-}
-
-FdSink::~FdSink() {
-  if (owns_ && fd_ >= 0) (void)::close(fd_);
-}
-
-void FdSink::write(std::span<const std::uint8_t> bytes) {
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n =
-        socket_ ? ::send(fd_, bytes.data() + sent, bytes.size() - sent,
-                         MSG_NOSIGNAL)
-                : ::write(fd_, bytes.data() + sent, bytes.size() - sent);
-    if (n > 0) {
-      sent += static_cast<std::size_t>(n);
-      written_ += static_cast<std::uint64_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    // A partially accepted buffer is a torn append: not retryable, exactly
-    // like the FaultInjectingSink crash model.
-    throw ArchiveError(errno_detail(
-        sent == 0 ? "fd write" : "fd write (torn append)",
-        "fd " + std::to_string(fd_), errno));
-  }
-}
-
-FdSource::FdSource(int fd, bool owns) : fd_(fd), owns_(owns) {
-  if (fd_ < 0) {
-    throw ArchiveError("FdSource: invalid file descriptor");
-  }
-  const off_t end = ::lseek(fd_, 0, SEEK_END);
-  if (end < 0) {
-    const int err = errno;
-    if (owns_) (void)::close(fd_);
-    fd_ = -1;
-    throw ArchiveError(errno_detail("fd size probe (lseek)",
-                                    "fd " + std::to_string(fd), err));
-  }
-  size_ = static_cast<std::uint64_t>(end);
-}
-
-FdSource::~FdSource() {
-  if (owns_ && fd_ >= 0) (void)::close(fd_);
-}
-
-void FdSource::read_at(std::uint64_t offset,
-                       std::span<std::uint8_t> out) const {
-  if (offset + out.size() > size_) {
-    throw ArchiveError("fd read past end: offset " + std::to_string(offset) +
-                       " + " + std::to_string(out.size()) + " > size " +
-                       std::to_string(size_));
-  }
-  std::size_t got = 0;
-  while (got < out.size()) {
-    const ssize_t n = ::pread(fd_, out.data() + got, out.size() - got,
-                              static_cast<off_t>(offset + got));
-    if (n > 0) {
-      got += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n == 0) {
-      // The file shrank under us: nothing usable was delivered for this
-      // call's contract, and a retry may see a stable file again.
-      throw TransientIoError("fd read: unexpected EOF at offset " +
-                             std::to_string(offset + got));
-    }
-    throw ArchiveError(errno_detail("fd read (pread)",
-                                    "fd " + std::to_string(fd_), errno));
-  }
 }
 
 }  // namespace ohd::pipeline

@@ -268,12 +268,15 @@ class AtomicFileSink : public FileSink {
   bool committed_ = false;
 };
 
-/// Source over an existing file; read_at serializes seek+read behind a mutex
-/// so concurrent chunk fetches are safe. Errors carry errno detail.
+/// Source over an existing file. read_at is a pread loop: each call carries
+/// its own offset, so concurrent chunk fetches neither share a file position
+/// nor serialize. Errors carry errno detail.
 class FileSource : public ByteSource {
  public:
   explicit FileSource(const std::string& path);
   ~FileSource() override;
+  FileSource(const FileSource&) = delete;
+  FileSource& operator=(const FileSource&) = delete;
 
   std::uint64_t size() const override { return size_; }
   void read_at(std::uint64_t offset,
@@ -281,54 +284,7 @@ class FileSource : public ByteSource {
 
  private:
   std::string path_;
-  mutable std::mutex mutex_;
-  std::FILE* file_ = nullptr;
-  std::uint64_t size_ = 0;
-};
-
-/// Append-only sink over an open file descriptor — the socket-backed ByteSink
-/// the archive format was designed to allow ("a sink can be a socket, a pipe,
-/// or an O_APPEND file"). write() loops until every byte is accepted, retries
-/// EINTR internally, and suppresses SIGPIPE on sockets (MSG_NOSIGNAL), so a
-/// dead peer surfaces as ArchiveError instead of killing the process. The fd
-/// is borrowed by default; owns=true closes it on destruction.
-class FdSink : public ByteSink {
- public:
-  explicit FdSink(int fd, bool owns = false);
-  ~FdSink() override;
-  FdSink(const FdSink&) = delete;
-  FdSink& operator=(const FdSink&) = delete;
-
-  void write(std::span<const std::uint8_t> bytes) override;
-  std::uint64_t position() const override { return written_; }
-
-  int fd() const { return fd_; }
-
- private:
   int fd_ = -1;
-  bool owns_ = false;
-  bool socket_ = false;  // detected once: sockets need send(MSG_NOSIGNAL)
-  std::uint64_t written_ = 0;
-};
-
-/// Random-access source over a pread-capable descriptor (a regular file, NOT
-/// a socket). pread carries its own offset, so concurrent read_at calls need
-/// no seek+read mutex — unlike FileSource, reads scale with cores. The fd is
-/// borrowed by default; owns=true closes it on destruction.
-class FdSource : public ByteSource {
- public:
-  explicit FdSource(int fd, bool owns = false);
-  ~FdSource() override;
-  FdSource(const FdSource&) = delete;
-  FdSource& operator=(const FdSource&) = delete;
-
-  std::uint64_t size() const override { return size_; }
-  void read_at(std::uint64_t offset,
-               std::span<std::uint8_t> out) const override;
-
- private:
-  int fd_ = -1;
-  bool owns_ = false;
   std::uint64_t size_ = 0;
 };
 

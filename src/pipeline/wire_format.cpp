@@ -1,6 +1,7 @@
 #include "pipeline/wire_format.hpp"
 
 #include <cstring>
+#include <limits>
 #include <string>
 #include <unordered_set>
 
@@ -204,6 +205,19 @@ FieldEntry read_field_entry(util::ByteReader& r) {
     rec.crc32 = r.u32();
     if (rec.payload_bytes == 0) {
       throw ContainerError("empty chunk frame in container index");
+    }
+    // Every element carries a Huffman code of at least one bit, so no frame
+    // the writer produces holds more than 8 elements per byte. Readers size
+    // output buffers from the count, so a resealed index must not inflate it
+    // past what the frame's bytes can back.
+    if (rec.payload_bytes <= std::numeric_limits<std::uint64_t>::max() / 8 &&
+        rec.dims.count() > 8 * rec.payload_bytes) {
+      throw ContainerError("field '" + f.name + "' chunk " +
+                           std::to_string(ci) + " declares " +
+                           std::to_string(rec.dims.count()) +
+                           " elements, more than its " +
+                           std::to_string(rec.payload_bytes) +
+                           "-byte frame can hold");
     }
     if (rec.elem_offset != next_elem) {
       throw ContainerError("chunk element offsets are not contiguous");

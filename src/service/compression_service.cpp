@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <future>
 #include <optional>
 #include <string>
 #include <utility>
@@ -112,23 +111,6 @@ std::size_t range_cost(std::uint64_t elem_begin, std::uint64_t elem_end) {
   return static_cast<std::size_t>(elem_end - elem_begin) * sizeof(float);
 }
 
-/// The future form of a submit: runs the callback form `submit` with a
-/// callback that fulfils a std::promise, and returns its future.
-template <typename T, typename SubmitFn>
-Submission<T> with_future(SubmitFn submit) {
-  auto promise = std::make_shared<std::promise<T>>();
-  Submission<T> out;
-  out.future = promise->get_future();
-  out.id = submit([promise](Settled<T> outcome) {
-    if (auto* value = std::get_if<T>(&outcome)) {
-      promise->set_value(std::move(*value));
-    } else {
-      promise->set_exception(std::get<std::exception_ptr>(outcome));
-    }
-  });
-  return out;
-}
-
 }  // namespace
 
 CompressionService::CompressionService(ServiceConfig config)
@@ -234,6 +216,10 @@ RequestId CompressionService::admit(RequestClass cls,
           queue_suffix);
     }
     if (queue_.size() >= config_.max_queue_depth) {
+      // One hint for both verdicts, taken over the full queue: computed
+      // after the shed, it would count one request fewer than a rejected
+      // submit sees at the same depth (0 at depth 1).
+      const std::uint64_t hint = retry_after_ns_locked();
       auto victim = queue_.shed_below(state->priority);
       if (!victim) {
         // Nothing below the incoming priority to displace: the incoming
@@ -242,7 +228,6 @@ RequestId CompressionService::admit(RequestClass cls,
         client.release_slot();
         rejected_busy_.add(1);
         shed_rejected_.add(1);
-        const std::uint64_t hint = retry_after_ns_locked();
         throw ServiceOverloaded(
             "submit: queue overloaded (depth " +
                 std::to_string(queue_.size()) + "/" +
@@ -259,7 +244,6 @@ RequestId CompressionService::admit(RequestClass cls,
       const auto vit = live_.find(victim->id);
       if (vit != live_.end()) {
         RequestState& vs = *vit->second;
-        const std::uint64_t hint = retry_after_ns_locked();
         vs.shed_retry_after_ns = hint;
         vs.shed_message =
             "request " + std::to_string(victim->id) +

@@ -16,6 +16,7 @@
 #include <exception>
 #include <functional>
 #include <future>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -175,6 +176,24 @@ struct Submission {
   T get() { return future.get(); }
   void wait() const { future.wait(); }
 };
+
+/// The future form of a submit: runs the callback form `submit` with a
+/// callback that fulfils a std::promise, and returns its future. The
+/// service's and the wire client's future forms both go through it.
+template <typename T, typename SubmitFn>
+Submission<T> with_future(SubmitFn submit) {
+  auto promise = std::make_shared<std::promise<T>>();
+  Submission<T> out;
+  out.future = promise->get_future();
+  out.id = submit([promise](Settled<T> outcome) {
+    if (auto* value = std::get_if<T>(&outcome)) {
+      promise->set_value(std::move(*value));
+    } else {
+      promise->set_exception(std::get<std::exception_ptr>(outcome));
+    }
+  });
+  return out;
+}
 
 /// The four request classes the service multiplexes. Each class gets its own
 /// queue-wait and service-latency histograms ("service.<name>.*", see

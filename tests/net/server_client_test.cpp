@@ -14,12 +14,15 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <cstring>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "net/client.hpp"
@@ -328,19 +331,6 @@ TEST(ServiceWire, UnassignedPrefixFrameIsAnArchiveError) {
 
 // ---- raw-socket protocol behaviour ----------------------------------------
 
-Frame read_frame_fd(int fd) {
-  std::uint8_t head[kFrameHeaderBytes];
-  if (!recv_exact(fd, head)) throw ConnectionLost("eof at frame boundary");
-  Frame f;
-  f.header = parse_frame_header(head);
-  f.payload.resize(f.header.payload_len);
-  if (f.header.payload_len != 0 && !recv_exact(fd, f.payload)) {
-    throw ConnectionLost("eof mid-frame");
-  }
-  verify_payload(f.header, f.payload);
-  return f;
-}
-
 void send_open_client(int fd, std::uint64_t id) {
   util::ByteWriter w;
   write_open_client(w, OpenClientBody{});
@@ -358,7 +348,7 @@ TEST(ServiceWire, MalformedBodyKeepsConnectionMalformedHeaderCloses) {
   Socket sock = connect_to(server.endpoints()[0]);
 
   send_open_client(sock.fd(), 1);
-  EXPECT_EQ(read_frame_fd(sock.fd()).header.type, FrameType::Response);
+  EXPECT_EQ(recv_frame(sock.fd()).value().header.type, FrameType::Response);
 
   // Well-framed garbage BODY: typed BadRequest error on that id, and the
   // connection must survive.
@@ -370,9 +360,27 @@ TEST(ServiceWire, MalformedBodyKeepsConnectionMalformedHeaderCloses) {
     h.request_id = 2;
     const std::vector<std::uint8_t> garbage(16, 0xEE);
     send_all(sock.fd(), encode_frame(h, garbage));
-    const Frame err = read_frame_fd(sock.fd());
+    const Frame err = recv_frame(sock.fd()).value();
     EXPECT_EQ(err.header.type, FrameType::Error);
     EXPECT_EQ(err.header.request_id, 2u);
+    util::ByteReader r(err.payload);
+    EXPECT_EQ(read_error(r).code, WireErrorCode::BadRequest);
+  }
+  // A payload that fails its CRC behind a sound header: the frame boundary
+  // held, so the reject lands on that id and the connection survives too.
+  {
+    FrameHeader h;
+    h.type = FrameType::Request;
+    h.op = RequestOp::CloseArchive;
+    h.request_id = 4;
+    util::ByteWriter w;
+    w.u64(1);
+    std::vector<std::uint8_t> frame = encode_frame(h, w.bytes());
+    frame.back() ^= 0x01;
+    send_all(sock.fd(), frame);
+    const Frame err = recv_frame(sock.fd()).value();
+    EXPECT_EQ(err.header.type, FrameType::Error);
+    EXPECT_EQ(err.header.request_id, 4u);
     util::ByteReader r(err.payload);
     EXPECT_EQ(read_error(r).code, WireErrorCode::BadRequest);
   }
@@ -381,7 +389,7 @@ TEST(ServiceWire, MalformedBodyKeepsConnectionMalformedHeaderCloses) {
     ping.type = FrameType::Ping;
     ping.request_id = 3;
     send_all(sock.fd(), encode_frame(ping, {}));
-    const Frame pong = read_frame_fd(sock.fd());
+    const Frame pong = recv_frame(sock.fd()).value();
     EXPECT_EQ(pong.header.type, FrameType::Pong);
     EXPECT_EQ(pong.header.request_id, 3u);  // the id echoes
   }
@@ -390,21 +398,21 @@ TEST(ServiceWire, MalformedBodyKeepsConnectionMalformedHeaderCloses) {
   // closes (the stream is desynchronized).
   std::vector<std::uint8_t> junk(kFrameHeaderBytes, 0x5A);
   send_all(sock.fd(), junk);
-  const Frame reject = read_frame_fd(sock.fd());
+  const Frame reject = recv_frame(sock.fd()).value();
   EXPECT_EQ(reject.header.type, FrameType::Error);
   EXPECT_EQ(reject.header.request_id, 0u);
   std::uint8_t byte = 0;
   EXPECT_FALSE(recv_exact(sock.fd(), std::span(&byte, 1)));  // clean EOF
 
-  // The server counts both error frames exactly once, whether the
+  // The server counts all three error frames exactly once, whether the
   // connection is live or already closed.
   const auto deadline = std::chrono::steady_clock::now() + 5s;
-  while (server.stats().error_frames != 2 &&
+  while (server.stats().error_frames != 3 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(5ms);
   }
-  EXPECT_EQ(server.stats().error_frames, 2u);
-  EXPECT_GE(server.stats().decode_rejects, 2u);
+  EXPECT_EQ(server.stats().error_frames, 3u);
+  EXPECT_GE(server.stats().decode_rejects, 3u);
 }
 
 TEST(ServiceWire, ResponsesStreamInCompletionOrder) {
@@ -449,7 +457,7 @@ TEST(ServiceWire, RetryLoopHonorsServerRetryAfterHint) {
   std::thread script([&] {
     Socket peer = listener.accept();
     ASSERT_TRUE(peer.valid());
-    const Frame open = read_frame_fd(peer.fd());
+    const Frame open = recv_frame(peer.fd()).value();
     ASSERT_EQ(open.header.op, RequestOp::OpenClient);
     util::ByteWriter ack;
     ack.u64(1);
@@ -459,7 +467,7 @@ TEST(ServiceWire, RetryLoopHonorsServerRetryAfterHint) {
     rh.request_id = open.header.request_id;
     send_all(peer.fd(), encode_frame(rh, ack.bytes()));
 
-    const Frame first = read_frame_fd(peer.fd());
+    const Frame first = recv_frame(peer.fd()).value();
     ASSERT_EQ(first.header.op, RequestOp::Compress);
     util::ByteWriter err;
     write_error(err, {WireErrorCode::Overloaded, kHintNs, "shed"});
@@ -468,7 +476,7 @@ TEST(ServiceWire, RetryLoopHonorsServerRetryAfterHint) {
     eh.request_id = first.header.request_id;
     send_all(peer.fd(), encode_frame(eh, err.bytes()));
 
-    const Frame second = read_frame_fd(peer.fd());
+    const Frame second = recv_frame(peer.fd()).value();
     ASSERT_EQ(second.header.op, RequestOp::Compress);
     util::ByteWriter ok;
     ok.bytes(canned_archive);
@@ -545,6 +553,104 @@ TEST(ServiceWire, ServerShutdownDrainsInFlightResponses) {
   server->shutdown();
   EXPECT_FALSE(sub.get().archive.empty());
   server.reset();
+}
+
+// ---- callback-form submits -------------------------------------------------
+
+/// Records a client settle callback: how often it ran, on which thread, and
+/// how the request settled. The outcome is named on the settling thread, so
+/// no exception object crosses to the test thread.
+template <typename T>
+class SettleRecorder {
+ public:
+  service::OnSettle<T> callback() {
+    return [this](service::Settled<T> outcome) {
+      std::string kind = "value";
+      T value{};
+      if (T* v = std::get_if<T>(&outcome)) {
+        value = std::move(*v);
+      } else {
+        try {
+          std::rethrow_exception(std::get<std::exception_ptr>(outcome));
+        } catch (const ConnectionLost&) {
+          kind = "ConnectionLost";
+        } catch (const std::exception& e) {
+          kind = e.what();
+        }
+      }
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++calls_;
+        thread_ = std::this_thread::get_id();
+        kind_ = std::move(kind);
+        value_ = std::move(value);
+      }
+      cv_.notify_all();
+    };
+  }
+
+  /// Waits for the first settle; false after 30 s without one.
+  bool wait() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return cv_.wait_for(lock, 30s, [this] { return calls_ > 0; });
+  }
+  int calls() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return calls_;
+  }
+  std::thread::id thread() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return thread_;
+  }
+  std::string kind() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return kind_;
+  }
+  T value() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return value_;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::condition_variable cv_;
+  int calls_ = 0;
+  std::thread::id thread_;
+  std::string kind_;
+  T value_{};
+};
+
+TEST(ServiceWire, CallbackChunkReadSettlesOnceOnTheDemuxReader) {
+  service::CompressionService svc(small_service_config());
+  ServiceServer server(svc, {});
+  ServiceClient client(client_config(server.endpoints()[0]));
+  const auto handle = client.open_archive(
+      client.submit_compress(two_field_job(5)).get().archive);
+
+  SettleRecorder<std::vector<float>> probe;
+  EXPECT_NE(client.submit_chunk(handle, 0, 1, {}, probe.callback()), 0u);
+  ASSERT_TRUE(probe.wait());
+  client.ping();  // a later round trip through the same demux reader
+  EXPECT_EQ(probe.kind(), "value");
+  EXPECT_NE(probe.thread(), std::this_thread::get_id());
+  EXPECT_TRUE(identical_floats(probe.value(),
+                               client.submit_chunk(handle, 0, 1).get()));
+  client.disconnect();
+  EXPECT_EQ(probe.calls(), 1);
+}
+
+TEST(ServiceWire, CallbackInFlightAtDisconnectSettlesOnceWithConnectionLost) {
+  service::CompressionService svc(small_service_config());
+  ServiceServer server(svc, {});
+  ServiceClient client(client_config(server.endpoints()[0]));
+  svc.pause();  // keep the request deterministically in flight
+  SettleRecorder<service::CompressResult> probe;
+  client.submit_compress(two_field_job(13), {}, probe.callback());
+  client.disconnect();
+  ASSERT_TRUE(probe.wait());
+  EXPECT_EQ(probe.kind(), "ConnectionLost");
+  EXPECT_EQ(probe.calls(), 1);
+  svc.resume();
 }
 
 TEST(ServiceWire, ClientDisconnectCancelsItsInFlightRequests) {

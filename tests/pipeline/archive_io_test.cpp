@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <thread>
 #include <vector>
 
 #include "pipeline/batch.hpp"
@@ -863,17 +864,19 @@ TEST(ArchiveReaderFuzz, TrailingGarbageAndLegacyVersionsRejected) {
 /// the name record at index byte 4, dims at 12 (extent[1] at 24), the field
 /// method tag at 52, the shared-codebook length at 53, the chunk count at
 /// 61 (when the field carries no shared codebook), and kChunkRecordBytes
-/// per chunk record from 69 (elem_offset at +16, the codebook-ref byte at
-/// +53). `radius` and `plan` shape the shared-codebook variant.
+/// per chunk record from 69 (elem_offset at +16, dims at +24, the
+/// codebook-ref byte at +53). `radius` and `plan` shape the shared-codebook
+/// variant; `chunk_elems` = 600 gives one chunk.
 std::vector<std::uint8_t> tiny_index_archive(std::uint32_t radius = 512,
-                                             const PlanOptions& plan = {}) {
+                                             const PlanOptions& plan = {},
+                                             std::size_t chunk_elems = 256) {
   const auto data = wavy_field(600, 21);
   sz::CompressorConfig cfg;
   cfg.method = core::Method::SelfSyncOptimized;
   cfg.radius = radius;
   MemorySink sink;
   ArchiveWriter writer(sink);
-  writer.add_field("", data, sz::Dims::d1(600), cfg, 256, plan);
+  writer.add_field("", data, sz::Dims::d1(600), cfg, chunk_elems, plan);
   writer.finish();
   return sink.take();
 }
@@ -885,10 +888,12 @@ std::vector<std::uint8_t> tiny_shared_archive() {
 }
 
 constexpr std::size_t kRankOffset = 12;
+constexpr std::size_t kExtent0Offset = 16;
 constexpr std::size_t kExtent1Offset = 24;
 constexpr std::size_t kFieldMethodOffset = 52;
 constexpr std::size_t kSharedCodebookLenOffset = 53;
 constexpr std::size_t kFirstChunkOffset = 69;
+constexpr std::size_t kExtent0OffsetInRecord = 28;
 constexpr std::size_t kCodebookRefOffsetInRecord = 53;
 
 /// Applies `patch` to the index section of a v3 image, then reseals the
@@ -1057,6 +1062,27 @@ TEST(ContainerParserFuzz, OverflowingExtentRejected) {
                                 index[kExtent1Offset + 7] = 0x80;
                               }),
                   "implausible extent");
+}
+
+TEST(ContainerParserFuzz, ChunkElementsBeyondWhatItsFrameHoldsRejected) {
+  // One chunk; the field and its chunk record inflated to 2^28 elements
+  // (1 GiB of floats) with the index CRC resealed. A frame of a few KiB
+  // cannot carry 2^28 codes of at least one bit each, so open refuses the
+  // index before any reader sizes an output buffer from that count.
+  const auto inflate = [](std::span<std::uint8_t> index) {
+    for (const std::size_t at :
+         {kExtent0Offset, kFirstChunkOffset + kExtent0OffsetInRecord}) {
+      std::uint64_t extent = 0;
+      for (int i = 0; i < 8; ++i) {
+        extent |= std::uint64_t{index[at + i]} << (8 * i);
+        index[at + i] = static_cast<std::uint8_t>((std::uint64_t{1} << 28) >>
+                                                  (8 * i));
+      }
+      ASSERT_EQ(extent, 600u);  // pins the layout offsets
+    }
+  };
+  expect_rejected(patch_index(tiny_index_archive(512, {}, 600), inflate),
+                  "-byte frame can hold");
 }
 
 TEST(ContainerParserFuzz, DuplicateFieldNamesRejected) {
@@ -1495,6 +1521,41 @@ TEST(ByteStream, MemoryAndFileSourcesRejectOutOfRangeReads) {
   EXPECT_THROW(file.read_at(2, out), ArchiveError);
   std::remove(path.c_str());
   EXPECT_THROW(FileSource{"/nonexistent/ohd/path.bin"}, ArchiveError);
+}
+
+TEST(ByteStream, FileSourceServesConcurrentOverlappingReads) {
+  // Chunk fetches run on pool workers; each read carries its own offset, so
+  // threads reading overlapping ranges at once must each get their bytes.
+  std::vector<std::uint8_t> bytes(10000);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(i * 13 + i / 256);
+  }
+  const std::string path = temp_path("ohd_concurrent_source.bin");
+  {
+    FileSink sink(path);
+    sink.write(bytes);
+    sink.commit();
+  }
+  const FileSource source(path);
+  ASSERT_EQ(source.size(), bytes.size());
+  std::vector<std::thread> readers;
+  std::vector<int> mismatches(4, 0);
+  for (std::size_t t = 0; t < mismatches.size(); ++t) {
+    readers.emplace_back([&, t] {
+      std::vector<std::uint8_t> out(3000);
+      for (std::size_t round = 0; round < 200; ++round) {
+        const std::size_t offset = (t * 997 + round * 131) % (bytes.size() -
+                                                              out.size());
+        source.read_at(offset, out);
+        if (!std::equal(out.begin(), out.end(), bytes.begin() + offset)) {
+          ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (auto& r : readers) r.join();
+  EXPECT_EQ(mismatches, std::vector<int>(mismatches.size(), 0));
+  std::remove(path.c_str());
 }
 
 }  // namespace

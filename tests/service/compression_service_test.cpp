@@ -820,6 +820,49 @@ TEST(CompressionService, OverloadShedsNewestBackgroundFirst) {
   EXPECT_EQ(stats.inflight_bytes, 0);
 }
 
+TEST(CompressionService, ShedVictimHintCountsTheFullQueue) {
+  ServiceConfig cfg;
+  cfg.dispatchers = 1;
+  cfg.max_queue_depth = 1;
+  cfg.max_inflight_per_client = 100;
+  CompressionService svc(cfg);
+  const ClientId client = svc.open_client();
+  // Warm the drain EWMA: each pop after the first measures one gap.
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    EXPECT_FALSE(svc.submit_compress(client, small_job(100 + i))
+                     .get()
+                     .archive.empty());
+  }
+
+  svc.pause();
+  RequestOptions bg;
+  bg.priority = Priority::Background;
+  auto victim = svc.submit_compress(client, small_job(110), bg);
+  RequestOptions interactive;
+  interactive.priority = Priority::Interactive;
+  auto urgent = svc.submit_compress(client, small_job(111), interactive);
+  std::uint64_t victim_hint = 0;
+  try {
+    victim.get();
+    FAIL() << "expected the background request to be shed";
+  } catch (const ServiceOverloaded& e) {
+    victim_hint = e.retry_after_ns();
+  }
+  // A background submit at the same depth finds nothing to shed: rejected,
+  // with the hint the victim should have been given.
+  std::uint64_t rejected_hint = 0;
+  try {
+    svc.submit_compress(client, small_job(112), bg);
+    FAIL() << "expected ServiceOverloaded";
+  } catch (const ServiceOverloaded& e) {
+    rejected_hint = e.retry_after_ns();
+  }
+  EXPECT_GT(victim_hint, 0u);
+  EXPECT_EQ(victim_hint, rejected_hint);
+  svc.resume();
+  EXPECT_FALSE(urgent.get().archive.empty());
+}
+
 // ---- Settle callback ------------------------------------------------------
 
 /// Records one settle callback: how often it ran, how the request settled,
