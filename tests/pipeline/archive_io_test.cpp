@@ -1523,6 +1523,31 @@ TEST(ByteStream, MemoryAndFileSourcesRejectOutOfRangeReads) {
   EXPECT_THROW(FileSource{"/nonexistent/ohd/path.bin"}, ArchiveError);
 }
 
+TEST(ByteStream, FileSourceRejectsOutOfBoundsReads) {
+  // FileSource reads with pread at the caller's offset; the size it took at
+  // open bounds every read, whether it starts inside or past the end.
+  std::vector<std::uint8_t> bytes(64);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(i * 13);
+  }
+  const std::string path = temp_path("ohd_file_source_bounds.bin");
+  {
+    FileSink sink(path);
+    sink.write(bytes);
+    sink.commit();
+  }
+  const FileSource source(path);
+  ASSERT_EQ(source.size(), bytes.size());
+  std::vector<std::uint8_t> buf(32);
+  EXPECT_THROW(source.read_at(40, buf), ArchiveError);  // 40 + 32 > 64
+  EXPECT_THROW(source.read_at(65, std::span(buf).first(1)), ArchiveError);
+  source.read_at(32, buf);  // the exact tail is in range
+  EXPECT_TRUE(std::equal(buf.begin(), buf.end(), bytes.begin() + 32));
+  // An empty read delivers nothing, so it is a no-op at any offset.
+  EXPECT_NO_THROW(source.read_at(65, std::span(buf).first(0)));
+  std::remove(path.c_str());
+}
+
 TEST(ByteStream, FileSourceServesConcurrentOverlappingReads) {
   // Chunk fetches run on pool workers; each read carries its own offset, so
   // threads reading overlapping ranges at once must each get their bytes.
