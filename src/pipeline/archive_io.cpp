@@ -3,10 +3,7 @@
 #include <algorithm>
 
 #include "obs/trace.hpp"
-#include "pipeline/method_selector.hpp"
-#include "pipeline/value_reads.hpp"
 #include "pipeline/wire_format.hpp"
-#include "sz/serialize.hpp"
 #include "util/checksum.hpp"
 
 namespace ohd::pipeline {
@@ -214,71 +211,6 @@ void ArchiveWriter::end_field() {
   in_field_ = false;
 }
 
-std::size_t ArchiveWriter::add_field(const std::string& name,
-                                     std::span<const float> data,
-                                     const sz::Dims& dims,
-                                     const sz::CompressorConfig& config,
-                                     std::size_t chunk_elems,
-                                     const PlanOptions& plan) {
-  if (data.size() != dims.count()) {
-    throw ContainerError("field data size does not match dimensions");
-  }
-  if (config.method == core::Method::GapArrayOriginal8Bit) {
-    throw ContainerError(
-        "the 8-bit gap-array method is decode-only and cannot reconstruct "
-        "float fields; pick a multi-byte method for container fields");
-  }
-  if (config.radius == 0) {
-    throw ContainerError("zero quantizer radius");
-  }
-  ArchiveFieldSpec spec;
-  spec.name = name;
-  spec.dims = dims;
-  spec.abs_error_bound = sz::resolve_error_bound(data, config.rel_error_bound);
-  spec.radius = config.radius;
-  spec.method = config.method;
-  const auto layout = chunk_layout(dims, chunk_elems);
-
-  if (!plan.auto_method && !plan.shared_codebook) {
-    begin_field(spec);
-    for (const ChunkExtent& e : layout) {
-      const auto blob = sz::compress_with_abs_bound(
-          data.subspan(e.elem_offset, e.dims.count()), e.dims,
-          spec.abs_error_bound, config);
-      write_chunk(e, sz::serialize_blob(blob));
-    }
-  } else {
-    // Quantize every chunk first, so the planner can see the whole field
-    // (pooled histograms for the shared book, per-chunk probes for method
-    // selection) before any encoding commits.
-    std::vector<sz::QuantizedField> quantized;
-    quantized.reserve(layout.size());
-    for (const ChunkExtent& e : layout) {
-      quantized.push_back(sz::quantize_with_abs_bound(
-          data.subspan(e.elem_offset, e.dims.count()), e.dims,
-          spec.abs_error_bound, config));
-    }
-    FieldPlan field_plan = plan_field(quantized, config.method, plan,
-                                      MethodSelector(config.decoder));
-    if (field_plan.has_shared_codebook) {
-      spec.shared_codebook = std::make_shared<const huffman::Codebook>(
-          std::move(field_plan.shared_codebook));
-    }
-    begin_field(spec);
-    for (std::size_t i = 0; i < layout.size(); ++i) {
-      const ChunkPlan& cp = field_plan.chunks[i];
-      write_chunk(layout[i],
-                  encode_planned_chunk(std::move(quantized[i]), cp, config,
-                                       spec.shared_codebook.get()),
-                  ChunkMeta{cp.method, cp.use_shared_codebook
-                                           ? CodebookRef::SharedField
-                                           : CodebookRef::Private});
-    }
-  }
-  end_field();
-  return fields_.size() - 1;
-}
-
 std::uint64_t ArchiveWriter::finish() {
   if (finished_) {
     throw ContainerError("finish on a finished archive session");
@@ -416,7 +348,7 @@ void ArchiveReader::require_complete(std::size_t field) const {
   if (!field_complete(field)) {
     throw ContainerError(
         "field '" + fields_[field].name +
-        "' was salvaged incomplete; use decode_field_partial");
+        "' was salvaged incomplete; use decompress_partial");
   }
 }
 
@@ -491,62 +423,6 @@ sz::DecompressionResult ArchiveReader::decode_chunk_into(
   return with_chunk_blob(field, chunk, [&](const sz::CompressedBlob& blob) {
     return sz::decompress_into(ctx, blob, out, decoder);
   });
-}
-
-FieldDecode ArchiveReader::decode_field(
-    cudasim::SimContext& ctx, std::size_t field,
-    const core::DecoderConfig& decoder) const {
-  require_complete(field);
-  const FieldEntry& f = fields_[field];
-  FieldDecode out;
-  out.data.resize(f.dims.count());
-  out.chunk_seconds.reserve(f.chunks.size());
-  for (std::size_t c = 0; c < f.chunks.size(); ++c) {
-    const std::span<float> dest(out.data.data() + f.chunks[c].elem_offset,
-                                f.chunks[c].dims.count());
-    out.absorb_timings(decode_chunk_into(ctx, field, c, dest, decoder));
-  }
-  return out;
-}
-
-PartialFieldDecode ArchiveReader::decode_field_partial(
-    std::size_t field) const {
-  if (field >= fields_.size()) {
-    throw ContainerError("field index out of range");
-  }
-  PartialFieldDecode out;
-  out.values.assign(fields_[field].dims.count(), 0.0f);
-  out.report = report_partial_field(
-      *this, field, out.values,
-      [&](std::size_t chunk, std::span<float> dest) {
-        with_chunk_blob(field, chunk, [dest](const sz::CompressedBlob& blob) {
-          sz::host_decompress_into(blob, dest);
-        });
-      });
-  return out;
-}
-
-std::vector<float> ArchiveReader::decode_range(std::size_t field,
-                                               std::uint64_t elem_begin,
-                                               std::uint64_t elem_end) const {
-  require_complete(field);
-  const FieldEntry& f = fields_[field];
-  if (elem_begin > elem_end || elem_end > f.dims.count()) {
-    throw ContainerError("element range out of bounds");
-  }
-  std::vector<float> out(elem_end - elem_begin);
-  for (std::size_t c = 0; c < f.chunks.size(); ++c) {
-    const std::uint64_t chunk_begin = f.chunks[c].elem_offset;
-    const std::uint64_t chunk_end = chunk_begin + f.chunks[c].dims.count();
-    if (chunk_end <= elem_begin || chunk_begin >= elem_end) continue;
-    const std::uint64_t lo = std::max(chunk_begin, elem_begin);
-    const std::uint64_t hi = std::min(chunk_end, elem_end);
-    const std::span<float> dest(out.data() + (lo - elem_begin), hi - lo);
-    with_chunk_blob(field, c, [&](const sz::CompressedBlob& blob) {
-      host_decode_window(blob, lo - chunk_begin, dest);
-    });
-  }
-  return out;
 }
 
 void ArchiveReader::verify() const {

@@ -16,7 +16,9 @@
 //
 // These two sessions are the only write and read paths of the format: an
 // in-memory archive is an ArchiveWriter over a MemorySink, read back through
-// an ArchiveReader over a MemorySource (or an OwningMemorySource). See
+// an ArchiveReader over a MemorySource (or an OwningMemorySource). Both work
+// one chunk at a time; the BatchScheduler fan-outs (batch.hpp) are the only
+// code that walks a field's chunks. See
 // wire_format.hpp for the byte layout and tests/pipeline/archive_io_test.cpp
 // for the round-trip and robustness properties.
 #pragma once
@@ -31,7 +33,6 @@
 #include "obs/metrics.hpp"
 #include "pipeline/byte_stream.hpp"
 #include "pipeline/container.hpp"
-#include "pipeline/method_selector.hpp"
 #include "pipeline/recovery.hpp"
 
 namespace ohd::pipeline {
@@ -96,18 +97,6 @@ class ArchiveWriter {
   /// declared dims exactly.
   void end_field();
 
-  /// Compresses `data` chunk by chunk into the session — the sequential
-  /// reference of BatchScheduler::compress_to, byte-identical to it. One
-  /// absolute error bound is resolved from the WHOLE field's range, so
-  /// chunking does not change the error guarantee. Without a plan each frame
-  /// is written as soon as it is encoded (O(chunk) peak memory); `plan`
-  /// enables per-chunk method selection and/or a field-level shared
-  /// codebook, which quantizes the whole field first so the planner sees
-  /// every chunk. Returns the field index.
-  std::size_t add_field(const std::string& name, std::span<const float> data,
-                        const sz::Dims& dims, const sz::CompressorConfig& config,
-                        std::size_t chunk_elems, const PlanOptions& plan = {});
-
   /// Writes the deferred index and footer and COMMITS the sink (fsync for
   /// FileSink, atomic temp-file publish for AtomicFileSink); the session is
   /// complete and unusable afterwards. Returns the total archive bytes.
@@ -138,15 +127,6 @@ struct ReaderOptions {
   RetryPolicy retry;
 };
 
-/// Result of a degraded, hole-tolerant field decode: every chunk with an
-/// intact frame is reconstructed into its slice of `values`; chunks that are
-/// missing or fail their CRC/decode are zero-filled and reported. Bytes that
-/// failed a checksum are never surfaced.
-struct PartialFieldDecode {
-  std::vector<float> values;  // field-sized (per the field header's dims)
-  FieldReport report;
-};
-
 /// Random-access read session over a version-3 archive. Construction reads
 /// ONLY the footer and index; every frame access is a lazy, CRC-checked
 /// fetch. All decode entry points are const and thread-safe (the source
@@ -164,10 +144,11 @@ class ArchiveReader {
   /// Salvage open: never rejects a damaged archive. Uses the strict
   /// footer/index when intact, otherwise rebuilds a partial index from the
   /// payload's recovery preambles (pipeline/recovery.hpp). Fields may come
-  /// back incomplete: decode_field/decode_range/verify throw on those (use
-  /// decode_field_partial), and chunk indices are DENSE over the recovered
-  /// chunks — chunk_ordinal() maps back to as-written ordinals. `report`,
-  /// when non-null, receives the scan statistics.
+  /// back incomplete: verify and BatchScheduler's strict reads throw on
+  /// those (use BatchScheduler::decompress_partial), and chunk indices are
+  /// DENSE over the recovered chunks — chunk_ordinal() maps back to
+  /// as-written ordinals. `report`, when non-null, receives the scan
+  /// statistics.
   static ArchiveReader open_salvage(const ByteSource& source,
                                     SalvageReport* report = nullptr,
                                     ReaderOptions options = {});
@@ -226,33 +207,12 @@ class ArchiveReader {
   /// Fused variant: reconstructs the chunk's floats straight into `out`
   /// (sized to the CHUNK's element count — typically a subspan of the field
   /// buffer at the chunk's elem_offset) via sz::decompress_into; the
-  /// returned result carries timings only. This is the write path
-  /// decode_field and the batch scheduler use, so a chunk's floats are
-  /// written once, in place, with no per-chunk vector or merge copy.
+  /// returned result carries timings only. BatchScheduler::decompress
+  /// decodes through it, so a chunk's floats are written once, in place,
+  /// with no per-chunk vector or merge copy.
   sz::DecompressionResult decode_chunk_into(
       cudasim::SimContext& ctx, std::size_t field, std::size_t chunk,
       std::span<float> out, const core::DecoderConfig& decoder = {}) const;
-
-  /// Decodes a whole field chunk by chunk in chunk-id order, one resident
-  /// frame at a time. Throws on a salvaged-incomplete field.
-  FieldDecode decode_field(cudasim::SimContext& ctx, std::size_t field,
-                           const core::DecoderConfig& decoder = {}) const;
-
-  // The value-only reads below return no model seconds, so they decode on
-  // the host (sz::host_decompress_into): same floats, no SimContext.
-
-  /// Degraded decode: reconstructs every chunk whose frame is intact,
-  /// zero-fills and reports the rest (Missing holes for chunks the salvage
-  /// never recovered, Corrupt for frames failing CRC or decode). Works on
-  /// strict readers too — there it quarantines payload corruption the index
-  /// did not protect against.
-  PartialFieldDecode decode_field_partial(std::size_t field) const;
-
-  /// Decodes only the chunks overlapping [elem_begin, elem_end) and returns
-  /// exactly that element range. (BatchScheduler::decode_range is the
-  /// prefetching parallel variant.)
-  std::vector<float> decode_range(std::size_t field, std::uint64_t elem_begin,
-                                  std::uint64_t elem_end) const;
 
   /// Streams every frame once and verifies its CRC-32 without decoding;
   /// throws ContainerError naming the first corrupted field/chunk (or the

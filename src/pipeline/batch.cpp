@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <future>
 #include <memory>
+#include <optional>
+#include <string>
 
 #include "cudasim/exec.hpp"
 #include "obs/trace.hpp"
-#include "pipeline/value_reads.hpp"
 #include "pipeline/wire_format.hpp"
 #include "sz/serialize.hpp"
 
@@ -66,6 +67,86 @@ void wait_all(std::vector<std::future<T>>& futures) noexcept {
   for (auto& fut : futures) {
     if (fut.valid()) fut.wait();
   }
+}
+
+/// Strict reads refuse a salvaged field with holes up front, before any
+/// task runs: a fan-out would otherwise decode the recovered chunks and
+/// silently leave the holes zero-filled.
+void require_complete(const ArchiveReader& reader, std::size_t field) {
+  if (!reader.field_complete(field)) {
+    throw ContainerError("field '" + reader.fields()[field].name +
+                         "' was salvaged incomplete; use decompress_partial");
+  }
+}
+
+/// Host-decodes one chunk's blob and writes its elements [first, first +
+/// dest.size()) into `dest`: straight in when `dest` is the whole chunk,
+/// through a chunk-sized scratch vector at a range's ragged ends.
+void host_decode_window(const sz::CompressedBlob& blob, std::uint64_t first,
+                        std::span<float> dest) {
+  if (first == 0 && dest.size() == blob.dims.count()) {
+    sz::host_decompress_into(blob, dest);
+    return;
+  }
+  std::vector<float> chunk(blob.dims.count());
+  sz::host_decompress_into(blob, chunk);
+  std::copy_n(chunk.begin() + static_cast<std::ptrdiff_t>(first), dest.size(),
+              dest.begin());
+}
+
+/// Collects one field's degraded-decode tasks in chunk order into its
+/// hole-tolerant report. Each task returns its chunk's failure detail (no
+/// value when the chunk decoded); element gaps left by chunks the salvage
+/// never recovered become Missing entries.
+FieldReport collect_field_report(
+    const ArchiveReader& reader, std::size_t field,
+    std::vector<std::future<std::optional<std::string>>>& chunk_errors) {
+  const FieldEntry& f = reader.fields()[field];
+  FieldReport report;
+  report.name = f.name;
+  report.elems_total = f.dims.count();
+  std::uint64_t next_elem = 0;
+  std::size_t next_ordinal = 0;
+  for (std::size_t c = 0; c < f.chunks.size(); ++c) {
+    const ChunkRecord& rec = f.chunks[c];
+    const std::size_t ordinal = reader.chunk_ordinal(field, c);
+    if (rec.elem_offset > next_elem) {
+      // Chunks the salvage never recovered: a known element hole whose
+      // as-written ordinals are the gap in the recovered sequence.
+      ChunkReport hole;
+      hole.chunk = next_ordinal;
+      hole.status = ChunkStatus::Missing;
+      hole.elem_offset = next_elem;
+      hole.elem_count = rec.elem_offset - next_elem;
+      hole.detail = "chunks " + std::to_string(next_ordinal) + ".." +
+                    std::to_string(ordinal - 1) + " were not recovered";
+      report.chunks.push_back(std::move(hole));
+    }
+    ChunkReport cr;
+    cr.chunk = ordinal;
+    cr.elem_offset = rec.elem_offset;
+    cr.elem_count = rec.dims.count();
+    if (std::optional<std::string> error = chunk_errors[c].get()) {
+      cr.status = ChunkStatus::Corrupt;
+      cr.detail = std::move(*error);
+    } else {
+      cr.status = ChunkStatus::Ok;
+      report.elems_ok += cr.elem_count;
+    }
+    report.chunks.push_back(std::move(cr));
+    next_elem = rec.elem_offset + rec.dims.count();
+    next_ordinal = ordinal + 1;
+  }
+  if (next_elem < f.dims.count()) {
+    ChunkReport hole;
+    hole.chunk = next_ordinal;
+    hole.status = ChunkStatus::Missing;
+    hole.elem_offset = next_elem;
+    hole.elem_count = f.dims.count() - next_elem;
+    hole.detail = "field tail truncated away";
+    report.chunks.push_back(std::move(hole));
+  }
+  return report;
 }
 
 }  // namespace
@@ -274,18 +355,11 @@ std::vector<std::uint8_t> BatchScheduler::compress(
 BatchDecompressResult BatchScheduler::decompress(
     const ArchiveReader& reader, const core::DecoderConfig& decoder,
     const CancelToken& cancel) const {
-  // Strict mode: refuse salvaged readers with holes up front, before any
-  // task runs — the fan-out would otherwise decode the recovered chunks and
-  // silently leave the holes zero-filled.
   const std::vector<FieldEntry>& fields = reader.fields();
   for (std::size_t fi = 0; fi < fields.size(); ++fi) {
-    if (!reader.field_complete(fi)) {
-      throw ContainerError("field '" + fields[fi].name +
-                           "' was salvaged incomplete; use decompress_partial");
-    }
+    require_complete(reader, fi);
   }
-  // Fan out, then collect in deterministic (field, chunk) order via the
-  // same chunk merge the sequential ArchiveReader::decode_field uses. Every
+  // Fan out, then collect in deterministic (field, chunk) order. Every
   // field buffer is allocated BEFORE the fan-out and each task fetches its
   // frame and reconstructs its chunk straight into its (disjoint) slice via
   // the fused decode-write path, so frame IO overlaps other tasks' decode
@@ -351,19 +425,20 @@ BatchDecompressResult BatchScheduler::decompress(
 PartialBatchDecompress BatchScheduler::decompress_partial(
     const ArchiveReader& reader) const {
   // Same pre-allocated per-chunk fan-out as decompress, on the host path,
-  // but collection quarantines per chunk: a future surfacing a
-  // CRC/parse/decode/retry-exhaustion failure marks its chunk Corrupt and
-  // re-zeroes its slice instead of aborting the batch, and salvage holes
-  // become Missing entries. The report is assembled on the collecting
-  // thread in (field, chunk) order, so it — like the floats — is identical
-  // for any worker count.
+  // but each task quarantines its own chunk: a CRC/parse/decode/retry-
+  // exhaustion failure zero-fills its slice and comes back as the task's
+  // value, so the batch goes on and no exception object crosses threads.
+  // Salvage holes become Missing entries. The report is assembled on the
+  // collecting thread in (field, chunk) order, so it — like the floats — is
+  // identical for any worker count.
   const std::vector<FieldEntry>& fields = reader.fields();
   PartialBatchDecompress out;
   out.values.resize(fields.size());
   for (std::size_t fi = 0; fi < fields.size(); ++fi) {
     out.values[fi].assign(fields[fi].dims.count(), 0.0f);
   }
-  std::vector<std::vector<std::future<void>>> futures(fields.size());
+  std::vector<std::vector<std::future<std::optional<std::string>>>> futures(
+      fields.size());
   try {
     for (std::size_t fi = 0; fi < fields.size(); ++fi) {
       const FieldEntry& entry = fields[fi];
@@ -372,18 +447,28 @@ PartialBatchDecompress BatchScheduler::decompress_partial(
         const std::span<float> dest(
             out.values[fi].data() + entry.chunks[ci].elem_offset,
             entry.chunks[ci].dims.count());
-        futures[fi].push_back(pool_.submit([&reader, &entry, fi, ci, dest] {
-          const obs::ScopedOp op("batch.decode", &batch_metrics().decode_ns);
-          const LeasedFrame frame(reader, reader.read_frame_unverified(fi, ci));
-          sz::host_decompress_into(
-              wire::parse_chunk_frame(entry, ci, frame.bytes), dest);
-        }));
+        futures[fi].push_back(pool_.submit(
+            [&reader, &entry, fi, ci, dest]() -> std::optional<std::string> {
+              const obs::ScopedOp op("batch.decode",
+                                     &batch_metrics().decode_ns);
+              try {
+                const LeasedFrame frame(reader,
+                                        reader.read_frame_unverified(fi, ci));
+                sz::host_decompress_into(
+                    wire::parse_chunk_frame(entry, ci, frame.bytes), dest);
+                return std::nullopt;
+              } catch (const std::invalid_argument& e) {
+                // The slice may hold a partial decode: never surface bytes
+                // that failed verification.
+                std::fill(dest.begin(), dest.end(), 0.0f);
+                return e.what();
+              }
+            }));
       }
     }
     for (std::size_t fi = 0; fi < fields.size(); ++fi) {
-      out.report.fields.push_back(report_partial_field(
-          reader, fi, out.values[fi],
-          [&](std::size_t ci, std::span<float>) { futures[fi][ci].get(); }));
+      out.report.fields.push_back(
+          collect_field_report(reader, fi, futures[fi]));
     }
   } catch (...) {
     for (auto& field_futures : futures) wait_all(field_futures);
@@ -395,16 +480,54 @@ PartialBatchDecompress BatchScheduler::decompress_partial(
 std::vector<float> BatchScheduler::decode_range(
     const ArchiveReader& reader, std::size_t field, std::uint64_t elem_begin,
     std::uint64_t elem_end, const CancelToken& cancel) const {
-  const std::vector<FieldEntry>& fields = reader.fields();
-  if (field >= fields.size()) {
-    throw ContainerError("field index out of range");
-  }
-  const FieldEntry& f = fields[field];
+  require_complete(reader, field);  // bounds-checks `field` too
+  const FieldEntry& f = reader.fields()[field];
   if (elem_begin > elem_end || elem_end > f.dims.count()) {
     throw ContainerError("element range out of bounds");
   }
   const obs::ScopedOp range_op("batch.decode_range");
   std::vector<float> out(elem_end - elem_begin);
+  if (out.empty()) return out;
+
+  // The chunks overlapping the range are [first, last): a complete field's
+  // chunks tile it in element order.
+  const auto chunk_end = [&f](std::size_t c) {
+    return f.chunks[c].elem_offset + f.chunks[c].dims.count();
+  };
+  std::size_t first = 0;
+  while (chunk_end(first) <= elem_begin) ++first;
+  std::size_t last = first + 1;
+  while (last < f.chunks.size() && f.chunks[last].elem_offset < elem_end) {
+    ++last;
+  }
+  // The fetch checks no CRC: parse_chunk_frame does, so the bytes are hashed
+  // once, by whichever thread decodes them.
+  const auto fetch = [&](std::size_t c) {
+    return std::make_shared<const LeasedFrame>(
+        reader, reader.read_frame_unverified(field, c));
+  };
+  // Chunk c's decode writes its share of the range in place, into its
+  // window of `out` (disjoint from every other chunk's window).
+  const auto decode = [&](std::size_t c,
+                          std::shared_ptr<const LeasedFrame> frame) {
+    const sz::CompressedBlob blob = wire::parse_chunk_frame(f, c, frame->bytes);
+    // The blob owns its data: drop the frame (and its residency lease)
+    // before the decode, and before a pool task's future can become ready.
+    frame.reset();
+    const std::uint64_t lo = std::max(f.chunks[c].elem_offset, elem_begin);
+    const std::uint64_t hi = std::min(chunk_end(c), elem_end);
+    host_decode_window(blob, lo - f.chunks[c].elem_offset,
+                       std::span<float>(out).subspan(lo - elem_begin, hi - lo));
+  };
+
+  if (last - first == 1) {
+    // A range inside one chunk has no fetch to overlap with a decode, so it
+    // decodes on the calling thread: no pool round trip, and a busy pool
+    // cannot delay it.
+    cancel.throw_if_cancelled();
+    decode(first, fetch(first));
+    return out;
+  }
 
   // Backpressure: at most `window` frames in flight — the prefetch runs
   // ahead of decode by a bounded margin, so a range spanning many chunks
@@ -414,38 +537,20 @@ std::vector<float> BatchScheduler::decode_range(
   // Reserve up front: a push_back reallocation throwing AFTER submit would
   // orphan an enqueued task that still writes into `out` (the same reason
   // decompress reserves before its fan-out).
-  futures.reserve(f.chunks.size());
+  futures.reserve(last - first);
   std::size_t collected = 0;
   try {
-    for (std::size_t c = 0; c < f.chunks.size(); ++c) {
-      const std::uint64_t chunk_begin = f.chunks[c].elem_offset;
-      const std::uint64_t chunk_end = chunk_begin + f.chunks[c].dims.count();
-      if (chunk_end <= elem_begin || chunk_begin >= elem_end) continue;
+    for (std::size_t c = first; c < last; ++c) {
       // Between prefetch steps: stop fetching further frames once cancelled;
       // decode tasks for frames already in flight re-check at entry.
       cancel.throw_if_cancelled();
       while (futures.size() - collected >= window) futures[collected++].get();
       // Prefetch: the frame's IO happens here, on the calling thread, while
-      // the decode tasks of previously fetched chunks run on the pool. The
-      // task's parse_chunk_frame checks the CRC, so the bytes are hashed
-      // once, on the pool, keeping the calling thread IO-bound.
-      auto frame = std::make_shared<const LeasedFrame>(
-          reader, reader.read_frame_unverified(field, c));
-      // Each chunk's window of `out` is disjoint from every other's, so a
-      // task writes its floats in place and the collection only waits.
-      const std::uint64_t lo = std::max(chunk_begin, elem_begin);
-      const std::uint64_t hi = std::min(chunk_end, elem_end);
-      const std::span<float> dest(out.data() + (lo - elem_begin), hi - lo);
+      // the decode tasks of previously fetched chunks run on the pool.
       futures.push_back(pool_.submit(
-          [&f, &cancel, c, frame, first = lo - chunk_begin, dest]() mutable {
+          [&decode, &cancel, c, frame = fetch(c)]() mutable {
             cancel.throw_if_cancelled();
-            const sz::CompressedBlob blob =
-                wire::parse_chunk_frame(f, c, frame->bytes);
-            // The blob owns its data: drop the frame (and its residency
-            // lease) before the decode, and before the future can become
-            // ready.
-            frame.reset();
-            host_decode_window(blob, first, dest);
+            decode(c, std::move(frame));
           }));
     }
     while (collected < futures.size()) futures[collected++].get();

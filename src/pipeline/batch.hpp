@@ -1,7 +1,9 @@
 // BatchScheduler: runs compress/decompress of many chunks and fields
 // concurrently on a ThreadPool, with every merge ordered by chunk id so a run
 // with N workers is bit-identical — floats, aggregated PhaseTimings, and the
-// merged simulated timeline — to the sequential run. Each decompress chunk
+// merged simulated timeline — to a run on one worker. Its fan-outs are the
+// only code that walks a field's chunks: ArchiveWriter and ArchiveReader
+// work one chunk at a time. Each decompress chunk
 // task owns a fresh cudasim::SimContext, so simulated timings are a pure
 // function of the chunk, never of scheduling; the value-only reads
 // (decompress_partial, decode_range) run no model at all.
@@ -31,6 +33,7 @@
 #include "pipeline/archive_io.hpp"
 #include "pipeline/cancel.hpp"
 #include "pipeline/container.hpp"
+#include "pipeline/method_selector.hpp"
 #include "pipeline/thread_pool.hpp"
 #include "sz/compressor.hpp"
 
@@ -129,16 +132,20 @@ class BatchScheduler {
   /// Degraded (opt-in) decompress: same per-chunk parallel fan-out, but
   /// damage is contained per chunk instead of aborting the batch — a chunk
   /// whose frame is missing (salvaged hole) or fails CRC/decode is
-  /// zero-filled and reported, never surfaced. Identical for any worker
-  /// count.
+  /// zero-filled and reported, never surfaced. Works on strict readers too,
+  /// where it quarantines payload corruption the index did not protect
+  /// against. Identical for any worker count.
   PartialBatchDecompress decompress_partial(const ArchiveReader& reader) const;
 
-  /// Prefetching async range decode: the calling thread fetches the frames
-  /// of the chunks overlapping [elem_begin, elem_end) in chunk order (IO)
-  /// while decode tasks for already-fetched frames run on the pool, so the
-  /// fetch of chunk c+1 overlaps the decode of chunk c. Each task writes its
-  /// chunk's window of the result in place — bit-identical to
-  /// ArchiveReader::decode_range.
+  /// Decodes exactly the elements [elem_begin, elem_end) of one field. A
+  /// range inside one chunk (a chunk read is one) decodes on the calling
+  /// thread. A longer range is a prefetching pipeline: the calling thread
+  /// fetches the frames of the overlapping chunks in chunk order (IO) while
+  /// decode tasks for already-fetched frames run on the pool, so the fetch
+  /// of chunk c+1 overlaps the decode of chunk c; each task writes its
+  /// chunk's window of the result in place. Same floats for any worker
+  /// count. STRICT: a salvaged-incomplete field throws ContainerError
+  /// (decompress_partial reports its holes), and so does a corrupted frame.
   std::vector<float> decode_range(const ArchiveReader& reader,
                                   std::size_t field, std::uint64_t elem_begin,
                                   std::uint64_t elem_end,

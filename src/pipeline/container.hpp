@@ -98,10 +98,9 @@ struct FieldDecode {
   std::vector<double> chunk_seconds;  // per-chunk simulated cost
 
   /// Merges one decoded chunk's timings. The chunk's floats are not copied
-  /// here: both ArchiveReader::decode_field and the batch scheduler
-  /// reconstruct each chunk straight into its slice of `data` via
-  /// decode_chunk_into before merging. Call in chunk-id order to keep runs
-  /// bit-identical.
+  /// here: BatchScheduler::decompress reconstructs each chunk straight into
+  /// its slice of `data` via decode_chunk_into before merging. Call in
+  /// chunk-id order to keep runs bit-identical.
   void absorb_timings(const sz::DecompressionResult& chunk);
 };
 

@@ -292,26 +292,6 @@ std::span<const MethodCalibration> default_calibration() {
   return kDefaultCalibration;
 }
 
-FieldPlan plan_field(std::span<const sz::QuantizedField> chunks,
-                     core::Method default_method, const PlanOptions& options,
-                     const MethodSelector& selector) {
-  if (chunks.empty()) {
-    throw std::invalid_argument("cannot plan a field with no chunks");
-  }
-  // Nothing adaptive requested: every chunk keeps the fixed method and its
-  // private book, and no probe work is spent.
-  if (!options.auto_method && !options.shared_codebook) {
-    FieldPlan fixed;
-    fixed.chunks.resize(chunks.size());
-    for (ChunkPlan& cp : fixed.chunks) cp.method = default_method;
-    return fixed;
-  }
-  std::vector<ChunkProbe> probes;
-  probes.reserve(chunks.size());
-  for (const sz::QuantizedField& q : chunks) probes.push_back(probe_chunk(q));
-  return plan_from_probes(std::move(probes), default_method, options, selector);
-}
-
 FieldPlan plan_from_probes(std::vector<ChunkProbe> probes,
                            core::Method default_method,
                            const PlanOptions& options,

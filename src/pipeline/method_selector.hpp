@@ -14,7 +14,7 @@
 // decoder pays its sidecar bytes instead — without running a simulation per
 // candidate.
 //
-// plan_field() extends the per-chunk choice with field-level SHARED
+// plan_from_probes() extends the per-chunk choice with field-level SHARED
 // codebooks: one canonical Huffman book over the field's pooled quant
 // histogram, which each chunk references instead of carrying a private book
 // whenever that is byte-cheaper (a ratio-driven choice; chunks whose local
@@ -135,7 +135,7 @@ class MethodSelector {
   std::array<double, kMethodSlots> offset_s_{0.0, 0.0, 0.0, 0.0, 0.0};
 };
 
-/// Field-level planning knobs (FieldSpec::plan / ArchiveWriter::add_field).
+/// Field-level planning knobs (FieldSpec::plan).
 struct PlanOptions {
   /// Per-chunk method selection, ranked through the committed regression
   /// fit (default_calibration()).
@@ -152,8 +152,8 @@ struct ChunkPlan {
   std::uint64_t est_private_bytes = 0;
   std::uint64_t est_shared_bytes = 0;
   /// The probe's canonical code lengths (moved out of the probe by
-  /// plan_field), so encoding a private-book chunk can rebuild its codebook
-  /// without repeating the histogram + Huffman pass.
+  /// plan_from_probes), so encoding a private-book chunk can rebuild its
+  /// codebook without repeating the histogram + Huffman pass.
   std::vector<std::uint8_t> private_code_lengths;
 };
 
@@ -163,31 +163,25 @@ struct FieldPlan {
   huffman::Codebook shared_codebook;  // valid iff has_shared_codebook
 };
 
-/// Plans one field from its quantized chunks: per-chunk method (selector or
+/// Plans one field from its chunks' probes: per-chunk method (selector or
 /// the fixed `default_method`), plus the shared-codebook decision when
 /// enabled — the shared book is built over the POOLED histogram of all
 /// chunks, and each chunk references it only when that is strictly
 /// byte-cheaper than carrying its private book. A field whose every chunk
 /// prefers its private book gets no shared-codebook record at all.
-FieldPlan plan_field(std::span<const sz::QuantizedField> chunks,
-                     core::Method default_method, const PlanOptions& options,
-                     const MethodSelector& selector);
-
-/// Same planning from probes the caller computed elsewhere (the parallel
-/// build path runs probe_chunk inside each quantize task, so only the cheap
-/// pooled-histogram work stays on the collecting thread). Probes are
-/// consumed: each chunk's code lengths move into its ChunkPlan.
+/// BatchScheduler::compress_to runs probe_chunk inside each quantize task,
+/// so only this cheap pooled-histogram work stays on the collecting thread.
+/// Probes are consumed: each chunk's code lengths move into its ChunkPlan.
 FieldPlan plan_from_probes(std::vector<ChunkProbe> probes,
                            core::Method default_method,
                            const PlanOptions& options,
                            const MethodSelector& selector);
 
-/// Encodes one planned chunk into its serialized frame — the single encode
-/// sequence shared by the sequential (ArchiveWriter::add_field) and parallel
-/// (BatchScheduler::compress_to) build paths. Shared-book chunks encode against
-/// `shared` (required non-null) and omit their codebook bytes; private-book
-/// chunks rebuild their codebook from the plan's cached lengths when
-/// available.
+/// Encodes one planned chunk into its serialized frame (the encode task of
+/// BatchScheduler::compress_to's planned path). Shared-book chunks encode
+/// against `shared` (required non-null) and omit their codebook bytes;
+/// private-book chunks rebuild their codebook from the plan's cached
+/// lengths when available.
 std::vector<std::uint8_t> encode_planned_chunk(sz::QuantizedField&& q,
                                                const ChunkPlan& plan,
                                                const sz::CompressorConfig& config,

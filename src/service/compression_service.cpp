@@ -489,13 +489,13 @@ RequestId CompressionService::submit_chunk(
                           chunk_cost(entry->reader, field, chunk));
   return submit<std::vector<float>>(
       RequestClass::RandomAccessChunk, std::move(state),
-      [entry, field, chunk](const RequestState&) {
-        // One chunk decodes on the dispatcher thread itself — the request
-        // IS the unit of work, so bouncing it through the pool would only
-        // add queueing latency. (A single chunk has no interior task
-        // boundary, so a running chunk request finishes even if signalled.)
-        // A read returns floats only, so it takes the host path: the
-        // reader's range decode over the chunk's extent.
+      [this, entry, field, chunk](const RequestState&) {
+        // A read returns floats only, so it takes the host path: the range
+        // decode over the chunk's extent, which decodes one chunk on the
+        // dispatcher thread itself — the request IS the unit of work, so
+        // bouncing it through the pool would only add queueing latency. (A
+        // single chunk has no interior task boundary, so a running chunk
+        // request finishes even if signalled: no token is passed.)
         const std::vector<pipeline::FieldEntry>& fields =
             entry->reader.fields();
         if (field >= fields.size()) {
@@ -505,8 +505,8 @@ RequestId CompressionService::submit_chunk(
           throw pipeline::ContainerError("chunk index out of range");
         }
         const pipeline::ChunkRecord& rec = fields[field].chunks[chunk];
-        return entry->reader.decode_range(
-            field, rec.elem_offset, rec.elem_offset + rec.dims.count());
+        return scheduler_.decode_range(entry->reader, field, rec.elem_offset,
+                                       rec.elem_offset + rec.dims.count());
       },
       std::move(on_settle));
 }

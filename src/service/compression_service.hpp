@@ -172,8 +172,9 @@ class CompressionService {
       ClientId id, ArchiveHandle archive, RequestOptions opts = {});
 
   /// Random access: decodes exactly one chunk of one field (only that
-  /// chunk's frame is fetched) and returns its floats. A value-only read:
-  /// it decodes on the host and runs no GPU model.
+  /// chunk's frame is fetched, and it decodes on the dispatcher thread) and
+  /// returns its floats. A value-only read: it decodes on the host and runs
+  /// no GPU model.
   RequestId submit_chunk(ClientId id, ArchiveHandle archive,
                          std::size_t field, std::size_t chunk,
                          RequestOptions opts,
@@ -184,8 +185,8 @@ class CompressionService {
                                               std::size_t chunk,
                                               RequestOptions opts = {});
 
-  /// Decodes the element range [elem_begin, elem_end) of a field via the
-  /// prefetching parallel range decode — a value-only read, on the host.
+  /// Decodes the element range [elem_begin, elem_end) of a field via
+  /// BatchScheduler::decode_range — a value-only read, on the host.
   RequestId submit_range(ClientId id, ArchiveHandle archive,
                          std::size_t field, std::uint64_t elem_begin,
                          std::uint64_t elem_end, RequestOptions opts,

@@ -34,11 +34,9 @@ std::vector<std::uint8_t> one_chunk_archive() {
   for (std::size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<float>(std::sin(0.01 * static_cast<double>(i)));
   }
-  pipeline::MemorySink sink;
-  pipeline::ArchiveWriter writer(sink);
-  writer.add_field("", data, sz::Dims::d1(600), {}, 600);
-  writer.finish();
-  return sink.take();
+  const pipeline::FieldSpec spec{"", data, sz::Dims::d1(600), {}, 600, {}};
+  pipeline::ThreadPool pool(1);
+  return pipeline::BatchScheduler(pool).compress({&spec, 1});
 }
 
 /// Sets both extents to `elems` and reseals the footer's index CRC-32.

@@ -14,12 +14,11 @@
 #include <string>
 #include <vector>
 
-#include "cudasim/exec.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "pipeline/archive_io.hpp"
+#include "pipeline/batch.hpp"
 #include "pipeline/byte_stream.hpp"
 #include "pipeline/fault_injection.hpp"
 #include "service/compression_service.hpp"
@@ -86,20 +85,24 @@ void drive_service() {
 void drive_file_archive() {
   const std::string path = ::testing::TempDir() + "/metric_catalogue.bin";
   const service::CompressJob j = job();
-  sz::CompressorConfig config;
-  config.rel_error_bound = 1e-3;
+  pipeline::FieldSpec spec;
+  spec.name = j.fields[0].name;
+  spec.data = j.fields[0].data;
+  spec.dims = j.fields[0].dims;
+  spec.config.rel_error_bound = 1e-3;
+  spec.chunk_elems = kChunkElems;
+  pipeline::ThreadPool pool(1);
+  const pipeline::BatchScheduler sched(pool);
   {
     pipeline::FileSink sink(path);
     pipeline::ArchiveWriter writer(sink);
-    writer.add_field(j.fields[0].name, j.fields[0].data, j.fields[0].dims,
-                     config, kChunkElems);
+    sched.compress_to(writer, {&spec, 1});
     writer.finish();
   }
   {
     const pipeline::FileSource source(path);
     const pipeline::ArchiveReader reader(source);
-    cudasim::SimContext ctx;
-    EXPECT_EQ(reader.decode_field(ctx, 0).data.size(), 3000u);
+    EXPECT_EQ(sched.decompress(reader).fields.at(0).decode.data.size(), 3000u);
   }
   std::remove(path.c_str());
 }

@@ -3,7 +3,8 @@
 // simulated decode's bit for bit — the eight datasets (ranks 1-3) x the
 // four float methods x whole-field and 4096-element chunks x private and
 // shared codebooks, each value-only entry point against the matching slice
-// of the model path's decode_field, and every chunk's sz::decompress.
+// of the model path's BatchScheduler::decompress, and every chunk's
+// sz::decompress.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -55,6 +56,8 @@ TEST(HostPath, ValueOnlyReadsMatchTheModelDecodeBitForBit) {
             sched.compress(specs));
         const pipeline::ArchiveReader reader(*source);
         const service::ArchiveHandle handle = svc.open_archive(client, source);
+        const pipeline::BatchDecompressResult decoded =
+            sched.decompress(reader);
         const pipeline::PartialBatchDecompress partial =
             sched.decompress_partial(reader);
         ASSERT_TRUE(partial.report.complete());
@@ -62,17 +65,13 @@ TEST(HostPath, ValueOnlyReadsMatchTheModelDecodeBitForBit) {
         for (std::size_t fi = 0; fi < suite.size(); ++fi) {
           SCOPED_TRACE(suite[fi].name + " (rank " +
                        std::to_string(suite[fi].dims.rank) + ")");
-          cudasim::SimContext ctx;
-          const std::vector<float> model = reader.decode_field(ctx, fi).data;
+          const std::vector<float>& model = decoded.fields[fi].decode.data;
           const std::uint64_t n = model.size();
           EXPECT_EQ(partial.values[fi], model);
-          EXPECT_EQ(reader.decode_field_partial(fi).values, model);
-          EXPECT_EQ(reader.decode_range(fi, 0, n), model);
           EXPECT_EQ(sched.decode_range(reader, fi, 0, n), model);
           // Ragged ends inside chunks, and every chunk boundary between.
           const std::uint64_t lo = n / 3 + 1, hi = 2 * n / 3 + 7;
           const std::vector<float> window = slice(model, lo, hi);
-          EXPECT_EQ(reader.decode_range(fi, lo, hi), window);
           EXPECT_EQ(sched.decode_range(reader, fi, lo, hi), window);
           EXPECT_EQ(svc.submit_range(client, handle, fi, lo, hi).future.get(),
                     window);

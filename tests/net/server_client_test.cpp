@@ -289,18 +289,20 @@ TEST(ServiceWire, UnassignedPrefixFrameIsAnArchiveError) {
   const std::vector<std::uint8_t> archive = unassigned_prefix_archive();
   const pipeline::MemorySource source(archive);
   const pipeline::ArchiveReader reader(source);
+  pipeline::ThreadPool pool(2);
+  const pipeline::BatchScheduler sched(pool);
   // Bad data on both decode paths, not a library fault.
   cudasim::SimContext ctx;
   EXPECT_THROW(reader.decode_chunk(ctx, 0, 1), std::invalid_argument);
-  EXPECT_THROW(reader.decode_range(0, 4096, 8192), std::invalid_argument);
+  EXPECT_THROW(sched.decode_range(reader, 0, 4096, 8192),
+               std::invalid_argument);
 
   // Salvage quarantines exactly that chunk and decodes the rest.
-  pipeline::ThreadPool pool(2);
   const pipeline::PartialBatchDecompress partial =
-      pipeline::BatchScheduler(pool).decompress_partial(reader);
-  std::vector<float> expect = reader.decode_range(0, 0, 4096);
+      sched.decompress_partial(reader);
+  std::vector<float> expect = sched.decode_range(reader, 0, 0, 4096);
   expect.resize(8192, 0.0f);
-  const std::vector<float> tail = reader.decode_range(0, 8192, 3 * 4096);
+  const std::vector<float> tail = sched.decode_range(reader, 0, 8192, 3 * 4096);
   expect.insert(expect.end(), tail.begin(), tail.end());
   EXPECT_EQ(partial.values.at(0), expect);
   const auto& chunks = partial.report.fields.at(0).chunks;

@@ -230,17 +230,30 @@ TEST(TelemetryIntegration, EveryChunkDecodeCountsItsCrcCheck) {
   };
   std::uint64_t before = crc_checks();
   for (const auto& decode : std::vector<std::function<void()>>{
-           [&] { reader.decode_range(0, 0, n); },
            [&] { scheduler.decode_range(reader, 0, 0, n); },
-           [&] { reader.decode_field_partial(0); },
-           [&] { cudasim::SimContext ctx; reader.decode_field(ctx, 0); }}) {
+           [&] {
+             // One range per chunk: each decodes on the calling thread.
+             for (const ChunkRecord& rec : reader.fields()[0].chunks) {
+               scheduler.decode_range(reader, 0, rec.elem_offset,
+                                      rec.elem_offset + rec.dims.count());
+             }
+           },
+           [&] {
+             for (std::size_t c = 0; c < chunks; ++c) {
+               cudasim::SimContext ctx;
+               reader.decode_chunk(ctx, 0, c);
+             }
+           }}) {
     decode();
     EXPECT_EQ(crc_checks() - before, chunks);
     before = crc_checks();
   }
+  const std::uint64_t all_chunks = chunks + reader.fields()[1].chunks.size();
   scheduler.decompress_partial(reader);
-  EXPECT_EQ(crc_checks() - before,
-            chunks + reader.fields()[1].chunks.size());
+  EXPECT_EQ(crc_checks() - before, all_chunks);
+  before = crc_checks();
+  scheduler.decompress(reader);
+  EXPECT_EQ(crc_checks() - before, all_chunks);
 }
 
 TEST(TelemetryIntegration, FaultCountersAggregateIntoRegistry) {

@@ -148,8 +148,8 @@ TEST(ArchiveIO, WriterOutputMatchesContainerSerializeForAnyWorkerCount) {
 
 TEST(ArchiveIO, ReaderDecodesBitIdenticalToContainerRoundTrip) {
   // A FILE-backed reader must decode bit-identical floats to a reader over
-  // the in-memory image — per chunk, per field, per range, and through the
-  // batch scheduler — and stay within the fields' error bounds.
+  // the in-memory image — per chunk, per field and per range, for any
+  // worker count — and stay within the fields' error bounds.
   const Corpus corpus = mixed_corpus();
   ThreadPool pool(3);
   const BatchScheduler sched(pool);
@@ -169,14 +169,11 @@ TEST(ArchiveIO, ReaderDecodesBitIdenticalToContainerRoundTrip) {
   EXPECT_NO_THROW(reader.verify());
   ASSERT_EQ(reader.fields().size(), in_memory.fields().size());
 
+  const BatchDecompressResult from_memory = sched.decompress(in_memory);
   for (std::size_t fi = 0; fi < reader.fields().size(); ++fi) {
     EXPECT_EQ(reader.field_index(reader.fields()[fi].name), fi);
-    cudasim::SimContext c1, c2;
-    const FieldDecode a = reader.decode_field(c1, fi);
-    const FieldDecode b = in_memory.decode_field(c2, fi);
-    EXPECT_EQ(a.data, b.data) << "field " << fi;
-    EXPECT_EQ(a.simulated_seconds, b.simulated_seconds);
-    const auto stats = sz::compute_error_stats(corpus.storage[fi], a.data);
+    const auto stats = sz::compute_error_stats(
+        corpus.storage[fi], from_memory.fields[fi].decode.data);
     EXPECT_LE(stats.max_abs_error,
               reader.fields()[fi].abs_error_bound * (1 + 1e-6));
 
@@ -189,7 +186,6 @@ TEST(ArchiveIO, ReaderDecodesBitIdenticalToContainerRoundTrip) {
 
   // Batch decompress over the file reader: identical to the in-memory batch
   // for every worker count.
-  const BatchDecompressResult from_memory = sched.decompress(in_memory);
   for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
     ThreadPool wpool(workers);
     const BatchDecompressResult streamed =
@@ -199,18 +195,19 @@ TEST(ArchiveIO, ReaderDecodesBitIdenticalToContainerRoundTrip) {
       EXPECT_EQ(streamed.fields[fi].decode.data,
                 from_memory.fields[fi].decode.data)
           << "workers=" << workers << " field=" << fi;
+      EXPECT_EQ(streamed.fields[fi].decode.simulated_seconds,
+                from_memory.fields[fi].decode.simulated_seconds);
     }
     EXPECT_EQ(streamed.chunk_seconds, from_memory.chunk_seconds);
   }
 
-  // Range decode: the reader's sequential walk and the scheduler's
-  // prefetching pipeline both match, across chunk boundaries and partial
-  // edges.
+  // Range decode: the scheduler's prefetching pipeline matches, across
+  // chunk boundaries and partial edges.
   const std::size_t field = 0;
   const std::uint64_t lo = 3000, hi = 9500;
-  const auto expect = in_memory.decode_range(field, lo, hi);
-  EXPECT_EQ(reader.decode_range(field, lo, hi), expect);
-  EXPECT_EQ(sched.decode_range(reader, field, lo, hi), expect);
+  const std::vector<float>& whole = from_memory.fields[field].decode.data;
+  EXPECT_EQ(sched.decode_range(reader, field, lo, hi),
+            std::vector<float>(whole.begin() + lo, whole.begin() + hi));
   EXPECT_TRUE(sched.decode_range(reader, field, 500, 500).empty());
   EXPECT_THROW(sched.decode_range(reader, field, 10, 1u << 30),
                ContainerError);
@@ -255,18 +252,17 @@ TEST(Container, EmptyContainerRoundTrips) {
 }
 
 TEST(Container, MixedCorpusRoundTripsThroughDisk) {
-  // The sequential writer's archive survives a trip through a file: the
-  // file-backed reader verifies and decodes every field within its bound,
-  // bit-identical to the same image read from memory.
+  // A one-worker build survives a trip through a file: the file-backed
+  // reader verifies and decodes every field within its bound, bit-identical
+  // to the same image read from memory.
   const Corpus corpus = mixed_corpus();
   const std::string path = temp_path("ohd_container_rt.bin");
+  ThreadPool pool(1);
+  const BatchScheduler sched(pool);
   {
     FileSink sink(path);
     ArchiveWriter writer(sink);
-    for (const FieldSpec& spec : corpus.specs) {
-      writer.add_field(spec.name, spec.data, spec.dims, spec.config,
-                       spec.chunk_elems, spec.plan);
-    }
+    sched.compress_to(writer, corpus.specs);
     writer.finish();
   }
   const FileSource file(path);
@@ -276,13 +272,13 @@ TEST(Container, MixedCorpusRoundTripsThroughDisk) {
   const auto image = image_of(corpus);
   const MemorySource memory(image);
   const ArchiveReader in_memory(memory);
+  const BatchDecompressResult from_memory = sched.decompress(in_memory);
+  const BatchDecompressResult from_file = sched.decompress(parsed);
   for (std::size_t fi = 0; fi < 3; ++fi) {
     EXPECT_GE(parsed.fields()[fi].chunks.size(), 4u) << fi;
-    cudasim::SimContext c1, c2;
-    const FieldDecode a = in_memory.decode_field(c1, fi);
-    const FieldDecode b = parsed.decode_field(c2, fi);
-    EXPECT_EQ(a.data, b.data) << "field " << fi;
-    const auto stats = sz::compute_error_stats(corpus.storage[fi], b.data);
+    const std::vector<float>& b = from_file.fields[fi].decode.data;
+    EXPECT_EQ(from_memory.fields[fi].decode.data, b) << "field " << fi;
+    const auto stats = sz::compute_error_stats(corpus.storage[fi], b);
     EXPECT_LE(stats.max_abs_error,
               parsed.fields()[fi].abs_error_bound * (1 + 1e-6))
         << "field " << fi;
@@ -314,12 +310,8 @@ TEST(Container, SingleChunkDecodeNeverTouchesOtherFrames) {
   const MemorySource source(bytes);
   const ArchiveReader vandalized(source);
   cudasim::SimContext c1, c2;
-  const auto got = vandalized.decode_chunk(c1, field, chunk);
-  const FieldDecode full = reference.decode_field(c2, field);
-  const std::vector<float> expect(
-      full.data.begin() + rec.elem_offset,
-      full.data.begin() + rec.elem_offset + rec.dims.count());
-  EXPECT_EQ(got.data, expect);
+  EXPECT_EQ(vandalized.decode_chunk(c1, field, chunk).data,
+            reference.decode_chunk(c2, field, chunk).data);
 
   // ... while every other frame now fails its checksum.
   cudasim::SimContext c3;
@@ -334,6 +326,8 @@ TEST(Container, DecodeChunkIntoWritesInPlaceIdentically) {
   const auto image = image_of(corpus);
   const MemorySource source(image);
   const ArchiveReader reader(source);
+  ThreadPool pool(2);
+  const BatchDecompressResult decoded = BatchScheduler(pool).decompress(reader);
   for (std::size_t field = 0; field < reader.fields().size(); ++field) {
     const auto& entry = reader.fields()[field];
     ASSERT_EQ(entry.dims.rank, field + 1);  // ranks 1-3
@@ -351,8 +345,7 @@ TEST(Container, DecodeChunkIntoWritesInPlaceIdentically) {
       ASSERT_EQ(std::vector<float>(dest.begin(), dest.end()), whole.data)
           << "field " << field << " chunk " << ci;
     }
-    cudasim::SimContext c3;
-    EXPECT_EQ(buffer, reader.decode_field(c3, field).data) << field;
+    EXPECT_EQ(buffer, decoded.fields[field].decode.data) << field;
 
     // A destination sized to the FIELD instead of the chunk is rejected.
     ASSERT_GT(entry.chunks.size(), 1u);
@@ -368,19 +361,25 @@ TEST(Container, RangeDecodeMatchesFullDecode) {
   const MemorySource source(image);
   const ArchiveReader reader(source);
   const std::size_t field = reader.field_index("field0");
-  cudasim::SimContext ctx;
-  const FieldDecode full = reader.decode_field(ctx, field);
+  ThreadPool pool(2);
+  const BatchScheduler sched(pool);
+  const std::vector<float> full =
+      sched.decompress(reader).fields[field].decode.data;
 
-  // A range crossing two chunk boundaries (chunks are 4096 elements).
-  const std::uint64_t lo = 3000, hi = 9500;
-  const auto range = reader.decode_range(field, lo, hi);
-  ASSERT_EQ(range.size(), hi - lo);
-  for (std::uint64_t i = 0; i < hi - lo; ++i) {
-    ASSERT_EQ(range[i], full.data[lo + i]) << "elem " << lo + i;
+  // A range crossing two chunk boundaries (chunks are 4096 elements), one
+  // inside a single chunk, and one that is exactly a chunk.
+  using Range = std::pair<std::uint64_t, std::uint64_t>;
+  for (const auto& [lo, hi] :
+       std::vector<Range>{{3000, 9500}, {4100, 8000}, {8192, 12288}}) {
+    const auto range = sched.decode_range(reader, field, lo, hi);
+    ASSERT_EQ(range.size(), hi - lo);
+    for (std::uint64_t i = 0; i < hi - lo; ++i) {
+      ASSERT_EQ(range[i], full[lo + i]) << "elem " << lo + i;
+    }
   }
 
-  EXPECT_TRUE(reader.decode_range(field, 500, 500).empty());
-  EXPECT_THROW(reader.decode_range(field, 10, 30000), ContainerError);
+  EXPECT_TRUE(sched.decode_range(reader, field, 500, 500).empty());
+  EXPECT_THROW(sched.decode_range(reader, field, 10, 30000), ContainerError);
 }
 
 TEST(Container, CorruptedFrameRejectedWithClearError) {
@@ -413,19 +412,20 @@ TEST(Container, SharedCodebookArchiveShrinksAndDecodesIdentically) {
   plan.auto_method = true;
   plan.shared_codebook = true;
 
-  MemorySink private_sink, shared_sink;
-  ArchiveWriter private_books(private_sink), shared_books(shared_sink);
-  private_books.add_field("f", data, sz::Dims::d1(30000), cfg, 1500);
-  shared_books.add_field("f", data, sz::Dims::d1(30000), cfg, 1500, plan);
-  private_books.finish();
-  shared_books.finish();
+  ThreadPool pool(2);
+  const BatchScheduler sched(pool);
+  const FieldSpec private_books{"f", data, sz::Dims::d1(30000), cfg, 1500, {}};
+  FieldSpec shared_books = private_books;
+  shared_books.plan = plan;
+  const auto private_image = sched.compress({&private_books, 1});
+  const auto shared_image = sched.compress({&shared_books, 1});
 
   // Amortizing the per-chunk codebooks must shrink the archive...
-  EXPECT_LT(shared_sink.bytes().size(), private_sink.bytes().size());
+  EXPECT_LT(shared_image.size(), private_image.size());
 
   // ... while the decoded floats stay bit-identical.
-  const MemorySource private_source(private_sink.bytes());
-  const MemorySource shared_source(shared_sink.bytes());
+  const MemorySource private_source(private_image);
+  const MemorySource shared_source(shared_image);
   const ArchiveReader a(private_source), b(shared_source);
   ASSERT_NE(b.fields()[0].shared_codebook, nullptr);
   std::size_t shared_refs = 0;
@@ -434,30 +434,36 @@ TEST(Container, SharedCodebookArchiveShrinksAndDecodesIdentically) {
   }
   EXPECT_GE(shared_refs, 2u);
   b.verify();
-  cudasim::SimContext c1, c2;
-  const FieldDecode da = a.decode_field(c1, 0);
-  const FieldDecode db = b.decode_field(c2, 0);
-  EXPECT_EQ(da.data, db.data);
-  const auto stats = sz::compute_error_stats(data, db.data);
+  const std::vector<float> db = sched.decompress(b).fields[0].decode.data;
+  EXPECT_EQ(sched.decompress(a).fields[0].decode.data, db);
+  const auto stats = sz::compute_error_stats(data, db);
   EXPECT_LE(stats.max_abs_error, b.fields()[0].abs_error_bound * (1 + 1e-6));
 }
 
 TEST(Container, BuilderRejectsBadInput) {
   const auto data = wavy_field(1000, 9);
-  sz::CompressorConfig cfg;
+  ThreadPool pool(1);
+  const BatchScheduler sched(pool);
   MemorySink sink;
   ArchiveWriter writer(sink);
-  EXPECT_THROW(writer.add_field("x", data, sz::Dims::d1(999), cfg, 256),
-               ContainerError);
-  cfg.method = core::Method::GapArrayOriginal8Bit;
-  EXPECT_THROW(writer.add_field("x", data, sz::Dims::d1(1000), cfg, 256),
-               ContainerError);
-  cfg.method = core::Method::GapArrayOptimized;
-  EXPECT_THROW(writer.add_field("x", data, sz::Dims::d1(1000), cfg, 0),
-               ContainerError);
-  EXPECT_EQ(writer.add_field("x", data, sz::Dims::d1(1000), cfg, 256), 0u);
-  EXPECT_THROW(writer.add_field("x", data, sz::Dims::d1(1000), cfg, 256),
-               ContainerError);
+  const auto add = [&](const FieldSpec& spec) {
+    sched.compress_to(writer, {&spec, 1});
+  };
+  FieldSpec spec{"x", data, sz::Dims::d1(999), {}, 256, {}};
+  EXPECT_THROW(add(spec), ContainerError);  // data size vs dims
+  spec.dims = sz::Dims::d1(1000);
+  spec.config.method = core::Method::GapArrayOriginal8Bit;
+  EXPECT_THROW(add(spec), ContainerError);  // decode-only method
+  spec.config.method = core::Method::GapArrayOptimized;
+  spec.config.radius = 0;
+  EXPECT_THROW(add(spec), ContainerError);
+  spec.config.radius = 512;
+  spec.chunk_elems = 0;
+  EXPECT_THROW(add(spec), ContainerError);
+  spec.chunk_elems = 256;
+  add(spec);
+  EXPECT_EQ(writer.fields().size(), 1u);
+  EXPECT_THROW(add(spec), ContainerError);  // duplicate name
   writer.finish();
   const MemorySource source(sink.bytes());
   const ArchiveReader reader(source);
@@ -606,8 +612,7 @@ TEST(ArchiveIO, StreamingDecompressNeverMaterializesTheArchive) {
   const std::size_t window = std::max<std::size_t>(2, 2 * range_pool.size());
   EXPECT_GT(reader2.peak_frame_bytes(), 0u);
   EXPECT_LE(reader2.peak_frame_bytes(), window * reader2.max_frame_bytes());
-  cudasim::SimContext range_ctx;
-  EXPECT_EQ(ranged, reader2.decode_field(range_ctx, 0).data);
+  EXPECT_EQ(ranged, range_sched.decompress(reader2).fields[0].decode.data);
   std::remove(path.c_str());
 }
 
@@ -727,14 +732,12 @@ std::vector<std::uint8_t> tiny_archive_bytes() {
   sz::CompressorConfig cfg;
   cfg.method = core::Method::SelfSyncOptimized;
   cfg.radius = 64;
-  MemorySink sink;
-  ArchiveWriter writer(sink);
-  writer.add_field("a", data, sz::Dims::d1(600), cfg, 256);
   PlanOptions plan;
   plan.shared_codebook = true;
-  writer.add_field("b", data, sz::Dims::d1(600), cfg, 256, plan);
-  writer.finish();
-  return sink.take();
+  const FieldSpec specs[] = {{"a", data, sz::Dims::d1(600), cfg, 256, {}},
+                             {"b", data, sz::Dims::d1(600), cfg, 256, plan}};
+  ThreadPool pool(1);
+  return BatchScheduler(pool).compress(specs);
 }
 
 TEST(ArchiveReaderFuzz, TruncationAtEveryPrefixThrows) {
@@ -874,11 +877,9 @@ std::vector<std::uint8_t> tiny_index_archive(std::uint32_t radius = 512,
   sz::CompressorConfig cfg;
   cfg.method = core::Method::SelfSyncOptimized;
   cfg.radius = radius;
-  MemorySink sink;
-  ArchiveWriter writer(sink);
-  writer.add_field("", data, sz::Dims::d1(600), cfg, chunk_elems, plan);
-  writer.finish();
-  return sink.take();
+  const FieldSpec spec{"", data, sz::Dims::d1(600), cfg, chunk_elems, plan};
+  ThreadPool pool(1);
+  return BatchScheduler(pool).compress({&spec, 1});
 }
 
 std::vector<std::uint8_t> tiny_shared_archive() {
@@ -1087,16 +1088,13 @@ TEST(ContainerParserFuzz, ChunkElementsBeyondWhatItsFrameHoldsRejected) {
 
 TEST(ContainerParserFuzz, DuplicateFieldNamesRejected) {
   const auto data = wavy_field(800, 31);
-  sz::CompressorConfig cfg;
-  MemorySink sink;
-  ArchiveWriter writer(sink);
-  writer.add_field("a", data, sz::Dims::d1(800), cfg, 400);
-  writer.add_field("b", data, sz::Dims::d1(800), cfg, 400);
-  writer.finish();
+  const FieldSpec specs[] = {{"a", data, sz::Dims::d1(800), {}, 400, {}},
+                             {"b", data, sz::Dims::d1(800), {}, 400, {}}};
+  ThreadPool pool(1);
   // Rename field "b" to "a" in the index: its name is stored as u64 length
   // 1 followed by 'b' — a 9-byte pattern unique in the index.
   expect_rejected(
-      patch_index(sink.take(),
+      patch_index(BatchScheduler(pool).compress(specs),
                   [](std::span<std::uint8_t> index) {
                     const std::uint8_t pattern[9] = {1, 0, 0, 0, 0,
                                                      0, 0, 0, 'b'};
@@ -1122,8 +1120,31 @@ TEST(ContainerParserFuzz, RandomSingleByteCorruptionNeverCrashes) {
 
 // ---- Salvage & repair ------------------------------------------------------
 
-/// Two-field archive written WITH recovery preambles (the second field on a
-/// shared codebook), plus its as-written index records and reference floats.
+/// Two-field archive ("a": 600 elements in 256-element chunks; "b": 500
+/// elements in 200-element chunks on a shared codebook) built on one
+/// worker; `fields`, when non-null, receives the as-written index records.
+std::vector<std::uint8_t> two_field_archive(const WriterOptions& options,
+                                            std::vector<FieldEntry>* fields) {
+  const auto d0 = wavy_field(600, 31);
+  const auto d1 = wavy_field(500, 32, 0.05);
+  sz::CompressorConfig cfg;
+  cfg.method = core::Method::SelfSyncOptimized;
+  cfg.radius = 64;
+  PlanOptions plan;
+  plan.shared_codebook = true;
+  const FieldSpec specs[] = {{"a", d0, sz::Dims::d1(600), cfg, 256, {}},
+                             {"b", d1, sz::Dims::d1(500), cfg, 200, plan}};
+  ThreadPool pool(1);
+  MemorySink sink;
+  ArchiveWriter writer(sink, options);
+  BatchScheduler(pool).compress_to(writer, specs);
+  writer.finish();
+  if (fields != nullptr) *fields = writer.fields();
+  return sink.take();
+}
+
+/// two_field_archive written WITH recovery preambles, plus its as-written
+/// index records and reference floats.
 struct PreambledArchive {
   std::vector<std::uint8_t> bytes;
   std::vector<FieldEntry> fields;
@@ -1132,25 +1153,12 @@ struct PreambledArchive {
 
 PreambledArchive preambled_archive() {
   PreambledArchive a;
-  const auto d0 = wavy_field(600, 31);
-  const auto d1 = wavy_field(500, 32, 0.05);
-  sz::CompressorConfig cfg;
-  cfg.method = core::Method::SelfSyncOptimized;
-  cfg.radius = 64;
-  MemorySink sink;
-  ArchiveWriter writer(sink, {.recovery_preambles = true});
-  writer.add_field("a", d0, sz::Dims::d1(600), cfg, 256);
-  PlanOptions plan;
-  plan.shared_codebook = true;
-  writer.add_field("b", d1, sz::Dims::d1(500), cfg, 200, plan);
-  writer.finish();
-  a.fields = writer.fields();
-  a.bytes = sink.take();
+  a.bytes = two_field_archive({.recovery_preambles = true}, &a.fields);
   const MemorySource source(a.bytes);
-  const ArchiveReader reader(source);
-  for (std::size_t fi = 0; fi < reader.fields().size(); ++fi) {
-    cudasim::SimContext ctx;
-    a.reference.push_back(reader.decode_field(ctx, fi).data);
+  ThreadPool pool(1);
+  for (FieldResult& f :
+       BatchScheduler(pool).decompress(ArchiveReader(source)).fields) {
+    a.reference.push_back(std::move(f.decode.data));
   }
   return a;
 }
@@ -1165,22 +1173,7 @@ TEST(Salvage, PreamblesFlagTheHeaderAndCostNoStrictReadTraffic) {
   // field, kChunkPreambleBytes per chunk), nothing hidden; the happy-path
   // <2% budget on realistic frames is guarded in BENCH_stream.json.
   const PreambledArchive a = preambled_archive();
-  std::vector<std::uint8_t> plain;
-  {
-    const auto d0 = wavy_field(600, 31);
-    const auto d1 = wavy_field(500, 32, 0.05);
-    sz::CompressorConfig cfg;
-    cfg.method = core::Method::SelfSyncOptimized;
-    cfg.radius = 64;
-    MemorySink sink;
-    ArchiveWriter writer(sink);
-    writer.add_field("a", d0, sz::Dims::d1(600), cfg, 256);
-    PlanOptions plan;
-    plan.shared_codebook = true;
-    writer.add_field("b", d1, sz::Dims::d1(500), cfg, 200, plan);
-    writer.finish();
-    plain = sink.take();
-  }
+  const std::vector<std::uint8_t> plain = two_field_archive({}, nullptr);
   EXPECT_EQ(plain[5], 0);
   EXPECT_EQ(a.bytes[5], wire::kFlagRecoveryPreambles);
   EXPECT_GT(a.bytes.size(), plain.size());
@@ -1194,9 +1187,10 @@ TEST(Salvage, PreamblesFlagTheHeaderAndCostNoStrictReadTraffic) {
   const MemorySource memory(a.bytes);
   const TrackingSource tracked(memory);
   const ArchiveReader reader(tracked);
-  for (std::size_t fi = 0; fi < reader.fields().size(); ++fi) {
-    cudasim::SimContext ctx;
-    EXPECT_EQ(reader.decode_field(ctx, fi).data, a.reference[fi]);
+  ThreadPool pool(2);
+  const BatchDecompressResult strict = BatchScheduler(pool).decompress(reader);
+  for (std::size_t fi = 0; fi < strict.fields.size(); ++fi) {
+    EXPECT_EQ(strict.fields[fi].decode.data, a.reference[fi]);
   }
   EXPECT_EQ(tracked.bytes_read(), plain.size());
 
@@ -1216,6 +1210,8 @@ TEST(SalvageFuzz, TruncationAtEveryByteRecoversExactlyTheChunksBeforeTheCut) {
   // (degraded decode bit-identical on Ok ranges, zero-filled elsewhere) run
   // on sampled cuts; the chunk-set equality runs on all of them.
   const PreambledArchive a = preambled_archive();
+  ThreadPool pool(2);
+  const BatchScheduler sched(pool);
   // Field fi becomes visible once its field preamble (which ends where the
   // first chunk preamble starts) survives the cut.
   std::vector<std::uint64_t> field_ready(a.fields.size());
@@ -1257,20 +1253,22 @@ TEST(SalvageFuzz, TruncationAtEveryByteRecoversExactlyTheChunksBeforeTheCut) {
     }
 
     if (cut % 97 != 0 && cut != a.bytes.size()) continue;
+    const PartialBatchDecompress pd = sched.decompress_partial(reader);
     for (std::size_t fi = 0; fi < expect.size(); ++fi) {
-      const PartialFieldDecode pd = reader.decode_field_partial(fi);
+      const FieldReport& report = pd.report.fields[fi];
+      const std::vector<float>& values = pd.values[fi];
       std::uint64_t expect_ok = 0;
       for (std::size_t ci : expect[fi]) {
         expect_ok += a.fields[fi].chunks[ci].dims.count();
       }
-      EXPECT_EQ(pd.report.elems_ok, expect_ok) << "cut=" << cut;
-      ASSERT_EQ(pd.values.size(), a.reference[fi].size());
-      for (const ChunkReport& cr : pd.report.chunks) {
+      EXPECT_EQ(report.elems_ok, expect_ok) << "cut=" << cut;
+      ASSERT_EQ(values.size(), a.reference[fi].size());
+      for (const ChunkReport& cr : report.chunks) {
         const std::uint64_t count = cr.elem_count > 0
                                         ? cr.elem_count
-                                        : pd.values.size() - cr.elem_offset;
+                                        : values.size() - cr.elem_offset;
         for (std::uint64_t i = 0; i < count; ++i) {
-          const float got = pd.values[cr.elem_offset + i];
+          const float got = values[cr.elem_offset + i];
           if (cr.status == ChunkStatus::Ok) {
             ASSERT_EQ(got, a.reference[fi][cr.elem_offset + i])
                 << "cut=" << cut << " field=" << fi;
@@ -1289,6 +1287,8 @@ TEST(SalvageFuzz, RandomBitFlipsNeverSurfaceUnverifiedBytes) {
   // are bit-identical to the clean reference — whatever the flip hit
   // (header, preamble, frame, index, or footer).
   const PreambledArchive a = preambled_archive();
+  ThreadPool pool(2);
+  const BatchScheduler sched(pool);
   util::Xoshiro256 rng(83);
   for (int trial = 0; trial < 200; ++trial) {
     auto bytes = a.bytes;
@@ -1297,6 +1297,7 @@ TEST(SalvageFuzz, RandomBitFlipsNeverSurfaceUnverifiedBytes) {
     const MemorySource source(bytes);
     SalvageReport report;
     const ArchiveReader reader = ArchiveReader::open_salvage(source, &report);
+    const PartialBatchDecompress pd = sched.decompress_partial(reader);
     for (std::size_t fi = 0; fi < reader.fields().size(); ++fi) {
       const std::vector<float>* ref = nullptr;
       for (std::size_t i = 0; i < a.fields.size(); ++i) {
@@ -1306,13 +1307,13 @@ TEST(SalvageFuzz, RandomBitFlipsNeverSurfaceUnverifiedBytes) {
       }
       if (ref == nullptr) continue;  // the flip landed in a header name
       if (reader.fields()[fi].dims.count() != ref->size()) continue;
-      const PartialFieldDecode pd = reader.decode_field_partial(fi);
-      for (const ChunkReport& cr : pd.report.chunks) {
+      const std::vector<float>& values = pd.values[fi];
+      for (const ChunkReport& cr : pd.report.fields[fi].chunks) {
         const std::uint64_t count = cr.elem_count > 0
                                         ? cr.elem_count
-                                        : pd.values.size() - cr.elem_offset;
+                                        : values.size() - cr.elem_offset;
         for (std::uint64_t i = 0; i < count; ++i) {
-          const float got = pd.values[cr.elem_offset + i];
+          const float got = values[cr.elem_offset + i];
           if (cr.status == ChunkStatus::Ok) {
             ASSERT_EQ(got, (*ref)[cr.elem_offset + i])
                 << "trial=" << trial << " pos=" << pos;
@@ -1344,14 +1345,12 @@ TEST(Salvage, StrictEntryPointsRejectIncompleteSalvagedFields) {
   EXPECT_TRUE(reader.field_complete(0));
   EXPECT_FALSE(reader.field_complete(1));
 
-  cudasim::SimContext ctx;
-  EXPECT_EQ(reader.decode_field(ctx, 0).data, a.reference[0]);
-  EXPECT_THROW(reader.decode_field(ctx, 1), ContainerError);
-  EXPECT_THROW(reader.decode_range(1, 0, 10), ContainerError);
-  EXPECT_THROW(reader.verify(), ContainerError);
-
   ThreadPool pool(2);
   const BatchScheduler sched(pool);
+  EXPECT_EQ(sched.decode_range(reader, 0, 0, 600), a.reference[0]);
+  EXPECT_THROW(sched.decode_range(reader, 1, 0, 10), ContainerError);
+  EXPECT_THROW(sched.decode_range(reader, 1, 350, 450), ContainerError);
+  EXPECT_THROW(reader.verify(), ContainerError);
   EXPECT_THROW(sched.decompress(reader), ContainerError);
   const PartialBatchDecompress partial = sched.decompress_partial(reader);
   EXPECT_FALSE(partial.report.complete());
@@ -1396,14 +1395,15 @@ TEST(Salvage, RepairTruncatedRefinalizesTheIntactPrefix) {
   const ArchiveReader reader(source);  // strict open: the repair is valid
   EXPECT_NO_THROW(reader.verify());
   ASSERT_EQ(reader.fields().size(), 2u);
-  cudasim::SimContext ctx;
-  EXPECT_EQ(reader.decode_field(ctx, 0).data, a.reference[0]);
+  ThreadPool pool(2);
+  const BatchDecompressResult decoded = BatchScheduler(pool).decompress(reader);
+  EXPECT_EQ(decoded.fields[0].decode.data, a.reference[0]);
   const std::uint64_t covered = last.elem_offset;
   EXPECT_EQ(reader.fields()[1].dims.count(), covered);
-  const FieldDecode b = reader.decode_field(ctx, 1);
-  ASSERT_EQ(b.data.size(), covered);
+  const std::vector<float>& b = decoded.fields[1].decode.data;
+  ASSERT_EQ(b.size(), covered);
   for (std::uint64_t i = 0; i < covered; ++i) {
-    ASSERT_EQ(b.data[i], a.reference[1][i]);
+    ASSERT_EQ(b[i], a.reference[1][i]);
   }
   // The repaired archive carries preambles itself, so it can be salvaged
   // again after further damage.
@@ -1464,8 +1464,7 @@ TEST(Salvage, PayloadCorruptionKeepsTheStrictIndexAndQuarantinesAtDecode) {
     }
   }
   EXPECT_EQ(corrupt, 1u);
-  cudasim::SimContext ctx;
-  const std::vector<float> ref = parsed.decode_field(ctx, 1).data;
+  const std::vector<float> ref = sched.decompress(parsed).fields[1].decode.data;
   const std::vector<float>& got = partial.values[1];
   ASSERT_EQ(got.size(), ref.size());
   for (std::uint64_t i = 0; i < got.size(); ++i) {

@@ -1,12 +1,16 @@
 // Pipeline determinism: a batch run on N workers must be bit-identical to
-// the sequential run — archive bytes, decoded floats, aggregated
-// PhaseTimings, and the simulated makespan — because all merges are ordered
-// by chunk id and every chunk task owns a fresh SimContext.
+// a run on one worker — archive bytes, decoded floats, aggregated
+// PhaseTimings, the simulated makespan, and the value-only reads' floats and
+// reports — because all merges are ordered by chunk id and every chunk task
+// owns a fresh SimContext.
 #include "pipeline/batch.hpp"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <future>
+#include <utility>
 #include <vector>
 
 #include "data/generic.hpp"
@@ -106,8 +110,7 @@ TEST(BatchDeterminism, DecompressIsBitIdenticalAcrossWorkerCounts) {
 }
 
 /// The planned (two-fan-out) compress path: adaptive method selection plus
-/// shared codebooks must stay worker-count invariant AND byte-identical to
-/// the sequential ArchiveWriter::add_field build.
+/// shared codebooks must stay worker-count invariant.
 TEST(BatchDeterminism, PlannedCompressIsWorkerCountInvariant) {
   Corpus corpus = make_corpus();
   for (FieldSpec& spec : corpus.specs) {
@@ -120,18 +123,11 @@ TEST(BatchDeterminism, PlannedCompressIsWorkerCountInvariant) {
   const auto a = BatchScheduler(p1).compress(corpus.specs);
   EXPECT_EQ(BatchScheduler(p4).compress(corpus.specs), a);
 
-  MemorySink sequential;
-  ArchiveWriter writer(sequential);
-  for (const FieldSpec& spec : corpus.specs) {
-    writer.add_field(spec.name, spec.data, spec.dims, spec.config,
-                     spec.chunk_elems, spec.plan);
-  }
-  writer.finish();
-  EXPECT_EQ(sequential.bytes(), a);
-
   // The planned corpus actually exercises shared codebooks somewhere.
+  const MemorySource source(a);
+  const ArchiveReader reader(source);
   std::size_t shared_fields = 0;
-  for (const FieldEntry& f : writer.fields()) {
+  for (const FieldEntry& f : reader.fields()) {
     shared_fields += f.shared_codebook != nullptr;
   }
   EXPECT_GE(shared_fields, 1u);
@@ -161,6 +157,120 @@ TEST(BatchDeterminism, PlannedDecompressIsBitIdenticalAcrossWorkerCounts) {
     expect_phases_identical(par.phases, seq.phases);
     EXPECT_EQ(par.chunk_seconds, seq.chunk_seconds);
   }
+}
+
+void expect_reports_identical(const DecodeReport& a, const DecodeReport& b) {
+  ASSERT_EQ(a.fields.size(), b.fields.size());
+  for (std::size_t fi = 0; fi < a.fields.size(); ++fi) {
+    const FieldReport& fa = a.fields[fi];
+    const FieldReport& fb = b.fields[fi];
+    EXPECT_EQ(fa.name, fb.name);
+    EXPECT_EQ(fa.elems_total, fb.elems_total);
+    EXPECT_EQ(fa.elems_ok, fb.elems_ok);
+    ASSERT_EQ(fa.chunks.size(), fb.chunks.size()) << fa.name;
+    for (std::size_t ci = 0; ci < fa.chunks.size(); ++ci) {
+      EXPECT_EQ(fa.chunks[ci].chunk, fb.chunks[ci].chunk);
+      EXPECT_EQ(fa.chunks[ci].status, fb.chunks[ci].status);
+      EXPECT_EQ(fa.chunks[ci].elem_offset, fb.chunks[ci].elem_offset);
+      EXPECT_EQ(fa.chunks[ci].elem_count, fb.chunks[ci].elem_count);
+      EXPECT_EQ(fa.chunks[ci].detail, fb.chunks[ci].detail);
+    }
+  }
+}
+
+TEST(BatchDeterminism, PartialDecompressIsIdenticalAcrossWorkerCounts) {
+  // A flipped byte in the third frame of the first field: that chunk is
+  // reported Corrupt and zero-filled, the floats and the report are the
+  // same at 1 and 4 workers, and the floats equal the strict decode
+  // everywhere else.
+  const Corpus corpus = make_corpus();
+  ThreadPool p1(1), p4(4);
+  auto archive = BatchScheduler(p4).compress(corpus.specs);
+  const MemorySource clean_source(archive);
+  const ArchiveReader clean(clean_source);
+  const BatchDecompressResult strict = BatchScheduler(p4).decompress(clean);
+  const ChunkRecord rec = clean.fields()[0].chunks[2];
+  archive[8 + rec.payload_offset + rec.payload_bytes / 2] ^= 0x10;  // 8: head
+  const MemorySource source(archive);
+  const ArchiveReader reader(source);
+
+  const PartialBatchDecompress seq =
+      BatchScheduler(p1).decompress_partial(reader);
+  const PartialBatchDecompress par =
+      BatchScheduler(p4).decompress_partial(reader);
+  EXPECT_EQ(par.values, seq.values);
+  expect_reports_identical(par.report, seq.report);
+  EXPECT_EQ(seq.report.fields[0].chunks[2].status, ChunkStatus::Corrupt);
+  EXPECT_EQ(seq.report.chunks_ok() + 1, seq.report.chunks_reported());
+  for (std::size_t fi = 0; fi < strict.fields.size(); ++fi) {
+    std::vector<float> expect = strict.fields[fi].decode.data;
+    if (fi == 0) {
+      std::fill_n(expect.begin() + static_cast<std::ptrdiff_t>(rec.elem_offset),
+                  rec.dims.count(), 0.0f);
+    }
+    EXPECT_EQ(seq.values[fi], expect) << "field " << fi;
+  }
+}
+
+TEST(BatchDeterminism, RangeDecodeIsIdenticalAcrossWorkerCounts) {
+  // Whole fields, ranges across chunk boundaries with ragged ends, and
+  // ranges inside one chunk: the same floats at 1 and 4 workers, equal to
+  // the matching slice of the strict decode.
+  const Corpus corpus = make_corpus();
+  ThreadPool p1(1), p4(4);
+  const auto archive = BatchScheduler(p4).compress(corpus.specs);
+  const MemorySource source(archive);
+  const ArchiveReader reader(source);
+  const BatchDecompressResult strict = BatchScheduler(p4).decompress(reader);
+  for (std::size_t fi = 0; fi < reader.fields().size(); ++fi) {
+    const std::vector<float>& whole = strict.fields[fi].decode.data;
+    const std::uint64_t n = whole.size();
+    const ChunkRecord& second = reader.fields()[fi].chunks[1];
+    using Range = std::pair<std::uint64_t, std::uint64_t>;
+    for (const auto& [lo, hi] : std::vector<Range>{
+             {0, n},
+             {n / 3 + 1, 2 * n / 3 + 7},
+             {second.elem_offset, second.elem_offset + second.dims.count()},
+             {second.elem_offset + 5, second.elem_offset + 9}}) {
+      const std::vector<float> seq =
+          BatchScheduler(p1).decode_range(reader, fi, lo, hi);
+      EXPECT_EQ(BatchScheduler(p4).decode_range(reader, fi, lo, hi), seq)
+          << "field " << fi << " [" << lo << ", " << hi << ")";
+      EXPECT_EQ(seq, std::vector<float>(whole.begin() + lo, whole.begin() + hi))
+          << "field " << fi << " [" << lo << ", " << hi << ")";
+    }
+  }
+}
+
+TEST(BatchScheduler, OneChunkRangeDecodesOnTheCallingThread) {
+  // The pool's only worker is blocked until the range decode returns, so a
+  // one-chunk range that waited for the pool would never return.
+  const Corpus corpus = make_corpus();
+  ThreadPool pool(1);
+  const BatchScheduler sched(pool);
+  const auto archive = sched.compress(corpus.specs);
+  const MemorySource source(archive);
+  const ArchiveReader reader(source);
+  const std::vector<float> whole =
+      sched.decompress(reader).fields[0].decode.data;
+  const ChunkRecord& rec = reader.fields()[0].chunks[1];
+  const std::uint64_t lo = rec.elem_offset + 10;
+  const std::uint64_t hi = rec.elem_offset + rec.dims.count() - 10;
+
+  std::promise<void> release;
+  auto blocker = pool.submit([gate = release.get_future().share()] {
+    gate.wait();
+  });
+  auto range = std::async(std::launch::async, [&] {
+    return sched.decode_range(reader, 0, lo, hi);
+  });
+  const bool returned =
+      range.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  release.set_value();
+  blocker.get();
+  ASSERT_TRUE(returned) << "a one-chunk range waited for the blocked pool";
+  EXPECT_EQ(range.get(),
+            std::vector<float>(whole.begin() + lo, whole.begin() + hi));
 }
 
 TEST(BatchScheduler, CompressRejectsInvalidSpecsBeforeFanOut) {

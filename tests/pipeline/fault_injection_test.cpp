@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "pipeline/archive_io.hpp"
+#include "pipeline/batch.hpp"
 #include "pipeline/byte_stream.hpp"
 #include "pipeline/recovery.hpp"
 #include "util/rng.hpp"
@@ -43,6 +44,19 @@ std::vector<float> wavy_field(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
+/// Appends `spec` to `writer` through a one-worker BatchScheduler.
+void compress_field(ArchiveWriter& writer, const FieldSpec& spec) {
+  ThreadPool pool(1);
+  BatchScheduler(pool).compress_to(writer, {&spec, 1});
+}
+
+/// Field 0 of `reader`, decoded through a one-worker BatchScheduler (one
+/// frame read at a time, so a seeded fault schedule replays exactly).
+std::vector<float> decode_first_field(const ArchiveReader& reader) {
+  ThreadPool pool(1);
+  return BatchScheduler(pool).decompress(reader).fields.at(0).decode.data;
+}
+
 /// Small preambled archive + its reference floats, shared by the retry and
 /// crash tests.
 struct TestArchive {
@@ -58,13 +72,11 @@ TestArchive test_archive() {
   cfg.radius = 64;
   MemorySink sink;
   ArchiveWriter writer(sink, {.recovery_preambles = true});
-  writer.add_field("f", data, sz::Dims::d1(2000), cfg, 512);
+  compress_field(writer, {"f", data, sz::Dims::d1(2000), cfg, 512, {}});
   writer.finish();
   a.bytes = sink.take();
   const MemorySource source(a.bytes);
-  const ArchiveReader reader(source);
-  cudasim::SimContext ctx;
-  a.reference = reader.decode_field(ctx, 0).data;
+  a.reference = decode_first_field(ArchiveReader(source));
   return a;
 }
 
@@ -222,8 +234,7 @@ TEST(ArchiveReaderRetry, ConvergesUnderBoundedTransientFaults) {
   ReaderOptions opts;
   opts.retry.max_attempts = 16;
   const ArchiveReader reader(faulty, opts);
-  cudasim::SimContext ctx;
-  EXPECT_EQ(reader.decode_field(ctx, 0).data, a.reference);
+  EXPECT_EQ(decode_first_field(reader), a.reference);
   EXPECT_NO_THROW(reader.verify());
   EXPECT_GT(reader.io_retries(), 0u);
   EXPECT_GT(faulty.stats().faults(), 0u);
@@ -299,9 +310,7 @@ TEST(CrashConsistency, AtomicFileSinkPublishesAllOrNothing) {
   }
   // The published archive is complete and valid.
   const FileSource source(path);
-  const ArchiveReader reader(source);
-  cudasim::SimContext ctx;
-  EXPECT_EQ(reader.decode_field(ctx, 0).data, a.reference);
+  EXPECT_EQ(decode_first_field(ArchiveReader(source)), a.reference);
   std::remove(path.c_str());
 }
 
@@ -330,7 +339,7 @@ TEST(CrashConsistency, FinishCommitsThroughAnAtomicSink) {
   {
     AtomicFileSink sink(path);
     ArchiveWriter writer(sink, {.recovery_preambles = true});
-    writer.add_field("f", data, sz::Dims::d1(800), cfg, 256);
+    compress_field(writer, {"f", data, sz::Dims::d1(800), cfg, 256, {}});
     writer.finish();
     EXPECT_TRUE(sink.committed());
   }
@@ -379,11 +388,10 @@ TEST(CrashConsistency, TornFileSessionRepairsIntoAValidArchive) {
   const ArchiveReader reader(source);
   EXPECT_NO_THROW(reader.verify());
   if (!reader.fields().empty()) {
-    cudasim::SimContext ctx;
-    const FieldDecode d = reader.decode_field(ctx, 0);
-    ASSERT_LE(d.data.size(), a.reference.size());
-    for (std::size_t i = 0; i < d.data.size(); ++i) {
-      ASSERT_EQ(d.data[i], a.reference[i]);
+    const std::vector<float> d = decode_first_field(reader);
+    ASSERT_LE(d.size(), a.reference.size());
+    for (std::size_t i = 0; i < d.size(); ++i) {
+      ASSERT_EQ(d[i], a.reference[i]);
     }
   }
   std::remove(torn_path.c_str());

@@ -231,6 +231,17 @@ TEST(MethodSelectorTest, DefaultCalibrationIsLoadable) {
   EXPECT_EQ(selector.rank(probe).size(), selector.candidates().size());
 }
 
+/// Probes every chunk, then plans the field: the planning step of
+/// BatchScheduler::compress_to's planned path.
+FieldPlan plan_chunks(std::span<const sz::QuantizedField> chunks,
+                      core::Method default_method, const PlanOptions& options,
+                      const MethodSelector& selector) {
+  std::vector<ChunkProbe> probes;
+  for (const sz::QuantizedField& q : chunks) probes.push_back(probe_chunk(q));
+  return plan_from_probes(std::move(probes), default_method, options,
+                          selector);
+}
+
 TEST(PlanFieldTest, FixedPlanKeepsMethodAndPrivateBooks) {
   std::vector<sz::QuantizedField> chunks;
   for (int i = 0; i < 4; ++i) {
@@ -238,7 +249,7 @@ TEST(PlanFieldTest, FixedPlanKeepsMethodAndPrivateBooks) {
   }
   const MethodSelector selector;
   const FieldPlan plan =
-      plan_field(chunks, core::Method::SelfSyncOptimized, {}, selector);
+      plan_chunks(chunks, core::Method::SelfSyncOptimized, {}, selector);
   ASSERT_EQ(plan.chunks.size(), 4u);
   EXPECT_FALSE(plan.has_shared_codebook);
   for (const ChunkPlan& cp : plan.chunks) {
@@ -258,7 +269,7 @@ TEST(PlanFieldTest, AutoMethodMatchesSelector) {
   PlanOptions options;
   options.auto_method = true;
   const FieldPlan plan =
-      plan_field(chunks, core::Method::CuszNaive, options, selector);
+      plan_chunks(chunks, core::Method::CuszNaive, options, selector);
   for (std::size_t i = 0; i < chunks.size(); ++i) {
     EXPECT_EQ(plan.chunks[i].method,
               calibrated.select(probe_chunk(chunks[i])));
@@ -281,7 +292,7 @@ TEST(PlanFieldTest, UseCalibrationPricesThroughTheCommittedFit) {
   PlanOptions options;
   options.auto_method = true;
   const FieldPlan plan =
-      plan_field(chunks, core::Method::CuszNaive, options, selector);
+      plan_chunks(chunks, core::Method::CuszNaive, options, selector);
   for (std::size_t i = 0; i < chunks.size(); ++i) {
     const ChunkProbe probe = probe_chunk(chunks[i]);
     EXPECT_EQ(plan.chunks[i].method, calibrated.select(probe)) << i;
@@ -304,8 +315,8 @@ TEST(PlanFieldTest, SimilarChunksShareTheFieldCodebook) {
   PlanOptions options;
   options.shared_codebook = true;
   const FieldPlan plan =
-      plan_field(chunks, core::Method::GapArrayOptimized, options,
-                 MethodSelector());
+      plan_chunks(chunks, core::Method::GapArrayOptimized, options,
+                  MethodSelector());
   EXPECT_TRUE(plan.has_shared_codebook);
   for (const ChunkPlan& cp : plan.chunks) {
     EXPECT_TRUE(cp.use_shared_codebook);
@@ -328,8 +339,8 @@ TEST(PlanFieldTest, DivergentChunkKeepsItsPrivateBook) {
   PlanOptions options;
   options.shared_codebook = true;
   const FieldPlan plan =
-      plan_field(chunks, core::Method::GapArrayOptimized, options,
-                 MethodSelector());
+      plan_chunks(chunks, core::Method::GapArrayOptimized, options,
+                  MethodSelector());
   ASSERT_TRUE(plan.has_shared_codebook);
   for (int i = 0; i < 5; ++i) {
     EXPECT_TRUE(plan.chunks[i].use_shared_codebook) << "chunk " << i;
@@ -339,7 +350,7 @@ TEST(PlanFieldTest, DivergentChunkKeepsItsPrivateBook) {
 
 TEST(PlanFieldTest, EightBitChunksNeverShare) {
   // The 8-bit baseline re-trims its codes to a private alphabet, so it can
-  // never reference a field book; plan_field must keep such chunks private
+  // never reference a field book; the planner must keep such chunks private
   // even when sharing is requested (encode_with_codebook would throw).
   std::vector<sz::QuantizedField> chunks;
   for (int i = 0; i < 4; ++i) {
@@ -348,8 +359,8 @@ TEST(PlanFieldTest, EightBitChunksNeverShare) {
   PlanOptions options;
   options.shared_codebook = true;
   const FieldPlan plan =
-      plan_field(chunks, core::Method::GapArrayOriginal8Bit, options,
-                 MethodSelector());
+      plan_chunks(chunks, core::Method::GapArrayOriginal8Bit, options,
+                  MethodSelector());
   EXPECT_FALSE(plan.has_shared_codebook);
   for (const ChunkPlan& cp : plan.chunks) {
     EXPECT_FALSE(cp.use_shared_codebook);
@@ -361,8 +372,8 @@ TEST(PlanFieldTest, SingleChunkFieldNeverShares) {
   one.push_back(quantized_from_codes(skewed_codes(4000, 512, 10.0, 3)));
   PlanOptions options;
   options.shared_codebook = true;
-  const FieldPlan plan = plan_field(one, core::Method::GapArrayOptimized,
-                                    options, MethodSelector());
+  const FieldPlan plan = plan_chunks(one, core::Method::GapArrayOptimized,
+                                     options, MethodSelector());
   EXPECT_FALSE(plan.has_shared_codebook);
   EXPECT_FALSE(plan.chunks[0].use_shared_codebook);
 }

@@ -10,7 +10,7 @@
 #include <memory>
 #include <vector>
 
-#include "pipeline/archive_io.hpp"
+#include "pipeline/batch.hpp"
 #include "pipeline/byte_stream.hpp"
 
 namespace ohd::service {
@@ -22,11 +22,11 @@ std::shared_ptr<const pipeline::OwningMemorySource> tiny_archive() {
   for (std::size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<float>(std::sin(0.1 * static_cast<double>(i)));
   }
-  pipeline::MemorySink sink;
-  pipeline::ArchiveWriter writer(sink);
-  writer.add_field("f", data, sz::Dims::d1(data.size()), {}, 256);
-  writer.finish();
-  return std::make_shared<pipeline::OwningMemorySource>(sink.take());
+  const pipeline::FieldSpec spec{"f", data, sz::Dims::d1(data.size()), {},
+                                 256, {}};
+  pipeline::ThreadPool pool(1);
+  return std::make_shared<pipeline::OwningMemorySource>(
+      pipeline::BatchScheduler(pool).compress({&spec, 1}));
 }
 
 TEST(ClientContext, LruEvictsOldestAndAccessRefreshes) {
