@@ -487,7 +487,7 @@ std::vector<float> BatchScheduler::decode_range(
   }
   const obs::ScopedOp range_op("batch.decode_range");
   std::vector<float> out(elem_end - elem_begin);
-  if (out.empty()) return out;
+  if (out.empty()) return out;  // also keeps the chunk lookup in the field
 
   // The chunks overlapping the range are [first, last): a complete field's
   // chunks tile it in element order.

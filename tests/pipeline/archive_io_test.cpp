@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <functional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "pipeline/batch.hpp"
@@ -379,6 +380,7 @@ TEST(Container, RangeDecodeMatchesFullDecode) {
   }
 
   EXPECT_TRUE(sched.decode_range(reader, field, 500, 500).empty());
+  EXPECT_TRUE(sched.decode_range(reader, field, 20000, 20000).empty());
   EXPECT_THROW(sched.decode_range(reader, field, 10, 30000), ContainerError);
 }
 
