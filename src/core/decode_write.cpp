@@ -171,15 +171,11 @@ cudasim::KernelResult run_staged(cudasim::SimContext& ctx,
       // Cooperative coalesced copy of buffer[0 .. tempEnd-si) to global
       // memory (Algorithm 1, line 13).
       const std::uint64_t count = temp_end - si;
-      const std::uint64_t base = si;
-      blk.for_each_thread([&](cudasim::ThreadCtx& t) {
-        for (std::uint64_t k = t.tid(); k < count; k += block_dim) {
-          out[base + k] = buffer[k];
-          t.global_write(plan.out_addr + (base + k) * plan.symbol_bytes,
-                         plan.symbol_bytes);
-          t.charge(config.cost.coop_copy_cycles);
-        }
-      });
+      std::copy_n(buffer, count, out.data() + si);
+      const cudasim::StreamAccess copy[] = {
+          {plan.out_addr + si * plan.symbol_bytes, plan.symbol_bytes,
+           /*is_write=*/true}};
+      blk.stream_phase(count, copy, config.cost.coop_copy_cycles);
       if (temp_end == si) {
         throw std::logic_error("staged decode made no progress");
       }

@@ -21,18 +21,16 @@ void charge_streaming_kernel(SimContext& ctx, const std::string& name,
   // Dummy contiguous address ranges: perfectly coalesced streaming access.
   const std::uint64_t in_base = ctx.reserve_address(n * element_bytes);
   const std::uint64_t out_base = ctx.reserve_address(n * element_bytes);
+  std::vector<StreamAccess> accesses(reads, {in_base, element_bytes, false});
+  accesses.resize(reads + writes, {out_base, element_bytes, true});
   ctx.launch(name, {grid, kBlockDim, 0}, [&](BlockCtx& blk) {
-    blk.for_each_thread([&](ThreadCtx& t) {
-      const std::uint64_t gid = blk.global_tid(t);
-      if (gid >= n) return;
-      for (std::uint32_t r = 0; r < reads; ++r) {
-        t.global_read(in_base + gid * element_bytes, element_bytes);
-      }
-      for (std::uint32_t w = 0; w < writes; ++w) {
-        t.global_write(out_base + gid * element_bytes, element_bytes);
-      }
-      t.charge(cycles_per_elem);
-    });
+    const std::uint64_t first =
+        static_cast<std::uint64_t>(blk.block_idx()) * kBlockDim;
+    for (StreamAccess& a : accesses) {
+      a.base = (a.is_write ? out_base : in_base) + first * element_bytes;
+    }
+    blk.stream_phase(std::min<std::uint64_t>(kBlockDim, n - first), accesses,
+                     cycles_per_elem);
   });
 }
 

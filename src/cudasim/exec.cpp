@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
 
 namespace ohd::cudasim {
 
@@ -72,6 +73,52 @@ void BlockCtx::flush_warp(std::uint64_t max_lane_cycles) {
   warp_sectors_.clear();
   phase_warp_max_cycles_ =
       std::max(phase_warp_max_cycles_, max_lane_cycles + mem_cycles);
+}
+
+void BlockCtx::stream_phase(std::uint64_t count,
+                            std::span<const StreamAccess> accesses,
+                            std::uint64_t cycles_per_elem) {
+  for (const StreamAccess& a : accesses) {
+    if (a.elem_bytes == 0 || a.elem_bytes > detail::kSectorBytes) {
+      throw std::invalid_argument("stream_phase: elem_bytes must be 1-32");
+    }
+  }
+  const std::uint64_t block_dim = cfg_.block_dim;
+  std::uint64_t phase_max = 0;
+  // Warps whose first lane has no element are idle and cost nothing.
+  for (std::uint64_t warp_start = 0; warp_start < block_dim &&
+                                     warp_start < count;
+       warp_start += spec_.warp_size) {
+    const std::uint64_t warp_end =
+        std::min<std::uint64_t>(block_dim, warp_start + spec_.warp_size);
+    // The warp's first lane handles the most elements: the warp's compute.
+    const std::uint64_t rounds = (count - warp_start + block_dim - 1) /
+                                 block_dim;
+    // Round r's active lanes cover elements [lo, hi), so each access's slot
+    // touches one contiguous run of sectors, each distinct in that slot.
+    std::uint64_t slot_sectors = 0;
+    for (std::uint64_t r = 0; r < rounds; ++r) {
+      const std::uint64_t lo = warp_start + r * block_dim;
+      const std::uint64_t hi = std::min(warp_end + r * block_dim, count);
+      for (const StreamAccess& a : accesses) {
+        const std::uint64_t first =
+            (a.base + lo * a.elem_bytes) / detail::kSectorBytes;
+        const std::uint64_t last =
+            (a.base + hi * a.elem_bytes - 1) / detail::kSectorBytes;
+        slot_sectors += last - first + 1;
+        for (std::uint64_t seg = first; seg <= last; ++seg) {
+          // As in record(): stores are write-through, reads of a sector the
+          // warp already holds are L1 hits.
+          const bool warp_new = warp_sectors_.insert(seg);
+          if (a.is_write || warp_new) ++stats_.global_transactions;
+        }
+      }
+    }
+    warp_sectors_.clear();
+    phase_max = std::max(phase_max, rounds * cycles_per_elem +
+                                        slot_sectors * spec_.mem_issue_cycles);
+  }
+  charge_all(phase_max);
 }
 
 void BlockCtx::charge_all(std::uint64_t cycles) {

@@ -24,6 +24,13 @@
 //     });
 //   });
 //
+// A phase whose accesses follow a fixed contiguous pattern (thread t handles
+// elements t, t + block_dim, ...) can be priced without running lanes:
+//
+//     const cudasim::StreamAccess accesses[] = {{in_addr, 2, false},
+//                                               {out_addr, 4, true}};
+//     blk.stream_phase(count, accesses, /*cycles_per_elem=*/10);
+//
 // The recorder runs once per recorded access, so it allocates nothing on
 // that path: one BlockCtx serves every block of a launch and reuses its
 // shared arena, slot sets and sector set. docs/architecture.md describes
@@ -34,6 +41,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -132,6 +140,14 @@ private:
 
 }  // namespace detail
 
+/// One access every element of a streaming phase makes: element k touches
+/// bytes [base + k * elem_bytes, base + (k + 1) * elem_bytes).
+struct StreamAccess {
+  std::uint64_t base = 0;
+  std::uint32_t elem_bytes = 0;
+  bool is_write = false;
+};
+
 class BlockCtx;
 
 /// Per-lane handle given to kernel thread functions.
@@ -191,6 +207,21 @@ public:
   /// order, as lane(ThreadCtx&); SIMT cost semantics are applied per warp.
   template <typename LaneFn>
   void for_each_thread(LaneFn&& lane);
+
+  /// Execute one barrier-delimited streaming phase without running lanes:
+  /// thread t handles elements t, t + block_dim, ... below `count`, and
+  /// each element makes `accesses` in order, then charges
+  /// `cycles_per_elem`. The phase costs and counts exactly what the same
+  /// phase written as for_each_thread would, provided that:
+  ///  - the accesses touch disjoint buffers, or repeat an earlier access
+  ///    exactly (same base, size and direction), so no sector is both read
+  ///    and written in the phase;
+  ///  - every elem_bytes is 1-32, so one slot of a warp spans at most 33
+  ///    sectors, which SegmentSet counts exactly. Other sizes throw
+  ///    std::invalid_argument.
+  void stream_phase(std::uint64_t count,
+                    std::span<const StreamAccess> accesses,
+                    std::uint64_t cycles_per_elem);
 
   /// Charge cycles uniformly to every lane of the block without running user
   /// code (used for fixed-cost steps such as a barrier's own latency).

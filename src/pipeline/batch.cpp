@@ -1,10 +1,12 @@
 #include "pipeline/batch.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <future>
 #include <memory>
 #include <optional>
 #include <string>
+#include <variant>
 
 #include "cudasim/exec.hpp"
 #include "obs/trace.hpp"
@@ -365,13 +367,16 @@ BatchDecompressResult BatchScheduler::decompress(
   // the fused decode-write path, so frame IO overlaps other tasks' decode
   // and floats are written once, in place, by whichever worker decodes the
   // chunk — bit-identical for any worker count, with no per-chunk float
-  // vector or merge copy. On any failure — a submit throw or a CRC mismatch
-  // surfacing through get() — wait out the remaining tasks before
-  // unwinding: they still reference `reader`, `decoder`, and the output
-  // buffers.
+  // vector or merge copy. A chunk task catches its own failure and returns
+  // it as a value, so get() moves the exception to this thread and the
+  // worker that drops the task never frees it; it is rethrown here with
+  // its type intact. On any failure — a submit throw or a chunk's error —
+  // wait out the remaining tasks before unwinding: they still reference
+  // `reader`, `decoder`, and the output buffers.
   const obs::ScopedOp batch_op("batch.decompress");
-  std::vector<std::vector<std::future<sz::DecompressionResult>>> futures(
-      fields.size());
+  using ChunkOutcome =
+      std::variant<sz::DecompressionResult, std::exception_ptr>;
+  std::vector<std::vector<std::future<ChunkOutcome>>> futures(fields.size());
   BatchDecompressResult out;
   out.fields.resize(fields.size());
   for (std::size_t fi = 0; fi < fields.size(); ++fi) {
@@ -391,22 +396,30 @@ BatchDecompressResult BatchScheduler::decompress(
         const std::span<float> dest(
             out.fields[fi].decode.data.data() + entry.chunks[ci].elem_offset,
             entry.chunks[ci].dims.count());
-        futures[fi].push_back(
-            pool_.submit([&reader, &decoder, &cancel, fi, ci, dest] {
-              cancel.throw_if_cancelled();
-              // Fetch + decode + reconstruct of one chunk: the reader's own
-              // "reader.frame_fetch" span nests under this one.
-              const obs::ScopedOp op(
-                  "batch.decode", &batch_metrics().decode_ns);
-              cudasim::SimContext ctx;
-              return reader.decode_chunk_into(ctx, fi, ci, dest, decoder);
+        futures[fi].push_back(pool_.submit(
+            [&reader, &decoder, &cancel, fi, ci, dest]() -> ChunkOutcome {
+              try {
+                cancel.throw_if_cancelled();
+                // Fetch + decode + reconstruct of one chunk: the reader's
+                // own "reader.frame_fetch" span nests under this one.
+                const obs::ScopedOp op(
+                    "batch.decode", &batch_metrics().decode_ns);
+                cudasim::SimContext ctx;
+                return reader.decode_chunk_into(ctx, fi, ci, dest, decoder);
+              } catch (...) {
+                return std::current_exception();
+              }
             }));
       }
     }
     for (std::size_t fi = 0; fi < fields.size(); ++fi) {
       FieldResult& field = out.fields[fi];
       for (auto& fut : futures[fi]) {
-        field.decode.absorb_timings(fut.get());
+        ChunkOutcome outcome = fut.get();
+        if (auto* error = std::get_if<std::exception_ptr>(&outcome)) {
+          std::rethrow_exception(*error);
+        }
+        field.decode.absorb_timings(std::get<sz::DecompressionResult>(outcome));
       }
       out.phases += field.decode.huffman_phases;
       out.simulated_seconds += field.decode.simulated_seconds;

@@ -151,13 +151,13 @@ core::DecodeResult run_simulated_stages(cudasim::SimContext& ctx,
         static_cast<std::uint32_t>((n + block - 1) / block);
     const auto r = ctx.launch(
         "reverse_lorenzo", {grid, block, 0}, [&](cudasim::BlockCtx& blk) {
-          blk.for_each_thread([&](cudasim::ThreadCtx& t) {
-            const std::uint64_t i = blk.global_tid(t);
-            if (i >= n) return;
-            t.global_read(codes_addr + i * 2, 2);
-            t.global_write(out_addr + i * 4, 4);
-            t.charge(10);
-          });
+          const std::uint64_t first =
+              static_cast<std::uint64_t>(blk.block_idx()) * block;
+          const cudasim::StreamAccess accesses[] = {
+              {codes_addr + first * 2, 2, /*is_write=*/false},
+              {out_addr + first * 4, 4, /*is_write=*/true}};
+          blk.stream_phase(std::min<std::uint64_t>(block, n - first),
+                           accesses, /*cycles_per_elem=*/10);
         });
     result.reverse_lorenzo_seconds = r.timing.seconds;
   }

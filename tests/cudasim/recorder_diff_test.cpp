@@ -3,11 +3,16 @@
 // std::unordered_set of the warp's sectors per phase, a fresh block context
 // per block, and two scans (contains, then insert) of the slot's sector
 // list. Seeded random kernels run through SimContext::launch and through the
-// reference, and every KernelStats field must match per launch.
+// reference, and every KernelStats field must match per launch. Seeded
+// streaming phases priced by BlockCtx::stream_phase must match the same
+// phases run lane by lane through the recorder, in every KernelStats field
+// and in simulated seconds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
+#include <stdexcept>
 #include <unordered_set>
 #include <vector>
 
@@ -378,6 +383,158 @@ TEST(RecorderDiff, ReadThenWriteOfOneSectorIsTwoTransactions) {
         });
       });
   EXPECT_EQ(launch.stats.global_transactions, 2u);
+}
+
+/// One seeded streaming kernel: each block runs one or two streaming phases
+/// with their own element counts and accesses. An access either gets a
+/// buffer of its own, starting anywhere within a sector, or repeats an
+/// earlier access of its phase exactly, which is what stream_phase's
+/// precondition allows.
+struct StreamKernel {
+  static constexpr std::uint32_t kElemBytes[] = {1, 2, 4, 8, 12, 16, 32};
+
+  LaunchConfig cfg;
+  // [phase][block]: what one block's phase streams.
+  std::vector<std::vector<std::uint64_t>> counts;
+  std::vector<std::vector<std::vector<StreamAccess>>> accesses;
+  std::vector<std::uint64_t> cycles_per_elem;  // [phase]
+
+  StreamKernel(std::uint64_t seed, std::uint32_t block_dim, SimContext& ctx) {
+    util::Xoshiro256 rng(seed);
+    cfg = {1 + static_cast<std::uint32_t>(rng.bounded(3)), block_dim, 0};
+    const std::uint32_t phases = 1 + static_cast<std::uint32_t>(rng.bounded(2));
+    for (std::uint32_t p = 0; p < phases; ++p) {
+      std::vector<std::uint64_t> phase_counts;
+      std::uint64_t max_count = 0;
+      for (std::uint32_t b = 0; b < cfg.grid_dim; ++b) {
+        // Nothing, a partial first warp, or several strides of the block.
+        const std::uint64_t kind = rng.bounded(4);
+        const std::uint64_t count =
+            kind == 0 ? 0
+            : kind == 1
+                ? 1 + rng.bounded(std::min<std::uint32_t>(31, block_dim))
+                : rng.bounded(5 * static_cast<std::uint64_t>(block_dim) + 1);
+        phase_counts.push_back(count);
+        max_count = std::max(max_count, count);
+      }
+      std::vector<StreamAccess> phase_accesses;
+      const std::uint32_t n = 1 + static_cast<std::uint32_t>(rng.bounded(4));
+      for (std::uint32_t a = 0; a < n; ++a) {
+        if (a > 0 && rng.uniform() < 0.25) {
+          phase_accesses.push_back(phase_accesses[rng.bounded(a)]);
+          continue;
+        }
+        const std::uint32_t bytes = kElemBytes[rng.bounded(7)];
+        const std::uint64_t block_span = max_count * bytes + 32;
+        const std::uint64_t base =
+            ctx.reserve_address(cfg.grid_dim * block_span) + rng.bounded(32);
+        phase_accesses.push_back({base, bytes, rng.uniform() < 0.5});
+      }
+      // Block b streams its own stretch of each buffer.
+      std::vector<std::vector<StreamAccess>> per_block;
+      for (std::uint32_t b = 0; b < cfg.grid_dim; ++b) {
+        std::vector<StreamAccess> shifted = phase_accesses;
+        for (StreamAccess& s : shifted) {
+          s.base += b * (max_count * s.elem_bytes + 32);
+        }
+        per_block.push_back(std::move(shifted));
+      }
+      counts.push_back(std::move(phase_counts));
+      accesses.push_back(std::move(per_block));
+      cycles_per_elem.push_back(rng.bounded(20));
+    }
+  }
+
+  void run_stream(BlockCtx& blk) const {
+    for (std::size_t p = 0; p < counts.size(); ++p) {
+      const std::uint32_t b = blk.block_idx();
+      blk.stream_phase(counts[p][b], accesses[p][b], cycles_per_elem[p]);
+    }
+  }
+
+  void run_lanes(BlockCtx& blk) const {
+    for (std::size_t p = 0; p < counts.size(); ++p) {
+      const std::uint32_t b = blk.block_idx();
+      blk.for_each_thread([&](ThreadCtx& t) {
+        for (std::uint64_t k = t.tid(); k < counts[p][b];
+             k += blk.block_dim()) {
+          for (const StreamAccess& a : accesses[p][b]) {
+            const std::uint64_t addr = a.base + k * a.elem_bytes;
+            if (a.is_write) {
+              t.global_write(addr, a.elem_bytes);
+            } else {
+              t.global_read(addr, a.elem_bytes);
+            }
+          }
+          t.charge(cycles_per_elem[p]);
+        }
+      });
+    }
+  }
+};
+
+TEST(RecorderDiff, StreamPhaseMatchesLaneByLanePhase) {
+  SimContext ctx;
+  std::set<std::uint32_t> elem_bytes_seen;
+  std::uint32_t empty = 0, partial_warp = 0, strided = 0, repeats = 0;
+  std::uint32_t unaligned = 0, mixed = 0;
+  for (const std::uint32_t block_dim : {32u, 40u, 100u, 128u, 256u}) {
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+      SCOPED_TRACE(::testing::Message()
+                   << "block_dim " << block_dim << ", seed " << seed);
+      const StreamKernel kernel(seed * 1000 + block_dim, block_dim, ctx);
+      const KernelResult got = ctx.launch(
+          "stream", kernel.cfg, [&](BlockCtx& blk) { kernel.run_stream(blk); });
+      const KernelResult want = ctx.launch(
+          "lanes", kernel.cfg, [&](BlockCtx& blk) { kernel.run_lanes(blk); });
+      expect_same_stats(got.stats, want.stats);
+      EXPECT_EQ(got.timing.seconds, want.timing.seconds);
+
+      for (std::size_t p = 0; p < kernel.counts.size(); ++p) {
+        for (const std::uint64_t count : kernel.counts[p]) {
+          empty += count == 0;
+          partial_warp += count > 0 && count < 32;
+          strided += count > block_dim;
+        }
+        const std::vector<StreamAccess>& list = kernel.accesses[p][0];
+        bool reads = false, writes = false;
+        for (std::size_t a = 0; a < list.size(); ++a) {
+          elem_bytes_seen.insert(list[a].elem_bytes);
+          unaligned += list[a].base % 32 != 0;
+          reads |= !list[a].is_write;
+          writes |= list[a].is_write;
+          for (std::size_t e = 0; e < a; ++e) {
+            if (list[e].base == list[a].base) {
+              ++repeats;
+              break;
+            }
+          }
+        }
+        mixed += reads && writes;
+      }
+    }
+  }
+  EXPECT_EQ(elem_bytes_seen.size(), std::size(StreamKernel::kElemBytes));
+  EXPECT_GT(empty, 50u);
+  EXPECT_GT(partial_warp, 50u);
+  EXPECT_GT(strided, 50u);
+  EXPECT_GT(repeats, 50u);
+  EXPECT_GT(unaligned, 50u);
+  EXPECT_GT(mixed, 50u);
+}
+
+TEST(RecorderDiff, StreamPhaseRejectsElementSizesOutsideOneToThirtyTwo) {
+  SimContext ctx;
+  const std::uint64_t base = ctx.reserve_address(1 << 12);
+  for (const std::uint32_t bytes : {0u, 33u}) {
+    const StreamAccess accesses[] = {{base, 4, false}, {base, bytes, true}};
+    EXPECT_THROW(ctx.launch("stream", {1, 32, 0},
+                            [&](BlockCtx& blk) {
+                              blk.stream_phase(32, accesses, 1);
+                            }),
+                 std::invalid_argument)
+        << "elem_bytes " << bytes;
+  }
 }
 
 }  // namespace
