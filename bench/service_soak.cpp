@@ -12,9 +12,11 @@
 //    1 dispatcher) service and a (4 workers, 3 dispatchers) service.
 //  * bounded residency — the "reader.frame_bytes" registry gauge (which
 //    aggregates every open reader) peaks under the configured ceiling:
-//    (workers + dispatchers * (2*workers + 2) + dispatchers) * max frame —
-//    pool decode tasks hold one frame each, each dispatcher-run range
-//    request prefetches at most max(2, 2*workers) frames, chunk decodes one.
+//    (workers + dispatchers * (2*workers + 2) + dispatchers) * max frame.
+//    Pool tasks (decompress chunks and the chunks of multi-chunk ranges)
+//    hold one frame each and a dispatcher one for a range inside one
+//    chunk, so (workers + dispatchers) frames is the tight bound; the
+//    ceiling sits above it.
 //  * deterministic backpressure — a fixed paused-submit script is replayed
 //    twice; both runs must reject exactly the same (expected) count.
 //  * histograms present — all eight per-class "service.*" histograms appear
@@ -762,9 +764,10 @@ int run(bool emit_json, const char* json_path) {
     snapshot_json = snap.to_json(4);
   }
 
-  // Frame-residency ceiling: pool workers hold one frame per decode task,
-  // each dispatcher-run range request prefetches at most max(2, 2*workers)
-  // frames, a chunk request holds one.
+  // Frame-residency ceiling: every pool task holds one frame (a range's
+  // chunks are pool tasks too), and a dispatcher one while it reads a range
+  // inside one chunk. So (workers + dispatchers) frames bound the peak; the
+  // ceiling below is looser and still an upper bound.
   const std::uint64_t window = std::max<std::uint64_t>(2, 2 * kWorkers);
   const std::uint64_t ceiling =
       (kWorkers + kDispatchers * (window + 2) + kDispatchers) *

@@ -3,7 +3,7 @@
 // on a thread pool (frames hit the file as worker futures complete — no
 // whole-archive memory image on the way out), then reopen the file
 // footer-first and read it back three ways — full parallel batch decompress,
-// random access to a single chunk, and a prefetching range decode — all
+// random access to a single chunk, and a pooled range decode — all
 // without ever materializing the archive bytes: peak archive residency is
 // the index plus at most one in-flight frame per worker.
 //
@@ -117,8 +117,8 @@ int main(int argc, char** argv) {
   std::printf("random access: chunk 1 of %s -> %zu elems, %.3f ms simulated\n",
               cesm.name.c_str(), one.data.size(), one.total_seconds() * 1e3);
 
-  // 3. Prefetching range decode: a window of HACC spanning a chunk boundary;
-  //    the scheduler fetches frame c+1 while frame c decodes on the pool.
+  // 3. Range decode: a window of HACC spanning a chunk boundary; each of
+  //    the two chunks is fetched and decoded by its own pool task.
   const std::size_t hacc_idx = reader.field_index(hacc.name);
   const std::uint64_t lo = (1u << 15) - 1000, hi = (1u << 15) + 1000;
   const auto window = scheduler.decode_range(reader, hacc_idx, lo, hi);

@@ -106,11 +106,16 @@ void BlockCtx::stream_phase(std::uint64_t count,
         const std::uint64_t last =
             (a.base + hi * a.elem_bytes - 1) / detail::kSectorBytes;
         slot_sectors += last - first + 1;
+        // As in record(): stores are write-through, so every written sector
+        // is a transaction. No read of the phase touches a written sector,
+        // so the warp's set holds only the read ones.
+        if (a.is_write) {
+          stats_.global_transactions += last - first + 1;
+          continue;
+        }
         for (std::uint64_t seg = first; seg <= last; ++seg) {
-          // As in record(): stores are write-through, reads of a sector the
-          // warp already holds are L1 hits.
-          const bool warp_new = warp_sectors_.insert(seg);
-          if (a.is_write || warp_new) ++stats_.global_transactions;
+          // Reads of a sector the warp already holds are L1 hits.
+          if (warp_sectors_.insert(seg)) ++stats_.global_transactions;
         }
       }
     }

@@ -162,6 +162,11 @@ class ArchiveReader {
   /// declared dims.
   bool field_complete(std::size_t field) const;
 
+  /// Throws ContainerError unless field_complete(field). Strict reads call
+  /// it before any chunk task runs: a fan-out would otherwise decode the
+  /// recovered chunks and silently leave the holes zero-filled.
+  void require_complete(std::size_t field) const;
+
   /// The as-written ordinal of a (possibly dense salvage) chunk index.
   std::size_t chunk_ordinal(std::size_t field, std::size_t chunk) const;
 
@@ -189,12 +194,11 @@ class ArchiveReader {
   std::vector<std::uint8_t> read_frame(std::size_t field,
                                        std::size_t chunk) const;
 
-  /// Fetches one chunk's frame WITHOUT the CRC check — for prefetching
-  /// consumers whose decode path runs the frame through
-  /// wire::parse_chunk_frame (which verifies the CRC) anyway, so the bytes
-  /// are hashed once, on the decoding thread instead of the fetching one.
-  /// Once returned the bytes are caller-owned; wrap them in a FrameResidency
-  /// to keep peak_frame_bytes() honest while they stay resident.
+  /// Fetches one chunk's frame WITHOUT the CRC check — for consumers whose
+  /// decode path runs the frame through wire::parse_chunk_frame (which
+  /// verifies the CRC) anyway, so the bytes are hashed once. Once returned
+  /// the bytes are caller-owned; wrap them in a FrameResidency to keep
+  /// peak_frame_bytes() honest while they stay resident.
   std::vector<std::uint8_t> read_frame_unverified(std::size_t field,
                                                   std::size_t chunk) const;
 
@@ -240,7 +244,6 @@ class ArchiveReader {
   /// All source traffic funnels through here: retries TransientIoError
   /// within options_.retry, counting attempts into io_retries_.
   void read_at_retried(std::uint64_t offset, std::span<std::uint8_t> out) const;
-  void require_complete(std::size_t field) const;
 
   const ByteSource& source_;
   ReaderOptions options_;
@@ -264,11 +267,11 @@ class ArchiveReader {
 
 /// RAII accounting of frame bytes held against a reader's residency gauge
 /// and the process-wide "reader.frame_bytes" gauge. The decode entry points
-/// hold one internally for the duration of each fetch+decode; prefetching
-/// consumers (BatchScheduler::decode_range) hold one per in-flight frame, so
-/// peak_frame_bytes() observes every resident frame wherever it lives — the
-/// streaming-memory tests assert against the gauge instead of trusting call
-/// structure.
+/// hold one internally for the duration of each fetch+decode; the batch
+/// scheduler's host chunk reads (decompress_partial, decode_range) hold one
+/// while they parse each frame they fetched, so peak_frame_bytes() observes
+/// every resident frame wherever it lives — the streaming-memory tests
+/// assert against the gauge instead of trusting call structure.
 class FrameResidency {
  public:
   FrameResidency(const ArchiveReader& reader, std::uint64_t bytes);

@@ -87,13 +87,13 @@ class BatchScheduler {
 
   // Cancellation: the entry points taking a CancelToken poll it cooperatively
   // at task boundaries — before submitting each chunk task, at every task's
-  // entry, and between streamed/prefetched chunks on the collecting thread —
-  // and abort by throwing OperationCancelled once it fires. In-flight chunk
-  // tasks are always waited out before the throw unwinds (the same
-  // exception-safety discipline every fan-out here already follows), and an
-  // UNCANCELLED run is bit-identical to a run without a token. A cancelled
-  // compress_to abandons its writer session mid-stream; callers stream into
-  // disposable sinks (MemorySink) or discard the file.
+  // entry, and between streamed chunks on the collecting thread — and abort
+  // by throwing OperationCancelled once it fires. In-flight chunk tasks are
+  // always waited out before the throw unwinds (every fan-out here waits out
+  // its untaken tasks when it goes out of scope), and an UNCANCELLED run is
+  // bit-identical to a run without a token. A cancelled compress_to abandons
+  // its writer session mid-stream; callers stream into disposable sinks
+  // (MemorySink) or discard the file.
 
   /// Compresses every chunk of every field concurrently and STREAMS the
   /// archive into `writer` — each frame is handed to the sink the moment its
@@ -139,13 +139,12 @@ class BatchScheduler {
 
   /// Decodes exactly the elements [elem_begin, elem_end) of one field. A
   /// range inside one chunk (a chunk read is one) decodes on the calling
-  /// thread. A longer range is a prefetching pipeline: the calling thread
-  /// fetches the frames of the overlapping chunks in chunk order (IO) while
-  /// decode tasks for already-fetched frames run on the pool, so the fetch
-  /// of chunk c+1 overlaps the decode of chunk c; each task writes its
-  /// chunk's window of the result in place. Same floats for any worker
-  /// count. STRICT: a salvaged-incomplete field throws ContainerError
-  /// (decompress_partial reports its holes), and so does a corrupted frame.
+  /// thread. A longer range fans out one pool task per overlapping chunk,
+  /// as decompress does: each task fetches its own frame and writes its
+  /// chunk's window of the result in place, so at most one frame per
+  /// worker is resident. Same floats for any worker count. STRICT: a
+  /// salvaged-incomplete field throws ContainerError (decompress_partial
+  /// reports its holes), and so does a corrupted frame.
   std::vector<float> decode_range(const ArchiveReader& reader,
                                   std::size_t field, std::uint64_t elem_begin,
                                   std::uint64_t elem_end,

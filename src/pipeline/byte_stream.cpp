@@ -13,8 +13,7 @@
 namespace ohd::pipeline {
 namespace {
 
-/// Flush latency across all file sinks ("sink.flush_retries" is each sink's
-/// own instrument).
+/// Flush latency across all file sinks.
 obs::LatencyHistogram& flush_ns() {
   static obs::LatencyHistogram& h = obs::registry().histogram("sink.flush_ns");
   return h;
@@ -67,8 +66,7 @@ void MemorySource::read_at(std::uint64_t offset,
   std::memcpy(out.data(), bytes_.data() + offset, out.size());
 }
 
-FileSink::FileSink(const std::string& path, RetryPolicy flush_retry)
-    : path_(path), flush_retry_(flush_retry) {
+FileSink::FileSink(const std::string& path) : path_(path) {
   errno = 0;
   file_ = std::fopen(path.c_str(), "wb");
   if (file_ == nullptr) {
@@ -97,21 +95,16 @@ void FileSink::write(std::span<const std::uint8_t> bytes) {
 void FileSink::flush() {
   if (file_ == nullptr) return;  // already closed: nothing buffered
   const obs::ScopedOp op("sink.flush", &flush_ns());
-  with_retry(
-      flush_retry_,
-      [&] {
-        errno = 0;
-        if (std::fflush(file_) != 0) {
-          int err = errno;
-          // EINTR/EAGAIN leave the stream usable and nothing is lost from
-          // stdio's buffer on fflush failure, so a retry may succeed.
-          if (err == EINTR || err == EAGAIN) {
-            throw TransientIoError(errno_detail("flush of", path_, err));
-          }
-          throw ArchiveError(errno_detail("flush of", path_, err));
-        }
-      },
-      [&] { flush_retries_.add(1); });
+  errno = 0;
+  if (std::fflush(file_) != 0) {
+    int err = errno;
+    // EINTR/EAGAIN leave the stream usable and nothing is lost from stdio's
+    // buffer on fflush failure, so a retry may succeed.
+    if (err == EINTR || err == EAGAIN) {
+      throw TransientIoError(errno_detail("flush of", path_, err));
+    }
+    throw ArchiveError(errno_detail("flush of", path_, err));
+  }
 }
 
 void FileSink::close() {
@@ -130,8 +123,8 @@ void FileSink::commit() {
   close();
 }
 
-AtomicFileSink::AtomicFileSink(const std::string& path, RetryPolicy flush_retry)
-    : FileSink(path + ".tmp", flush_retry), final_path_(path) {}
+AtomicFileSink::AtomicFileSink(const std::string& path)
+    : FileSink(path + ".tmp"), final_path_(path) {}
 
 AtomicFileSink::~AtomicFileSink() {
   if (!committed_) {

@@ -204,12 +204,15 @@ class OwningMemorySource : public ByteSource {
 
 /// Sink over a freshly created (truncated) file. Errors carry errno detail;
 /// close()/commit() check the fclose result instead of ignoring it (a
-/// buffered write can fail as late as close on a full disk). flush() retries
-/// transient failures under `flush_retry`; commit() additionally fsyncs.
+/// buffered write can fail as late as close on a full disk). flush() throws
+/// TransientIoError on EINTR/EAGAIN, after which the stream stays usable
+/// and a retried flush may succeed; commit() additionally fsyncs.
 class FileSink : public ByteSink {
  public:
-  explicit FileSink(const std::string& path, RetryPolicy flush_retry = {});
+  explicit FileSink(const std::string& path);
   ~FileSink() override;
+  FileSink(const FileSink&) = delete;  // the destructor closes file_
+  FileSink& operator=(const FileSink&) = delete;
 
   void write(std::span<const std::uint8_t> bytes) override;
   std::uint64_t position() const override { return written_; }
@@ -223,7 +226,6 @@ class FileSink : public ByteSink {
   void close();
 
   bool closed() const { return file_ == nullptr; }
-  std::uint64_t flush_retries() const { return flush_retries_.value(); }
 
  protected:
   /// Target of the durability fsync in commit() — the temp path for
@@ -233,12 +235,6 @@ class FileSink : public ByteSink {
   std::string path_;
   std::FILE* file_ = nullptr;
   std::uint64_t written_ = 0;
-  RetryPolicy flush_retry_;
-  /// The per-sink instrument behind flush_retries(), listed as the
-  /// registry's "sink.flush_retries".
-  obs::Counter flush_retries_;
-  obs::MetricsRegistry::Owner metrics_{
-      obs::registry(), {{"sink.flush_retries", &flush_retries_}}};
 };
 
 /// Crash-consistent file sink: writes go to `<path>.tmp`; commit() flushes,
@@ -248,8 +244,7 @@ class FileSink : public ByteSink {
 /// leaves a torn archive at the destination.
 class AtomicFileSink : public FileSink {
  public:
-  explicit AtomicFileSink(const std::string& path,
-                          RetryPolicy flush_retry = {});
+  explicit AtomicFileSink(const std::string& path);
   ~AtomicFileSink() override;
 
   /// flush + fsync + close + rename(temp, final) + directory fsync. The

@@ -1,8 +1,8 @@
 // Cooperative cancellation primitive shared by the batch pipeline and the
 // service layer above it. A CancelToken is a cheap copyable handle to one
 // shared flag; work that wants to be cancellable polls it at its natural
-// task boundaries (chunk fan-out submission, task entry, prefetch steps) and
-// aborts by throwing OperationCancelled. Cancellation is COOPERATIVE: a task
+// task boundaries (chunk fan-out submission, task entry, streamed chunks)
+// and aborts by throwing OperationCancelled. Cancellation is COOPERATIVE: a task
 // that is already past its last check runs to completion, and results of an
 // uncancelled run are bit-identical to a run without any token — the checks
 // observe, never mutate.

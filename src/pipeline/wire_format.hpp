@@ -183,8 +183,8 @@ bool try_parse_field_preamble(std::span<const std::uint8_t> bytes,
                               FieldPreamble& out, std::uint64_t& consumed);
 
 /// Checksum + parse + geometry validation of one chunk's frame bytes — the
-/// single decode gate of ArchiveReader and the batch scheduler's prefetching
-/// paths, so it is where "reader.crc_checks" counts their CRC checks.
+/// single decode gate of ArchiveReader and the batch scheduler's host chunk
+/// reads, so it is where "reader.crc_checks" counts their CRC checks.
 sz::CompressedBlob parse_chunk_frame(const FieldEntry& field, std::size_t chunk,
                                      std::span<const std::uint8_t> frame);
 

@@ -190,7 +190,6 @@ TEST(MetricCatalogue, SnapshotListsExactlyTheCatalogue) {
       "counter service.rejected_quota",
       "counter service.shed.count",
       "counter service.shed.rejected",
-      "counter sink.flush_retries",
       "counter writer.bytes_written",
       "counter writer.chunks",
       "gauge net.connections",
